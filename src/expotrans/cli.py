@@ -42,26 +42,28 @@ def _load_source(path_or_addr: str):
     raise InputError(f"{path_or_addr} is neither a shape nor a matrix document")
 
 
-def _b_of(source, order: int, given: str) -> ExpMoments:
-    if isinstance(source, OperatorFamily):
-        return b_from_operator(source.sized_for(order), order)
-    if isinstance(source, Shape):
-        return a_to_b(moments(source, order))
-    arr = np.asarray(source, dtype=complex)
+def _block(arr: np.ndarray, order: int) -> np.ndarray:
+    """The leading order x order block of a matrix read from a file."""
     if arr.shape[0] < order:
         raise InputError(f"matrix of order {arr.shape[0]} smaller than requested {order}")
-    arr = arr[:order, :order]
+    return arr[:order, :order]
+
+
+def _b_of(source, order: int, given: str) -> ExpMoments:
+    if isinstance(source, (Shape, OperatorFamily)):
+        return gallery.b_for(source, order)
+    arr = _block(source, order)
     if given == "b":
         return ExpMoments(order, arr)
     return a_to_b(MomentMatrix(order, arr))
 
 
 def _a_of(source, order: int, given: str) -> MomentMatrix:
-    if isinstance(source, OperatorFamily):
-        return b_to_a(b_from_operator(source.sized_for(order), order))
     if isinstance(source, Shape):
         return moments(source, order)
-    arr = np.asarray(source, dtype=complex)[:order, :order]
+    if isinstance(source, OperatorFamily):
+        return b_to_a(gallery.b_for(source, order))
+    arr = _block(source, order)
     if given == "b":
         return b_to_a(ExpMoments(order, arr))
     return MomentMatrix(order, arr)
@@ -105,7 +107,7 @@ def cmd_moments(args) -> int:
 def cmd_transform(args) -> int:
     source = _load_source(args.source)
     if args.inverse:
-        b = _b_of(source, args.order, "b" if not isinstance(source, (Shape, OperatorFamily)) else args.given)
+        b = _b_of(source, args.order, "b")
         out = b_to_a(b).a
     else:
         a = _a_of(source, args.order, args.given)
@@ -266,15 +268,16 @@ def _selftest_cases(seed: int):
 
 
 def cmd_selftest(args) -> int:
+    cases = _selftest_cases(args.seed)
     failures = 0
-    for name, fn in _selftest_cases(args.seed):
+    for name, fn in cases:
         err, tol = fn()
         if err <= tol:
             sys.stdout.write(f"ok - {name} ({err:.2e} <= {tol:.0e})\n")
         else:
             failures += 1
             sys.stdout.write(f"FAIL - {name} ({err:.2e} > {tol:.0e})\n")
-    sys.stdout.write(f"selftest: {5 - failures} passed, {failures} failed\n")
+    sys.stdout.write(f"selftest: {len(cases) - failures} passed, {failures} failed\n")
     if failures:
         raise PrecisionError(f"{failures} selftest case(s) out of tolerance")
     return 0
@@ -284,19 +287,33 @@ def cmd_selftest(args) -> int:
 # argument wiring
 
 
-def _add_common(p, order=8, dmax=6, tol=1e-8):
+def _add_order(p, order: int):
     p.add_argument("--order", type=int, default=order, help="moment matrix order N")
-    p.add_argument("--dmax", type=int, default=dmax, help="largest certificate degree to try")
-    p.add_argument("--tol", type=float, default=tol, help="residual tolerance")
-    p.add_argument("--legendre-order", type=int, default=10, dest="legendre_order")
+
+
+def _add_out(p):
     p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.add_argument("--seed", type=int, default=0)
+
+
+def _add_source(p, order: int = 8):
+    """A SOURCE and the options that read it: --order, --given, --out."""
+    p.add_argument("source")
+    _add_order(p, order)
     p.add_argument(
         "--given",
         choices=("a", "b"),
         default="a",
         help="how to interpret a bare matrix input file",
     )
+    _add_out(p)
+
+
+def _add_column(p):
+    """A COLUMN and a CERT with --order and --out."""
+    p.add_argument("column")
+    p.add_argument("cert")
+    _add_order(p, 12)
+    _add_out(p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -307,55 +324,50 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("moments", help="power moment matrix of a shape")
-    p.add_argument("source")
-    _add_common(p)
+    _add_source(p)
     p.set_defaults(fn=cmd_moments)
 
     p = sub.add_parser("transform", help="a -> b (or b -> a with --inverse)")
-    p.add_argument("source")
+    _add_source(p)
     p.add_argument("--inverse", action="store_true")
-    _add_common(p)
     p.set_defaults(fn=cmd_transform)
 
-    p = sub.add_parser("pipeline", help="full report: basis, Hessenberg, certificate")
-    p.add_argument("source")
-    _add_common(p, order=12)
-    p.set_defaults(fn=cmd_pipeline)
-
-    p = sub.add_parser("detect", help="smallest band certificate, if any")
-    p.add_argument("source")
-    _add_common(p, order=12)
-    p.set_defaults(fn=cmd_detect)
+    for name, fn, text in (
+        ("pipeline", cmd_pipeline, "full report: basis, Hessenberg, certificate"),
+        ("detect", cmd_detect, "smallest band certificate, if any"),
+    ):
+        p = sub.add_parser(name, help=text)
+        _add_source(p, order=12)
+        p.add_argument("--dmax", type=int, default=6, help="largest certificate degree to try")
+        p.add_argument("--tol", type=float, default=1e-8, help="residual tolerance")
+        p.set_defaults(fn=fn)
 
     p = sub.add_parser("fill", help="propagate a certificate over the moment triangle")
-    p.add_argument("column")
-    p.add_argument("cert")
-    _add_common(p, order=12)
+    _add_column(p)
     p.set_defaults(fn=cmd_fill)
 
     p = sub.add_parser("reconstruct", help="density field from column + certificate")
-    p.add_argument("column")
-    p.add_argument("cert")
+    _add_column(p)
     p.add_argument("--grid", type=int, default=64, help="samples per axis in the CSV")
-    _add_common(p, order=12, tol=1e-6)
+    p.add_argument("--tol", type=float, default=1e-6, help="residual tolerance")
+    p.add_argument("--legendre-order", type=int, default=10, dest="legendre_order")
     p.set_defaults(fn=cmd_reconstruct)
 
     p = sub.add_parser("evolve", help="moment trajectories under squeeze or inject")
-    p.add_argument("source")
+    _add_source(p)
     p.add_argument("--law", choices=("squeeze", "inject"), required=True)
     p.add_argument("--t0", type=float, default=0.0)
     p.add_argument("--t1", type=float, default=math.log(2.0))
     p.add_argument("--steps", type=int, default=8)
-    _add_common(p)
     p.set_defaults(fn=cmd_evolve)
 
     p = sub.add_parser("gallery", help="list or describe named examples")
     p.add_argument("name", nargs="?", default=None)
-    _add_common(p)
+    _add_out(p)
     p.set_defaults(fn=cmd_gallery)
 
     p = sub.add_parser("selftest", help="fast internal consistency battery")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_selftest)
     return ap
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import shapes
 from .errors import InputError, MathDomainError, PrecisionError
-from .series import BiSeries, exp_neg, log_neg
+from .series import BiSeries, exp_neg, hermitian_matrix, log_neg, square_matrix
 
 PSD_TOL = 1e-9
 
@@ -33,13 +33,7 @@ class ExpMoments:
     b: np.ndarray
 
     def __post_init__(self):
-        self.b = np.asarray(self.b, dtype=complex)
-        if self.b.shape != (self.order, self.order):
-            raise InputError("b matrix shape does not match order")
-        scale = max(1.0, float(np.abs(self.b).max()))
-        if np.abs(self.b - self.b.conj().T).max() > 1e-9 * scale:
-            raise InputError("b matrix is not Hermitian")
-        self.b = 0.5 * (self.b + self.b.conj().T)
+        self.b = hermitian_matrix(self.b, self.order, "b matrix")
 
     def min_eig(self) -> float:
         return float(np.linalg.eigvalsh(self.b).min())
@@ -50,25 +44,16 @@ class ExpMoments:
             raise MathDomainError("b matrix is indefinite beyond tolerance")
 
 
-def _as_matrix(x, attr: str) -> np.ndarray:
-    if hasattr(x, attr):
-        x = getattr(x, attr)
-    m = np.asarray(x, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InputError("expected a square matrix")
-    return m
-
-
 def a_to_b(a) -> ExpMoments:
     """Moments to exponential-transform moments via exp(-A) = 1 - B."""
-    am = _as_matrix(a, "a")
+    am = square_matrix(a, "a")
     series = exp_neg(BiSeries.from_tail(am))
     return ExpMoments(am.shape[0], -series.tail)
 
 
 def b_to_a(b) -> shapes.MomentMatrix:
     """Inverse of a_to_b via -log(1 - B)."""
-    bm = _as_matrix(b, "b")
+    bm = square_matrix(b, "b")
     series = log_neg(BiSeries(bm.shape[0], 1.0, -bm))
     return shapes.MomentMatrix(bm.shape[0], series.tail)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, MathDomainError
-from .series import BiSeries, exp_neg
+from .series import BiSeries, exp_neg, square_matrix
 
 
 @dataclass
@@ -53,15 +53,6 @@ class BandProfile:
     toeplitz_deviation: float
 
 
-def _b_matrix(b) -> np.ndarray:
-    if hasattr(b, "b"):
-        b = b.b
-    m = np.asarray(b, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InputError("expected a square b matrix")
-    return m
-
-
 def fit_certificate(b, d: int, rows: int | None = None) -> BandCertificate:
     """Least-squares certificate of order d over the leading rows.
 
@@ -69,7 +60,7 @@ def fit_certificate(b, d: int, rows: int | None = None) -> BandCertificate:
     d + 1 leaves the system underdetermined; that is permitted but flagged,
     and a rank-deficient design matrix yields the minimal-norm solution.
     """
-    bm = _b_matrix(b)
+    bm = square_matrix(b, "b")
     n = bm.shape[0]
     if d < 0 or d >= n:
         raise InputError("need 0 <= d < order")
@@ -90,7 +81,7 @@ def detect_order(b, dmax: int, tol: float = 1e-8) -> BandCertificate | None:
     Residuals are non-increasing in d (nested design matrices), so the scan
     stops at the first hit; None when nothing fits up to dmax.
     """
-    bm = _b_matrix(b)
+    bm = square_matrix(b, "b")
     cutoff = tol * float(np.linalg.norm(bm[:, 0]))
     for d in range(dmax + 1):
         cert = fit_certificate(bm, d)

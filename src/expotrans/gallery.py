@@ -98,9 +98,10 @@ def names() -> list[str]:
     return ["disk", "annulus", "ellipse-shape", "tdisk", "ellipse", "trifoil", "power", "twodiag"]
 
 
-def b_for(address: str, order: int) -> ExpMoments:
-    """Moment data b for a gallery entry, by quadrature or by Krylov Gram."""
-    entry = resolve(address)
+def b_for(source: str | Shape | OperatorFamily, order: int) -> ExpMoments:
+    """Moment data b for a gallery address or a resolved entry (any Shape or
+    OperatorFamily), by quadrature or by Krylov Gram."""
+    entry = resolve(source) if isinstance(source, str) else source
     if isinstance(entry, OperatorFamily):
         return b_from_operator(entry.sized_for(order), order)
     return a_to_b(moments(entry, order))

@@ -95,9 +95,14 @@ def trifoil_operator(size: int) -> BandedOperator:
 
 
 def trifoil_curve(theta) -> np.ndarray:
-    """Polar radius r(theta) = 2 |cos(3 theta / 2)| of the trifoil boundary."""
+    """Polar radius r(theta) = 2 max(cos(3 theta), 0) of the trifoil boundary.
+
+    The boundary is the symbol curve e^(2it) + e^(-it) = 2 cos(3t/2) e^(it/2):
+    at polar angle theta = t/2 (mod pi) its radius is 2 cos(3 theta), and the
+    three sectors where cos(3 theta) < 0 meet the curve only at the origin.
+    """
     theta = np.asarray(theta, dtype=float)
-    return 2.0 * np.abs(np.cos(1.5 * theta))
+    return 2.0 * np.maximum(np.cos(3.0 * theta), 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, MathDomainError
+from .series import square_matrix
 
 PIVOT_TOL = 1e-10
 
@@ -51,15 +52,6 @@ class CompletenessReport:
     verdict: str
 
 
-def _b_matrix(b) -> np.ndarray:
-    if hasattr(b, "b"):
-        b = b.b
-    m = np.asarray(b, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InputError("expected a square b matrix")
-    return m
-
-
 def orthonormalize(b, pivot_tol: float = PIVOT_TOL) -> PolyBasis:
     """Gram-Schmidt on monomials under the b inner product, with pivot stop.
 
@@ -67,7 +59,7 @@ def orthonormalize(b, pivot_tol: float = PIVOT_TOL) -> PolyBasis:
     polynomials found so far; raises if the matrix is indefinite beyond
     tolerance.
     """
-    bm = _b_matrix(b)
+    bm = square_matrix(b, "b")
     n = bm.shape[0]
     gram = bm.conj()  # gram[m, n] = <z^m, z^n> = b[n, m]
     b00 = gram[0, 0].real
@@ -105,7 +97,7 @@ def hessenberg(b, basis: PolyBasis) -> Hessenberg:
     block is one smaller.  Entries below the first subdiagonal are exact
     structural zeros (never computed).
     """
-    bm = _b_matrix(b)
+    bm = square_matrix(b, "b")
     n = bm.shape[0]
     d = basis.degree
     if d < 1:

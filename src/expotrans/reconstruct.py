@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import InputError, MathDomainError
 from .finiteterm import BandCertificate, fill_from_first_column
-from .series import BiSeries, log_neg
-from .shapes import Box
+from .series import BiSeries, log_neg, square_matrix
+from .shapes import Box, translate_moments
 
 DEFAULT_PAD = 0.15
 
@@ -41,12 +41,6 @@ class GridFunction:
     above: int = 0
 
 
-def _amatrix(a) -> np.ndarray:
-    if hasattr(a, "a"):
-        a = a.a
-    return np.asarray(a, dtype=complex)
-
-
 def _covered_order(am: np.ndarray) -> int:
     n = am.shape[0]
     finite = np.isfinite(am.real) & np.isfinite(am.imag)
@@ -67,7 +61,7 @@ def real_moments(a, total_order: int | None = None) -> RealMoments:
     certified-triangle fill can be converted as far as it reaches.  Residual
     imaginary parts beyond 1e-10 of scale raise rather than being dropped.
     """
-    am = _amatrix(a)
+    am = square_matrix(a, "a")
     covered = _covered_order(am)
     p_max = covered if total_order is None else total_order
     if p_max < 0 or p_max > covered:
@@ -129,13 +123,11 @@ def support_box(a, pad: float = DEFAULT_PAD) -> Box:
     factor.  Elongated supports get elongated boxes, which is what keeps a
     low-order Legendre projection from wasting resolution on empty space.
     """
-    am = _amatrix(a)
+    am = square_matrix(a, "a")
     a00 = am[0, 0].real
     if not np.isfinite(a00) or a00 <= 0:
         raise MathDomainError("a[0, 0] must be positive to locate the support")
     center = am[1, 0] / a00 if am.shape[0] > 1 and np.isfinite(am[1, 0]) else 0.0 + 0.0j
-    from .shapes import translate_moments
-
     rm = real_moments(translate_moments(am, -center) if center != 0 else am)
     half_x = half_y = 0.0
     for j in range(rm.total_order // 2 + 1):

@@ -263,10 +263,3 @@ def trajectory_to_csv(rows) -> str:
     for t, j, v in rows:
         lines.append(f"{fmt(t)},{int(j)},{fmt(v.real)},{fmt(v.imag)}")
     return "\n".join(lines) + "\n"
-
-
-def points_to_csv(header: tuple[str, ...], rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt(v) if isinstance(v, float) else str(v) for v in row))
-    return "\n".join(lines) + "\n"

@@ -5,6 +5,8 @@ entry ``tail[j, k]`` multiplies u**(j+1) * v**(k+1).  Every operation
 truncates at total degree ``order`` in each variable separately, and the
 grading (each tail monomial carries at least one u and one v) makes the
 exponential and logarithm finite triangular recursions rather than limits.
+The module also holds the two input checks every matrix entry point shares:
+coercion to a square complex array and the Hermitian test.
 """
 from __future__ import annotations
 
@@ -13,6 +15,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
+
+
+def square_matrix(x, attr: str) -> np.ndarray:
+    """``x.<attr>`` when x carries that field, else x, as a square complex array."""
+    m = np.asarray(getattr(x, attr, x), dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise InputError("expected a square matrix")
+    return m
+
+
+def hermitian_matrix(m, order: int, what: str) -> np.ndarray:
+    """m as an order x order complex matrix, symmetrized once it is Hermitian
+    to 1e-9 of its largest entry; ``what`` names the matrix in the errors."""
+    m = np.asarray(m, dtype=complex)
+    if m.shape != (order, order):
+        raise InputError(f"{what} shape does not match order")
+    scale = max(1.0, float(np.abs(m).max()))
+    if np.abs(m - m.conj().T).max() > 1e-9 * scale:
+        raise InputError(f"{what} is not Hermitian")
+    return 0.5 * (m + m.conj().T)
 
 
 @dataclass

@@ -22,6 +22,7 @@ from typing import Union
 import numpy as np
 
 from .errors import InputError, MathDomainError, PrecisionError
+from .series import hermitian_matrix
 
 DEFAULT_QUAD_BUDGET = 4_194_304
 MOMENT_QUAD_TOL = 1e-10
@@ -164,13 +165,7 @@ class MomentMatrix:
     a: np.ndarray
 
     def __post_init__(self):
-        self.a = np.asarray(self.a, dtype=complex)
-        if self.a.shape != (self.order, self.order):
-            raise InputError("moment matrix shape does not match order")
-        scale = max(1.0, float(np.abs(self.a).max()))
-        if np.abs(self.a - self.a.conj().T).max() > 1e-9 * scale:
-            raise InputError("moment matrix is not Hermitian")
-        self.a = 0.5 * (self.a + self.a.conj().T)
+        self.a = hermitian_matrix(self.a, self.order, "moment matrix")
 
 
 # ---------------------------------------------------------------------------

@@ -1,22 +1,21 @@
 """End-to-end command-line tests: happy paths, exit codes, determinism."""
 import json
 import math
-import shutil
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-BASE = [shutil.which("expotrans")] if shutil.which("expotrans") else [
-    sys.executable, "-m", "expotrans.cli"
-]
+# the tree under test, ahead of any installed copy
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+BASE = [sys.executable, "-m", "expotrans.cli"]
 
 
 def run(*args, env=None, cwd=None):
-    import os
-
     full_env = dict(os.environ)
+    full_env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, full_env.get("PYTHONPATH")) if p)
     if env:
         full_env.update(env)
     return subprocess.run(
@@ -184,3 +183,20 @@ def test_selftest():
     assert r.returncode == 0
     assert r.stdout.count("ok - ") == 5
     assert "selftest: 5 passed, 0 failed" in r.stdout
+
+
+def test_matrix_file_smaller_than_order(tmp_path):
+    path = str(tmp_path / "a4.json")
+    with open(path, "w") as fh:
+        json.dump({"order": 4, "re": np.eye(4).tolist(), "im": np.zeros((4, 4)).tolist()}, fh)
+    for cmd in ("moments", "transform", "pipeline"):
+        r = run(cmd, path, "--order", "6")
+        assert r.returncode == 2
+        assert "smaller than requested" in r.stderr
+
+
+def test_options_a_command_does_not_read_are_rejected(tmp_path):
+    assert run("gallery", "--order", "3").returncode == 2
+    out = str(tmp_path / "selftest.txt")
+    assert run("selftest", "--out", out).returncode == 2
+    assert not os.path.exists(out)

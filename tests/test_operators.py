@@ -116,6 +116,15 @@ def test_trifoil_curve_values():
     assert np.max(np.abs(trifoil_curve(th) - trifoil_curve(th + 2 * math.pi / 3))) < 1e-12
 
 
+def test_trifoil_curve_is_polar_radius_of_symbol_curve():
+    # the boundary is traced by z(t) = e^(2it) + e^(-it); away from the
+    # origin, its radius at its own polar angle is the curve's value there
+    t = np.linspace(0.0, 2.0 * math.pi, 2001)
+    z = np.exp(2j * t) + np.exp(-1j * t)
+    z = z[np.abs(z) > 1e-3]
+    assert np.max(np.abs(trifoil_curve(np.angle(z)) - np.abs(z))) < 1e-12
+
+
 def test_two_diagonal_seed_values():
     st = two_diagonal_state(1.0, 1.0, 50)
     assert st.B[0] == 2.0
