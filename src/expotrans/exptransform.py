@@ -6,9 +6,11 @@ With u = 1/z and v = 1/conj(w), the transform of a shade function obeys
 
 which converts the moment matrix a into the positive-definite matrix b and
 back.  The first columns agree exactly.  The module also evaluates the
-transform E(z, w) at points outside the support by direct quadrature, finds
-boundary crossings along rays, and carries the closed forms for the
-rotationally invariant profiles.
+transform E(z, w) = exp(-K(z, w)) at points outside the support, where K is
+the Cauchy kernel integral of `shapes.cauchy_kernel_log` (closed forms for
+disks and annuli, a trapezoid contour rule for ellipses), finds boundary
+crossings along rays as zeros of E(z, z), and carries the closed forms for
+the rotationally invariant profiles.
 """
 from __future__ import annotations
 
@@ -69,70 +71,66 @@ def boundary_root(
     bracket: tuple[float, float],
     tol: float = 1e-5,
 ) -> float:
-    """Radius t* along ``direction`` where E(t d, t d) vanishes.
+    """Radius t* along ``direction`` where E(t d, t d) vanishes, to within tol.
 
-    E(z, z) is positive outside the support and vanishes linearly at the
-    boundary, so the root is located by bisecting on evaluability (the
-    evaluator rejects points inside or too close), then extrapolating the
-    last safe samples across the standoff gap with a quadratic model.
+    E(t d, t d) is positive outside the support and vanishes at the
+    boundary to the order g of the shade there, so F = E^(1/g), continued
+    inward, has a simple zero at the boundary.  For an ellipse that
+    continuation is singular at the foci, which may lie close to the
+    boundary, so the zero is approached in rounds.  Each round bisects on
+    membership in the support down to a width w (1 % of the bracket at
+    first), fits a quartic to F at hi + k w, k = 1..5, where hi is the
+    bisection's outer end, and takes the fit's root nearest the bisection
+    interval.  Then w shrinks eightfold, until two successive roots agree to
+    tol/4.  E is sampled only outside the support.
 
-    The bracket must straddle the crossing with the upper end outside.
+    The bracket must straddle the crossing: lower end inside the support,
+    upper end outside.
     """
     t_lo, t_hi = float(bracket[0]), float(bracket[1])
     if not 0 < t_lo < t_hi:
         raise InputError("bracket must satisfy 0 < t_lo < t_hi")
     d = direction / abs(direction)
 
-    def sample(t: float):
-        try:
-            val = eval_E(shape, t * d, t * d)
-        except (MathDomainError, PrecisionError):
-            return None
-        return float(val.real)
+    def outside(t: float) -> bool:
+        return shapes.support_distance(shape, t * d) > 0
 
-    hi_val = sample(t_hi)
-    if hi_val is None:
-        raise MathDomainError("bracket upper end is not evaluable (inside support?)")
-
-    lo_val = sample(t_lo)
-    scale = t_hi - t_lo
-    if lo_val is None:
-        # bisect on evaluability to close in on the safe standoff radius
-        lo, hi = t_lo, t_hi
-        while hi - lo > max(tol, 1e-4 * scale):
+    if not outside(t_hi):
+        raise MathDomainError("bracket upper end lies inside the support")
+    if outside(t_lo):
+        raise MathDomainError("no boundary crossing found in bracket")
+    lo, hi = t_lo, t_hi
+    width = 0.01 * (t_hi - t_lo)
+    ks = np.arange(1, 6)
+    root = None
+    while width >= 1e-3 * tol:
+        while hi - lo > width:
             mid = 0.5 * (lo + hi)
-            if sample(mid) is None:
-                lo = mid
-            else:
+            if outside(mid):
                 hi = mid
-        gap = hi - lo
-    else:
-        # both ends evaluable: the crossing, if any, must still lie inside
-        hi = t_lo
-        gap = max(tol, 1e-3 * scale)
+            else:
+                lo = mid
+        power = 1.0 / _shade_at(shape, lo * d)
+        vals = [eval_E(shape, (hi + k * width) * d, (hi + k * width) * d).real ** power for k in ks]
+        fit_roots = np.roots(np.polyfit(ks, vals, 4))
+        middle = 0.5 * (lo - hi) / width
+        s = fit_roots[np.argmin(np.abs(fit_roots - middle))].real
+        prev, root = root, hi + s * width
+        if prev is not None and abs(root - prev) <= 0.25 * tol:
+            if not t_lo <= root <= t_hi:
+                raise MathDomainError("no boundary crossing found in bracket")
+            return float(root)
+        width /= 8.0
+    raise PrecisionError("boundary root did not settle to tol")
 
-    # quadratic extrapolation toward the boundary from three safe samples
-    root = hi
-    for step in (4.0, 2.0, 1.0):
-        h = max(gap, tol) * step
-        ts = np.array([hi, hi + h, hi + 2 * h])
-        vals = np.array([sample(t) for t in ts], dtype=float)
-        if np.any(np.isnan(vals)):
-            continue
-        coeffs = np.polyfit(ts - hi, vals, 2)
-        roots = np.roots(coeffs)
-        real = roots[np.abs(roots.imag) < 1e-9].real + hi
-        candidates = real[(real <= hi + 1e-12) & (real > hi - 10 * h)]
-        if candidates.size:
-            root = float(candidates.max())
-        else:
-            # fall back to the secant through the two nearest samples
-            root = float(hi - vals[0] * h / (vals[1] - vals[0]))
-    if not (t_lo - 10 * max(gap, tol) <= root <= t_hi):
-        raise MathDomainError("no boundary crossing found in bracket")
-    if lo_val is not None and root <= t_lo:
-        raise MathDomainError("no boundary crossing found in bracket")
-    return root
+
+def _shade_at(shape: shapes.Shape, z: complex) -> float:
+    """Shade value at z inside the support: 1 on a plain shape, scaled by each enclosing weight."""
+    if isinstance(shape, shapes.Weighted):
+        return shape.t * _shade_at(shape.base, z)
+    if isinstance(shape, shapes.Sum):
+        return _shade_at(min(shape.parts, key=lambda p: shapes.support_distance(p, z)), z)
+    return 1.0
 
 
 # ---------------------------------------------------------------------------

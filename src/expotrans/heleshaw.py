@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, MathDomainError
-from .shapes import Annulus, Disk, Ellipse, Shape
+from .shapes import Ellipse, Shape, boundary_nodes
 
 
 def squeeze(col, t: float) -> np.ndarray:
@@ -43,29 +43,6 @@ class ExteriorMoments:
     t: np.ndarray
 
 
-def _boundary_nodes(shape: Shape, n: int):
-    """Boundary parametrization(s) as (points, dz/dtheta) pairs, outer first."""
-    th = 2.0 * math.pi * np.arange(n) / n
-    if isinstance(shape, Disk):
-        z = shape.center + shape.R * np.exp(1j * th)
-        dz = 1j * shape.R * np.exp(1j * th)
-        return [(z, dz)]
-    if isinstance(shape, Ellipse):
-        rot = np.exp(1j * shape.phi)
-        z = shape.center + rot * (shape.p * np.cos(th) + 1j * shape.q * np.sin(th))
-        dz = rot * (-shape.p * np.sin(th) + 1j * shape.q * np.cos(th))
-        return [(z, dz)]
-    if isinstance(shape, Annulus):
-        zo = shape.center + shape.R * np.exp(1j * th)
-        zi = shape.center + shape.r * np.exp(1j * th)
-        # inner component is traversed clockwise as part of the boundary
-        return [(zo, 1j * shape.R * np.exp(1j * th)), (zi, -1j * shape.r * np.exp(1j * th))]
-    raise InputError(
-        f"no boundary parametrization for {type(shape).__name__}; "
-        "exterior moments need a built-in shape"
-    )
-
-
 def exterior_moments(shape: Shape, kmax: int, nodes: int = 1024) -> ExteriorMoments:
     """Exterior harmonic moments t_1..t_kmax by trapezoid contour quadrature.
 
@@ -75,7 +52,7 @@ def exterior_moments(shape: Shape, kmax: int, nodes: int = 1024) -> ExteriorMome
     """
     if kmax < 1:
         raise InputError("need kmax >= 1")
-    comps = _boundary_nodes(shape, nodes)
+    comps = boundary_nodes(shape, nodes)
     z_outer = comps[0][0]
     if np.abs(z_outer).min() < 1e-12:
         raise MathDomainError("boundary passes through the origin")

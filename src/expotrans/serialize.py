@@ -81,20 +81,20 @@ def matrix_from_obj(obj: dict) -> tuple[np.ndarray, np.ndarray]:
         order = int(obj["order"])
         re = obj["re"]
         im = obj["im"]
+        arr = np.full((order, len(re[0]) if re else 0), np.nan, dtype=complex)
+        mask = np.zeros(arr.shape, dtype=bool)
+        if len(re) != order or len(im) != order:
+            raise InputError("matrix JSON rows do not match order")
+        for j in range(order):
+            if len(re[j]) != arr.shape[1] or len(im[j]) != arr.shape[1]:
+                raise InputError("ragged matrix JSON")
+            for k in range(arr.shape[1]):
+                if re[j][k] is None or im[j][k] is None:
+                    continue
+                arr[j, k] = float(re[j][k]) + 1j * float(im[j][k])
+                mask[j, k] = True
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed matrix JSON: {exc}") from exc
-    arr = np.full((order, len(re[0]) if re else 0), np.nan, dtype=complex)
-    mask = np.zeros(arr.shape, dtype=bool)
-    if len(re) != order or len(im) != order:
-        raise InputError("matrix JSON rows do not match order")
-    for j in range(order):
-        if len(re[j]) != arr.shape[1] or len(im[j]) != arr.shape[1]:
-            raise InputError("ragged matrix JSON")
-        for k in range(arr.shape[1]):
-            if re[j][k] is None or im[j][k] is None:
-                continue
-            arr[j, k] = float(re[j][k]) + 1j * float(im[j][k])
-            mask[j, k] = True
     return arr, mask
 
 

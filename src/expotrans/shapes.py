@@ -6,14 +6,20 @@ disjoint unions, and sampled grids.  The moment matrix is
     a[j, k] = (1/pi) * integral of z^j conj(z)^k g(z) dA(z).
 
 Disks and annuli reduce to radial closed forms.  Ellipses use the smooth
-substitution x = p s cos(theta), y = q s sin(theta) with tensor
-Gauss-Legendre quadrature and adaptive node doubling; there is no
-indicator-function sampling anywhere.  Off-center and rotated shapes are
-handled by exact binomial translation and phase rotation of the centered
-moments.
+substitution x = p s cos(theta), y = q s sin(theta) with a fixed rule,
+Gauss-Legendre in s times the trapezoid rule in theta, that is exact for
+every requested moment; there is no indicator-function sampling anywhere.
+Off-center and rotated shapes are handled by exact binomial translation and
+phase rotation of the centered moments.
+
+The Cauchy kernel integral behind the exponential transform has closed
+forms for disks and annuli and is a contour integral over the boundary for
+ellipses; `boundary_nodes` is the one boundary parametrization, shared with
+the exterior moments.
 """
 from __future__ import annotations
 
+import cmath
 import math
 import os
 from dataclasses import dataclass
@@ -25,11 +31,14 @@ from .errors import InputError, MathDomainError, PrecisionError
 from .series import hermitian_matrix
 
 DEFAULT_QUAD_BUDGET = 4_194_304
-MOMENT_QUAD_TOL = 1e-10
 
 
 def quad_budget() -> int:
-    """Node cap for a single quadrature evaluation (env EXPOTRANS_QUAD_BUDGET)."""
+    """Node cap for a single quadrature rule (env EXPOTRANS_QUAD_BUDGET).
+
+    It bounds the ellipse moment rule and the ellipse contour rule; a rule
+    that would need more nodes raises PrecisionError.
+    """
     raw = os.environ.get("EXPOTRANS_QUAD_BUDGET")
     if raw is None:
         return DEFAULT_QUAD_BUDGET
@@ -258,48 +267,52 @@ def _leggauss_01(n: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def _leggauss_ab(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (b - a) * (x + 1.0) + a, 0.5 * (b - a) * w
+def boundary_nodes(shape: Shape, n: int, shift: float = 0.0):
+    """Boundary parametrization(s) as (points, dz/dtheta) pairs, outer first.
 
-
-def _adaptive_pair(evaluate, ns0: int, nt0: int, tol: float, budget: int, what: str):
-    """Double node counts until a 50% refinement moves nothing beyond tol.
-
-    The tolerance is relative to the largest magnitude present (floor 1):
-    high-order moments of large shapes reach radius^(2N), and entries that
-    vanish by symmetry carry cancellation noise on the scale of their own
-    integrand, so a single absolute threshold cannot serve both.
+    Nodes sit at theta = 2 pi (k + shift) / n, k = 0..n-1, so shift = 1/2
+    gives the midpoints that refine an n-node trapezoid rule to 2n nodes.
     """
-    ns, nt = ns0, nt0
-    while True:
-        ns_f, nt_f = math.ceil(1.5 * ns), math.ceil(1.5 * nt)
-        if ns_f * nt_f > budget:
-            raise PrecisionError(
-                f"quadrature budget exceeded without meeting internal tolerance ({what})"
-            )
-        coarse = evaluate(ns, nt)
-        fine = evaluate(ns_f, nt_f)
-        scale = max(1.0, float(np.max(np.abs(fine))))
-        if np.max(np.abs(fine - coarse)) <= tol * scale:
-            return fine
-        ns, nt = 2 * ns, 2 * nt
+    th = 2.0 * math.pi * (np.arange(n) + shift) / n
+    if isinstance(shape, Disk):
+        z = shape.center + shape.R * np.exp(1j * th)
+        dz = 1j * shape.R * np.exp(1j * th)
+        return [(z, dz)]
+    if isinstance(shape, Ellipse):
+        rot = np.exp(1j * shape.phi)
+        z = shape.center + rot * (shape.p * np.cos(th) + 1j * shape.q * np.sin(th))
+        dz = rot * (-shape.p * np.sin(th) + 1j * shape.q * np.cos(th))
+        return [(z, dz)]
+    if isinstance(shape, Annulus):
+        zo = shape.center + shape.R * np.exp(1j * th)
+        zi = shape.center + shape.r * np.exp(1j * th)
+        # inner component is traversed clockwise as part of the boundary
+        return [(zo, 1j * shape.R * np.exp(1j * th)), (zi, -1j * shape.r * np.exp(1j * th))]
+    raise InputError(
+        f"no boundary parametrization for {type(shape).__name__}; "
+        "exterior moments need a built-in shape"
+    )
 
 
 def _ellipse_centered_moments(p: float, q: float, order: int) -> np.ndarray:
-    budget = quad_budget()
+    """Fixed rule, exact for every z^j conj(z)^k with j, k < order.
 
-    def evaluate(ns: int, nt: int) -> np.ndarray:
-        s, ws = _leggauss_01(ns)
-        th, wt = _leggauss_ab(nt, 0.0, 2.0 * math.pi)
-        z = s[:, None] * (p * np.cos(th) + 1j * q * np.sin(th))[None, :]
-        w = (ws * s)[:, None] * wt[None, :] * (p * q / math.pi)
-        zf, wf = z.ravel(), w.ravel()
-        powers = zf[None, :] ** np.arange(order)[:, None]
-        a = (powers * wf) @ powers.conj().T
-        return a
-
-    a = _adaptive_pair(evaluate, order + 4, 4 * order + 16, MOMENT_QUAD_TOL, budget, "ellipse moments")
+    Under z = s (p cos(theta) + i q sin(theta)) the integrand is s^(j+k+1),
+    of degree <= 2 order - 1 (exact under order Gauss nodes in s), times a
+    trigonometric polynomial of degree <= 2 order - 2 in theta (exact under
+    2 order - 1 trapezoid nodes).
+    """
+    nt = 2 * order - 1
+    if order * nt > quad_budget():
+        raise PrecisionError(
+            f"quadrature budget exceeded: ellipse moments of order {order} need {order * nt} nodes"
+        )
+    s, ws = _leggauss_01(order)
+    ((rim, _),) = boundary_nodes(Ellipse(0.0, p, q), nt)
+    z = (s[:, None] * rim[None, :]).ravel()
+    w = np.repeat(ws * s * (2.0 * p * q / nt), nt)
+    powers = z[None, :] ** np.arange(order)[:, None]
+    a = (powers * w) @ powers.conj().T
     return 0.5 * (a + a.conj().T)
 
 
@@ -395,31 +408,23 @@ def mass(shape: Shape) -> float:
 # Cauchy kernel integral, shared by the exponential transform evaluator
 
 
-def _pole_gap(shape: Shape, z: complex, w: complex, scale: float, budget: int, ns_hint: int):
-    gap = min(support_distance(shape, z), support_distance(shape, w))
-    if gap <= 0:
-        raise MathDomainError("evaluation point lies inside or on the support")
-    nt_cap = max(budget // max(ns_hint, 1), 16)
-    if gap < 2.0 * (2.0 * math.pi * scale) / nt_cap:
-        raise MathDomainError(
-            "evaluation point is within two quadrature cells of the support"
-        )
-    return gap
-
-
-def _kernel_quad(zeta: np.ndarray, weight: np.ndarray, z: complex, w: complex) -> complex:
-    return complex(np.sum(weight / ((zeta - z) * (np.conj(zeta) - np.conj(w)))))
-
-
 def cauchy_kernel_log(shape: Shape, z: complex, w: complex, tol: float = 1e-9) -> complex:
     """(1/pi) * integral of g(zeta) / ((zeta - z)(conj(zeta) - conj(w))) dA.
 
-    The integrand is sampled on the same smooth parametrizations used for
-    moments; the radial and angular integrals are iterated tensor rules.
-    Points inside, or too close to, the support are rejected.
+    Disks and annuli use closed forms.  For an ellipse with centre c, Green's
+    theorem turns the area integral into the contour integral
+
+        (1/(2 pi i)) * contour integral of log((conj(zeta) - conj(w)) / (conj(c) - conj(w))) dzeta / (zeta - z),
+
+    whose principal logarithm is single-valued because the support is convex
+    and w lies outside.  The integrand is analytic on the boundary, so the
+    trapezoid rule converges geometrically; the node count doubles until two
+    sums agree to tol (relative to the sum, floor 1), and exceeding the
+    quadrature budget raises PrecisionError.  Weights and unions act
+    linearly; a grid is summed cell by cell.  Points inside or on the support
+    are rejected.
     """
-    budget = quad_budget()
-    return _kernel_log(shape, z, w, tol, budget)
+    return _kernel_log(shape, complex(z), complex(w), tol, quad_budget())
 
 
 def _kernel_log(shape: Shape, z: complex, w: complex, tol: float, budget: int) -> complex:
@@ -427,68 +432,55 @@ def _kernel_log(shape: Shape, z: complex, w: complex, tol: float, budget: int) -
         return shape.t * _kernel_log(shape.base, z, w, tol, budget)
     if isinstance(shape, Sum):
         return sum(_kernel_log(p, z, w, tol, budget) for p in shape.parts)
+    gap = min(support_distance(shape, z), support_distance(shape, w))
+    if gap <= 0:
+        raise MathDomainError("evaluation point lies inside or on the support")
     if isinstance(shape, Grid):
         dx, dy = shape.cell
-        gap = min(support_distance(shape, z), support_distance(shape, w))
-        if gap <= 0:
-            raise MathDomainError("evaluation point lies inside or on the support")
         if gap < 2.0 * math.hypot(dx, dy):
             raise MathDomainError(
                 "evaluation point is within two quadrature cells of the support"
             )
         zeta = shape.centers().ravel()
         wgt = shape.values.ravel() * (dx * dy / math.pi)
-        return _kernel_quad(zeta, wgt, z, w)
-
+        return complex(np.sum(wgt / ((zeta - z) * (np.conj(zeta) - np.conj(w)))))
     if isinstance(shape, Disk):
-        scale, ns_hint = shape.R, 32
-        gap = _pole_gap(shape, z, w, scale, budget, ns_hint)
-        rel = gap / scale
+        x = 1.0 / ((z - shape.center) * np.conj(w - shape.center))
+        return -cmath.log(1.0 - shape.R**2 * x)
+    if isinstance(shape, Annulus):
+        zc, wc = z - shape.center, w - shape.center
+        z_hole, w_hole = abs(zc) < shape.r, abs(wc) < shape.r
+        if z_hole != w_hole:
+            # the integrand has no angle-independent term: rotation symmetry
+            return 0j
+        if z_hole:
+            y = zc * np.conj(wc)
+            return (2.0 * math.log(shape.R / shape.r)
+                    - cmath.log(1.0 - y / shape.r**2) + cmath.log(1.0 - y / shape.R**2))
+        x = 1.0 / (zc * np.conj(wc))
+        return -cmath.log(1.0 - shape.R**2 * x) + cmath.log(1.0 - shape.r**2 * x)
+    if isinstance(shape, Ellipse):
+        return _ellipse_contour(shape, z, w, tol, budget)
+    raise InputError(f"unknown shape {type(shape).__name__}")
 
-        def evaluate(ns, nt):
-            s, ws = _leggauss_01(ns)
-            th = 2.0 * math.pi * np.arange(nt) / nt
-            wt = 2.0 * math.pi / nt
-            zeta = shape.center + shape.R * s[:, None] * np.exp(1j * th)[None, :]
-            wgt = (ws * s)[:, None] * wt * (shape.R**2 / math.pi)
-            return _kernel_quad(zeta.ravel(), np.broadcast_to(wgt, zeta.shape).ravel(), z, w)
 
-    elif isinstance(shape, Annulus):
-        scale, ns_hint = shape.R, 32
-        gap = _pole_gap(shape, z, w, scale, budget, ns_hint)
-        rel = gap / scale
+def _ellipse_contour(e: Ellipse, z: complex, w: complex, tol: float, budget: int) -> complex:
+    wbar, cbar = np.conj(w), np.conj(e.center - w)
 
-        def evaluate(ns, nt):
-            rho, wr = _leggauss_ab(ns, shape.r, shape.R)
-            th = 2.0 * math.pi * np.arange(nt) / nt
-            wt = 2.0 * math.pi / nt
-            zeta = shape.center + rho[:, None] * np.exp(1j * th)[None, :]
-            wgt = (wr * rho)[:, None] * wt / math.pi
-            return _kernel_quad(zeta.ravel(), np.broadcast_to(wgt, zeta.shape).ravel(), z, w)
+    def node_sum(n: int, shift: float) -> complex:
+        ((zeta, dzeta),) = boundary_nodes(e, n, shift)
+        return complex(np.sum(np.log((np.conj(zeta) - wbar) / cbar) * dzeta / (zeta - z)))
 
-    elif isinstance(shape, Ellipse):
-        scale, ns_hint = shape.p, 48
-        gap = _pole_gap(shape, z, w, scale, budget, ns_hint)
-        # the angular parametrization slows down near the minor axis
-        rel = (gap / scale) * (shape.q / shape.p)
-
-        def evaluate(ns, nt):
-            s, ws = _leggauss_01(ns)
-            th = 2.0 * math.pi * np.arange(nt) / nt
-            wt = 2.0 * math.pi / nt
-            boundary = shape.p * np.cos(th) + 1j * shape.q * np.sin(th)
-            zeta = shape.center + np.exp(1j * shape.phi) * s[:, None] * boundary[None, :]
-            wgt = (ws * s)[:, None] * wt * (shape.p * shape.q / math.pi)
-            return _kernel_quad(zeta.ravel(), np.broadcast_to(wgt, zeta.shape).ravel(), z, w)
-
-    else:
-        raise InputError(f"unknown shape {type(shape).__name__}")
-
-    nt0 = int(min(max(256, 24.0 / rel), budget // ns_hint))
-    ns0 = int(max(24, 8.0 / math.sqrt(rel)))
-
-    def as_pair(ns, nt):
-        return np.array([evaluate(ns, nt)])
-
-    out = _adaptive_pair(as_pair, ns0, nt0, tol, budget, "cauchy kernel")
-    return complex(out[0])
+    n = 64
+    total = node_sum(n, 0.0)
+    while True:
+        if 2 * n > budget:
+            raise PrecisionError(
+                f"quadrature budget exceeded: the ellipse contour needs more than {n} nodes"
+            )
+        coarse = total / (1j * n)
+        total += node_sum(n, 0.5)
+        n *= 2
+        fine = total / (1j * n)
+        if abs(fine - coarse) <= tol * max(1.0, abs(fine)):
+            return complex(fine)

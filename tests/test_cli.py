@@ -200,3 +200,16 @@ def test_options_a_command_does_not_read_are_rejected(tmp_path):
     out = str(tmp_path / "selftest.txt")
     assert run("selftest", "--out", out).returncode == 2
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("doc", [
+    {"order": 3, "re": [1.0, 0.5, 0.2], "im": [0, 0, 0]},  # a column document
+    {"order": 2, "re": [[1, "x"], [0, 1]], "im": [[0, 0], [0, 0]]},
+], ids=["column-document", "non-numeric-entry"])
+def test_malformed_matrix_document_is_input_error(tmp_path, doc):
+    path = str(tmp_path / "m.json")
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    r = run("moments", path, "--order", "2")
+    assert r.returncode == 2
+    assert "malformed matrix JSON" in r.stderr and "Traceback" not in r.stderr

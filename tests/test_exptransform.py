@@ -6,14 +6,17 @@ The disk and annulus give E in closed form outside the support:
     annulus r < R:    E(z, w) = (1 - R^2/(z conj(w))) / (1 - r^2/(z conj(w)))
 
 and the rotationally invariant b-diagonals have product formulas.  Those
-pin a_to_b, eval_E, and boundary_root independently of each other.
+pin a_to_b, eval_E, and boundary_root independently of each other.  The
+evaluator uses the same closed forms for disks and annuli, so its ellipse
+contour rule and the ellipse moment rule are checked against the operator
+route instead: gallery:ellipse?u=2 is the ellipse with semiaxes 3 and 1.
 """
 import math
 
 import numpy as np
 import pytest
 
-from expotrans.errors import InputError, MathDomainError
+from expotrans.errors import InputError, MathDomainError, PrecisionError
 from expotrans.exptransform import (
     AnnulusProfile,
     TDiskProfile,
@@ -24,7 +27,8 @@ from expotrans.exptransform import (
     nevanlinna_density,
     rot_diag_b,
 )
-from expotrans.shapes import Annulus, Disk, Ellipse, Weighted, moments
+from expotrans.gallery import b_for
+from expotrans.shapes import Annulus, Disk, Ellipse, Sum, Weighted, moments
 
 
 def random_hermitian(rng, n: int) -> np.ndarray:
@@ -110,6 +114,46 @@ def test_eval_E_annulus():
         x = 1.0 / (z * np.conj(w))
         want = (1.0 - R**2 * x) / (1.0 - r**2 * x)
         assert abs(eval_E(ann, z, w) - want) < 1e-9
+    # both points in the hole: sum over j of the angle-independent terms
+    for z, w in ((0.2 + 0.1j, -0.15 + 0.3j), (0.45j, 0.45j)):
+        y = z * np.conj(w)
+        want = (r / R) ** 2 * (1.0 - y / r**2) / (1.0 - y / R**2)
+        assert abs(eval_E(ann, z, w) - want) < 1e-12
+    # one point in the hole and one outside: no term survives the angle integral
+    assert eval_E(ann, 0.3 + 0.1j, 1.5 - 0.5j) == 1.0
+    assert eval_E(Annulus(0.2 - 0.1j, r, R), 1.4j, 0.3) == 1.0
+
+
+def test_eval_E_ellipse_matches_operator_route():
+    # the operator model of gallery:ellipse?u=2 is the ellipse with semiaxes
+    # 3 and 1; its b at order 40 leaves a tail below 1e-16 at |z|, |w| >= 8
+    n = 40
+    b = b_for("gallery:ellipse?u=2", n).b
+    j = np.arange(n)
+    e = Ellipse(0.0, 3.0, 1.0)
+    for z, w in ((8.0, 8.0), (8j, -8.0 + 1j), (6.0 + 6.0j, 9.0 - 2.0j), (-8.5, 8.2j)):
+        series = 1.0 - z ** (-j - 1.0) @ b @ np.conj(w) ** (-j - 1.0)
+        assert abs(eval_E(e, z, w) - series) < 1e-14
+
+
+def test_ellipse_moments_match_operator_route():
+    # the fixed Gauss x trapezoid rule against b_to_a of the operator's b
+    for n in (12, 24, 40):
+        want = b_to_a(b_for("gallery:ellipse?u=2", n)).a
+        got = moments(Ellipse(0.0, 3.0, 1.0), n).a
+        assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
+
+def test_eval_E_contour_budget(monkeypatch):
+    e = Ellipse(0.0, 1.5, 0.5)
+    z = 1.5 + 1e-6
+    monkeypatch.setenv("EXPOTRANS_QUAD_BUDGET", "4096")
+    with pytest.raises(PrecisionError):
+        eval_E(e, z, z)
+    # the same budget serves a point at a moderate distance unchanged
+    capped = eval_E(e, 2.0, 2.0)
+    monkeypatch.delenv("EXPOTRANS_QUAD_BUDGET")
+    assert capped == eval_E(e, 2.0, 2.0)
 
 
 def test_eval_E_matches_series_tail():
@@ -131,6 +175,25 @@ def test_eval_E_matches_series_tail():
 def test_boundary_root_disk():
     got = boundary_root(Disk(0.0, 1.0), 1.0 + 0.0j, (0.3, 2.0))
     assert abs(got - 1.0) < 1e-4
+
+
+def test_boundary_root_meets_its_tol():
+    tol = 1e-5
+    ellipse = Ellipse(0.0, 1.5, 0.5)
+    pair = Sum((Weighted(Disk(-3.0, 1.0), 0.3), Weighted(Ellipse(2.0, 1.5, 0.5), 0.6)))
+    for shape, d, bracket, t_true in (
+        # criterion 11's four rays
+        (Disk(0.0, 1.0), 1.0, (0.5, 2.0), 1.0),
+        (Annulus(0.0, 0.5, 1.0), 1.0, (0.8, 2.0), 1.0),
+        (ellipse, 1.0, (1.0, 3.0), 1.5),
+        (ellipse, 1j, (0.2, 2.0), 0.5),
+        # weighted shapes, where E vanishes to the order of the weight
+        (Weighted(Disk(0.0, 1.0), 0.5), 1.0, (0.5, 2.0), 1.0),
+        (Weighted(ellipse, 0.7), 1j, (0.2, 2.0), 0.5),
+        (pair, 1.0, (2.5, 6.0), 3.5),
+        (pair, -1.0, (3.1, 6.0), 4.0),
+    ):
+        assert abs(boundary_root(shape, d, bracket, tol) - t_true) < tol
 
 
 def test_boundary_root_no_crossing():
