@@ -86,9 +86,7 @@ from .shapes import (
     Weighted,
     cauchy_columns,
     cauchy_kernel_log,
-    mass,
     moments,
-    support_distance,
 )
 
 __version__ = "0.1.0"

@@ -212,7 +212,7 @@ def cmd_gallery(args) -> int:
             "max_offset": entry.max_offset,
         }
     else:
-        obj = serialize.shape_to_obj(entry)
+        obj = entry.to_obj()
     _emit(serialize.dumps(obj), args.out)
     return 0
 

@@ -7,10 +7,11 @@ With u = 1/z and v = 1/conj(w), the transform of a shade function obeys
 which converts the moment matrix a into the positive-definite matrix b and
 back.  The first columns agree exactly.  The module also evaluates the
 transform E(z, w) = exp(-K(z, w)) at points outside the support, where K is
-the Cauchy kernel integral of `shapes.cauchy_kernel_log` (closed forms for
-disks and annuli, a trapezoid contour rule for ellipses), finds boundary
-crossings along rays as zeros of E(z, z), and carries the closed forms for
-the rotationally invariant profiles.
+the Cauchy kernel integral of `shapes.cauchy_kernel_log` (each shape class
+carries its own kernel: closed forms for disks and annuli, a trapezoid
+contour rule for ellipses), finds boundary crossings along rays as zeros of
+E(z, z) using the shapes' own membership test and shade value, and carries
+the closed forms for the rotationally invariant profiles.
 """
 from __future__ import annotations
 
@@ -24,26 +25,20 @@ from . import shapes
 from .errors import InputError, MathDomainError, PrecisionError
 from .series import BiSeries, exp_neg, hermitian_matrix, log_neg, square_matrix
 
-PSD_TOL = 1e-9
-
 
 @dataclass
 class ExpMoments:
-    """Exponential-transform moments b[j, k]; Hermitian and PSD within PSD_TOL."""
+    """Exponential-transform moments b[j, k], checked Hermitian.
+
+    Positive definiteness is checked where b is factored, in
+    `orthopoly.orthonormalize`.
+    """
 
     order: int
     b: np.ndarray
 
     def __post_init__(self):
         self.b = hermitian_matrix(self.b, self.order, "b matrix")
-
-    def min_eig(self) -> float:
-        return float(np.linalg.eigvalsh(self.b).min())
-
-    def check_psd(self):
-        norm = float(np.linalg.norm(self.b, 2))
-        if self.min_eig() < -PSD_TOL * max(norm, 1e-30):
-            raise MathDomainError("b matrix is indefinite beyond tolerance")
 
 
 def a_to_b(a) -> ExpMoments:
@@ -93,7 +88,7 @@ def boundary_root(
     d = direction / abs(direction)
 
     def outside(t: float) -> bool:
-        return shapes.support_distance(shape, t * d) > 0
+        return not shape.contains(t * d)
 
     if not outside(t_hi):
         raise MathDomainError("bracket upper end lies inside the support")
@@ -110,7 +105,7 @@ def boundary_root(
                 hi = mid
             else:
                 lo = mid
-        power = 1.0 / _shade_at(shape, lo * d)
+        power = 1.0 / shape.shade_at(lo * d)
         vals = [eval_E(shape, (hi + k * width) * d, (hi + k * width) * d).real ** power for k in ks]
         fit_roots = np.roots(np.polyfit(ks, vals, 4))
         middle = 0.5 * (lo - hi) / width
@@ -122,15 +117,6 @@ def boundary_root(
             return float(root)
         width /= 8.0
     raise PrecisionError("boundary root did not settle to tol")
-
-
-def _shade_at(shape: shapes.Shape, z: complex) -> float:
-    """Shade value at z inside the support: 1 on a plain shape, scaled by each enclosing weight."""
-    if isinstance(shape, shapes.Weighted):
-        return shape.t * _shade_at(shape.base, z)
-    if isinstance(shape, shapes.Sum):
-        return _shade_at(min(shape.parts, key=lambda p: shapes.support_distance(p, z)), z)
-    return 1.0
 
 
 # ---------------------------------------------------------------------------

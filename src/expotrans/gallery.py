@@ -6,6 +6,7 @@ the requested moment order via the exactness rule.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 from urllib.parse import parse_qsl
@@ -40,6 +41,8 @@ def _params(query: str, allowed: dict[str, float]) -> dict[str, float]:
             out[key] = float(val)
         except ValueError as exc:
             raise InputError(f"gallery parameter {key}={val!r} is not a number") from exc
+        if not math.isfinite(out[key]):
+            raise InputError(f"gallery parameter {key}={val!r} is not finite")
     return out
 
 

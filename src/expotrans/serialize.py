@@ -15,7 +15,7 @@ import numpy as np
 from .errors import InputError
 from .finiteterm import BandCertificate, FilledMoments
 from .reconstruct import GridFunction
-from .shapes import Annulus, Box, Disk, Ellipse, Grid, Shape, Sum, Weighted
+from .shapes import Shape
 
 
 def fmt(x: float) -> str:
@@ -156,79 +156,25 @@ def certificate_from_obj(obj: dict) -> BandCertificate:
 # shapes
 
 
-def shape_to_obj(shape: Shape) -> dict:
-    if isinstance(shape, Disk):
-        return {"type": "disk", "center": [shape.center.real, shape.center.imag], "R": shape.R}
-    if isinstance(shape, Annulus):
-        return {
-            "type": "annulus",
-            "center": [shape.center.real, shape.center.imag],
-            "r": shape.r,
-            "R": shape.R,
-        }
-    if isinstance(shape, Ellipse):
-        return {
-            "type": "ellipse",
-            "center": [shape.center.real, shape.center.imag],
-            "p": shape.p,
-            "q": shape.q,
-            "phi": shape.phi,
-        }
-    if isinstance(shape, Weighted):
-        return {"type": "weighted", "t": shape.t, "base": shape_to_obj(shape.base)}
-    if isinstance(shape, Sum):
-        return {"type": "sum", "parts": [shape_to_obj(p) for p in shape.parts]}
-    if isinstance(shape, Grid):
-        return {
-            "type": "grid",
-            "box": list(shape.box.as_tuple()),
-            "values": [[float(v) for v in row] for row in shape.values],
-        }
-    raise InputError(f"unknown shape {type(shape).__name__}")
-
-
-def _complex_from(obj) -> complex:
-    if isinstance(obj, (list, tuple)) and len(obj) == 2:
-        return float(obj[0]) + 1j * float(obj[1])
-    if isinstance(obj, (int, float)):
-        return complex(float(obj))
-    raise InputError(f"expected [re, im], got {obj!r}")
-
-
 def shape_from_obj(obj: dict) -> Shape:
+    """A shape from a JSON document read from outside; every defect is an InputError."""
     if not isinstance(obj, dict) or "type" not in obj:
         raise InputError("shape JSON needs a 'type' field")
-    kind = obj["type"]
     try:
-        if kind == "disk":
-            return Disk(_complex_from(obj.get("center", [0, 0])), float(obj["R"]))
-        if kind == "annulus":
-            return Annulus(
-                _complex_from(obj.get("center", [0, 0])), float(obj["r"]), float(obj["R"])
-            )
-        if kind == "ellipse":
-            return Ellipse(
-                _complex_from(obj.get("center", [0, 0])),
-                float(obj["p"]),
-                float(obj["q"]),
-                float(obj.get("phi", 0.0)),
-            )
-        if kind == "weighted":
-            return Weighted(shape_from_obj(obj["base"]), float(obj["t"]))
-        if kind == "sum":
-            return Sum(tuple(shape_from_obj(p) for p in obj["parts"]))
-        if kind == "grid":
-            x0, x1, y0, y1 = (float(v) for v in obj["box"])
-            return Grid(Box(x0, x1, y0, y1), np.asarray(obj["values"], dtype=float))
+        return Shape.from_obj(obj)
     except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed {kind} shape JSON: {exc}") from exc
-    raise InputError(f"unknown shape type {kind!r}")
+        raise InputError(f"malformed {obj['type']} shape JSON: {exc}") from exc
+
+
+def _reject_constant(name: str):
+    raise InputError(f"non-finite number {name} in JSON input")
 
 
 def load_json(path: str):
+    """Parse a JSON file; the NaN and Infinity literals Python would accept are rejected."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_constant=_reject_constant)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read JSON from {path}: {exc}") from exc
 

@@ -1,7 +1,8 @@
 """Shade functions g: C -> [0, 1] with compact support, and their moments.
 
 Supported shapes are disks, annuli, ellipses, weighted copies (0 < t <= 1),
-disjoint unions, and sampled grids.  The moment matrix is
+disjoint unions, and sampled grids.  Each is a `Shape` subclass that carries
+all of its own rules, so a new shape type is one class.  The moment matrix is
 
     a[j, k] = (1/pi) * integral of z^j conj(z)^k g(z) dA(z).
 
@@ -23,7 +24,6 @@ import cmath
 import math
 import os
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -82,8 +82,55 @@ class Box:
         return (self.x0, self.x1, self.y0, self.y1)
 
 
+class Shape:
+    """A shade function g with compact support; each subclass owns its rules.
+
+    A subclass provides `bounding_circle()`, `support_distance(z)` (signed:
+    positive outside), `moment_array(order)`, `mass()` (the integral of g),
+    `kernel_log(z, w, tol, budget)` (the Cauchy kernel for z, w outside the
+    support), `to_obj()` and a `from_obj(obj)` classmethod.  The defaults
+    here serve plain shapes: shade 1 and no boundary parametrization.
+    """
+
+    def contains(self, z: complex) -> bool:
+        """Whether z lies in the support (boundary included)."""
+        return self.support_distance(z) <= 0
+
+    def shade_at(self, z: complex) -> float:
+        """Value of g at a point z inside the support."""
+        return 1.0
+
+    def boundary(self, th: np.ndarray) -> list:
+        raise InputError(
+            f"no boundary parametrization for {type(self).__name__}; "
+            "exterior moments need a built-in shape"
+        )
+
+    def _doc(self, **fields) -> dict:
+        return {"type": type(self).__name__.lower(), **fields}
+
+    @classmethod
+    def from_obj(cls, obj: dict) -> Shape:
+        """The shape a JSON document describes; its "type", the class name in
+        lower case, picks the class."""
+        kind = obj["type"]
+        if kind not in SHAPE_TYPES:
+            raise InputError(f"unknown shape type {kind!r}")
+        return SHAPE_TYPES[kind].from_obj(obj)
+
+
+def _center(obj: dict) -> complex:
+    """A document's "center": an [re, im] pair or a real number, 0 if absent."""
+    c = obj.get("center", [0, 0])
+    if isinstance(c, (list, tuple)) and len(c) == 2:
+        return float(c[0]) + 1j * float(c[1])
+    if isinstance(c, (int, float)):
+        return complex(float(c))
+    raise InputError(f"expected [re, im], got {c!r}")
+
+
 @dataclass(frozen=True)
-class Disk:
+class Disk(Shape):
     center: complex
     R: float
 
@@ -91,9 +138,36 @@ class Disk:
         if not self.R > 0:
             raise InputError("disk radius must be positive")
 
+    def bounding_circle(self) -> tuple[complex, float]:
+        return self.center, self.R
+
+    def support_distance(self, z: complex) -> float:
+        return abs(z - self.center) - self.R
+
+    def boundary(self, th: np.ndarray) -> list:
+        e = np.exp(1j * th)
+        return [(self.center + self.R * e, 1j * self.R * e)]
+
+    def moment_array(self, order: int) -> np.ndarray:
+        return translate_moments(_radial_diagonal(order, 0.0, self.R), self.center)
+
+    def mass(self) -> float:
+        return math.pi * self.R**2
+
+    def kernel_log(self, z: complex, w: complex, tol: float, budget: int) -> complex:
+        x = 1.0 / ((z - self.center) * np.conj(w - self.center))
+        return -cmath.log(1.0 - self.R**2 * x)
+
+    def to_obj(self) -> dict:
+        return self._doc(center=[self.center.real, self.center.imag], R=self.R)
+
+    @classmethod
+    def from_obj(cls, obj: dict) -> Disk:
+        return cls(_center(obj), float(obj["R"]))
+
 
 @dataclass(frozen=True)
-class Annulus:
+class Annulus(Shape):
     center: complex
     r: float
     R: float
@@ -102,9 +176,49 @@ class Annulus:
         if not 0 < self.r < self.R:
             raise InputError("annulus needs 0 < r < R")
 
+    def bounding_circle(self) -> tuple[complex, float]:
+        return self.center, self.R
+
+    def support_distance(self, z: complex) -> float:
+        rho = abs(z - self.center)
+        # positive both outside the outer circle and inside the hole
+        return max(rho - self.R, self.r - rho)
+
+    def boundary(self, th: np.ndarray) -> list:
+        e = np.exp(1j * th)
+        outer = (self.center + self.R * e, 1j * self.R * e)
+        # inner component is traversed clockwise as part of the boundary
+        return [outer, (self.center + self.r * e, -1j * self.r * e)]
+
+    def moment_array(self, order: int) -> np.ndarray:
+        return translate_moments(_radial_diagonal(order, self.r, self.R), self.center)
+
+    def mass(self) -> float:
+        return math.pi * (self.R**2 - self.r**2)
+
+    def kernel_log(self, z: complex, w: complex, tol: float, budget: int) -> complex:
+        zc, wc = z - self.center, w - self.center
+        z_hole, w_hole = abs(zc) < self.r, abs(wc) < self.r
+        if z_hole != w_hole:
+            # the integrand has no angle-independent term: rotation symmetry
+            return 0j
+        if z_hole:
+            y = zc * np.conj(wc)
+            return (2.0 * math.log(self.R / self.r)
+                    - cmath.log(1.0 - y / self.r**2) + cmath.log(1.0 - y / self.R**2))
+        x = 1.0 / (zc * np.conj(wc))
+        return -cmath.log(1.0 - self.R**2 * x) + cmath.log(1.0 - self.r**2 * x)
+
+    def to_obj(self) -> dict:
+        return self._doc(center=[self.center.real, self.center.imag], r=self.r, R=self.R)
+
+    @classmethod
+    def from_obj(cls, obj: dict) -> Annulus:
+        return cls(_center(obj), float(obj["r"]), float(obj["R"]))
+
 
 @dataclass(frozen=True)
-class Ellipse:
+class Ellipse(Shape):
     center: complex
     p: float
     q: float
@@ -114,29 +228,187 @@ class Ellipse:
         if not self.q > 0 or not self.p >= self.q:
             raise InputError("ellipse needs p >= q > 0")
 
+    def _local(self, z: complex) -> complex:
+        """z in the ellipse's own frame: centred, major axis along the real line."""
+        return (z - self.center) * np.exp(-1j * self.phi)
+
+    def bounding_circle(self) -> tuple[complex, float]:
+        return self.center, self.p
+
+    def contains(self, z: complex) -> bool:
+        u = self._local(z)
+        return (u.real / self.p) ** 2 + (u.imag / self.q) ** 2 <= 1.0
+
+    def support_distance(self, z: complex) -> float:
+        u = self._local(z)
+        x, y = abs(u.real), abs(u.imag)
+        # distance to the boundary: shrink a bracket around the closest parameter
+        lo, hi = 0.0, math.pi / 2
+        best = math.inf
+        for _ in range(30):
+            th = np.linspace(lo, hi, 17)
+            d2 = (self.p * np.cos(th) - x) ** 2 + (self.q * np.sin(th) - y) ** 2
+            i = int(np.argmin(d2))
+            best = float(d2[i])
+            lo, hi = th[max(i - 1, 0)], th[min(i + 1, 16)]
+            if hi - lo < 1e-13:
+                break
+        dist = math.sqrt(best)
+        return -dist if self.contains(z) else dist
+
+    def boundary(self, th: np.ndarray) -> list:
+        rot = np.exp(1j * self.phi)
+        z = self.center + rot * (self.p * np.cos(th) + 1j * self.q * np.sin(th))
+        dz = rot * (-self.p * np.sin(th) + 1j * self.q * np.cos(th))
+        return [(z, dz)]
+
+    def moment_array(self, order: int) -> np.ndarray:
+        a = rotate_moments(_ellipse_centered_moments(self.p, self.q, order), self.phi)
+        return translate_moments(a, self.center)
+
+    def mass(self) -> float:
+        return math.pi * self.p * self.q
+
+    def _sigma(self, z: complex) -> float:
+        """ln((P + Q)/(p + q)), P and Q the semi-axes of the confocal ellipse through z."""
+        u, c = self._local(z), math.sqrt(self.p**2 - self.q**2)
+        big = 0.5 * (abs(u - c) + abs(u + c))
+        return math.log((big + math.sqrt(big**2 - c**2)) / (self.p + self.q))
+
+    def kernel_log(self, z: complex, w: complex, tol: float, budget: int) -> complex:
+        """Trapezoid rule on the contour form of `cauchy_kernel_log`.  The
+        integrand continues analytically out to the confocal ellipse through
+        z or w, so the rule needs at least ln(1/tol)/sigma nodes; when that
+        exceeds the budget (tol < exp(-sigma budget)) it fails before any
+        node is summed."""
+        sigma = min(self._sigma(z), self._sigma(w))
+        if sigma <= 0 or tol < math.exp(-sigma * budget):
+            raise PrecisionError(
+                f"quadrature budget exceeded: the ellipse contour needs more than {budget} nodes"
+            )
+        wbar, cbar = np.conj(w), np.conj(self.center - w)
+
+        def node_sum(n: int, shift: float) -> complex:
+            ((zeta, dzeta),) = boundary_nodes(self, n, shift)
+            return complex(np.sum(np.log((np.conj(zeta) - wbar) / cbar) * dzeta / (zeta - z)))
+
+        n = 64
+        total = node_sum(n, 0.0)
+        while True:
+            if 2 * n > budget:
+                raise PrecisionError(
+                    f"quadrature budget exceeded: the ellipse contour needs more than {n} nodes"
+                )
+            coarse = total / (1j * n)
+            total += node_sum(n, 0.5)
+            n *= 2
+            fine = total / (1j * n)
+            if abs(fine - coarse) <= tol * max(1.0, abs(fine)):
+                return complex(fine)
+
+    def to_obj(self) -> dict:
+        center = [self.center.real, self.center.imag]
+        return self._doc(center=center, p=self.p, q=self.q, phi=self.phi)
+
+    @classmethod
+    def from_obj(cls, obj: dict) -> Ellipse:
+        return cls(_center(obj), float(obj["p"]), float(obj["q"]), float(obj.get("phi", 0.0)))
+
 
 @dataclass(frozen=True)
-class Weighted:
-    base: "Shape"
+class Weighted(Shape):
+    """The base shape's shade scaled by t; it has no boundary parametrization of its own."""
+
+    base: Shape
     t: float
 
     def __post_init__(self):
         if not 0 < self.t <= 1:
             raise InputError("weight must lie in (0, 1]")
 
+    def bounding_circle(self) -> tuple[complex, float]:
+        return self.base.bounding_circle()
+
+    def contains(self, z: complex) -> bool:
+        return self.base.contains(z)
+
+    def support_distance(self, z: complex) -> float:
+        return self.base.support_distance(z)
+
+    def shade_at(self, z: complex) -> float:
+        return self.t * self.base.shade_at(z)
+
+    def moment_array(self, order: int) -> np.ndarray:
+        return self.t * self.base.moment_array(order)
+
+    def mass(self) -> float:
+        return self.t * self.base.mass()
+
+    def kernel_log(self, z: complex, w: complex, tol: float, budget: int) -> complex:
+        return self.t * self.base.kernel_log(z, w, tol, budget)
+
+    def to_obj(self) -> dict:
+        return self._doc(t=self.t, base=self.base.to_obj())
+
+    @classmethod
+    def from_obj(cls, obj: dict) -> Weighted:
+        return cls(Shape.from_obj(obj["base"]), float(obj["t"]))
+
 
 @dataclass(frozen=True)
-class Sum:
+class Sum(Shape):
+    """Disjoint union; parts whose bounding circles meet are rejected."""
+
     parts: tuple
 
     def __post_init__(self):
         if len(self.parts) < 1:
             raise InputError("sum needs at least one part")
-        _check_disjoint(self.parts)
+        circles = [p.bounding_circle() for p in self.parts]
+        for i, (ci, ri) in enumerate(circles):
+            if any(abs(ci - cj) <= ri + rj for cj, rj in circles[i + 1:]):
+                raise InputError(
+                    "sum parts may overlap (bounding circles intersect); "
+                    "supports must be disjoint"
+                )
+
+    def bounding_circle(self) -> tuple[complex, float]:
+        circles = [p.bounding_circle() for p in self.parts]
+        center = sum(c for c, _ in circles) / len(circles)
+        radius = max(abs(c - center) + r for c, r in circles)
+        return center, radius
+
+    def contains(self, z: complex) -> bool:
+        return any(p.contains(z) for p in self.parts)
+
+    def support_distance(self, z: complex) -> float:
+        return min(p.support_distance(z) for p in self.parts)
+
+    def shade_at(self, z: complex) -> float:
+        return next(p for p in self.parts if p.contains(z)).shade_at(z)
+
+    def moment_array(self, order: int) -> np.ndarray:
+        return sum(p.moment_array(order) for p in self.parts)
+
+    def mass(self) -> float:
+        return sum(p.mass() for p in self.parts)
+
+    def kernel_log(self, z: complex, w: complex, tol: float, budget: int) -> complex:
+        return sum(p.kernel_log(z, w, tol, budget) for p in self.parts)
+
+    def to_obj(self) -> dict:
+        return self._doc(parts=[p.to_obj() for p in self.parts])
+
+    @classmethod
+    def from_obj(cls, obj: dict) -> Sum:
+        return cls(tuple(Shape.from_obj(p) for p in obj["parts"]))
 
 
 @dataclass(frozen=True, eq=False)
-class Grid:
+class Grid(Shape):
+    """Cell-centred samples of g on a box; each positive cell counts as a disk
+    of the cell's half-diagonal for distances."""
+
     box: Box
     values: np.ndarray
 
@@ -162,8 +434,48 @@ class Grid:
         ys = self.box.y0 + dy * (np.arange(ny) + 0.5)
         return xs[None, :] + 1j * ys[:, None]
 
+    def bounding_circle(self) -> tuple[complex, float]:
+        return self.box.center, math.hypot(self.box.width, self.box.height) / 2
 
-Shape = Union[Disk, Annulus, Ellipse, Weighted, Sum, Grid]
+    def support_distance(self, z: complex) -> float:
+        pos = self.values > 0
+        if not pos.any():
+            return math.inf
+        return np.abs(self.centers()[pos] - z).min() - 0.5 * math.hypot(*self.cell)
+
+    def moment_array(self, order: int) -> np.ndarray:
+        z = self.centers().ravel()
+        dx, dy = self.cell
+        w = self.values.ravel() * (dx * dy / math.pi)
+        powers = z[None, :] ** np.arange(order)[:, None]
+        a = (powers * w) @ powers.conj().T
+        return 0.5 * (a + a.conj().T)
+
+    def mass(self) -> float:
+        dx, dy = self.cell
+        return float(self.values.sum() * dx * dy)
+
+    def kernel_log(self, z: complex, w: complex, tol: float, budget: int) -> complex:
+        dx, dy = self.cell
+        if min(self.support_distance(z), self.support_distance(w)) < 2.0 * math.hypot(dx, dy):
+            raise MathDomainError(
+                "evaluation point is within two quadrature cells of the support"
+            )
+        zeta = self.centers().ravel()
+        wgt = self.values.ravel() * (dx * dy / math.pi)
+        return complex(np.sum(wgt / ((zeta - z) * (np.conj(zeta) - np.conj(w)))))
+
+    def to_obj(self) -> dict:
+        values = [[float(v) for v in row] for row in self.values]
+        return self._doc(box=list(self.box.as_tuple()), values=values)
+
+    @classmethod
+    def from_obj(cls, obj: dict) -> Grid:
+        x0, x1, y0, y1 = (float(v) for v in obj["box"])
+        return cls(Box(x0, x1, y0, y1), np.asarray(obj["values"], dtype=float))
+
+
+SHAPE_TYPES = {cls.__name__.lower(): cls for cls in (Disk, Annulus, Ellipse, Weighted, Sum, Grid)}
 
 
 @dataclass
@@ -178,93 +490,7 @@ class MomentMatrix:
 
 
 # ---------------------------------------------------------------------------
-# geometry helpers
-
-
-def bounding_circle(shape: Shape) -> tuple[complex, float]:
-    if isinstance(shape, Disk):
-        return shape.center, shape.R
-    if isinstance(shape, Annulus):
-        return shape.center, shape.R
-    if isinstance(shape, Ellipse):
-        return shape.center, shape.p
-    if isinstance(shape, Weighted):
-        return bounding_circle(shape.base)
-    if isinstance(shape, Sum):
-        circles = [bounding_circle(p) for p in shape.parts]
-        center = sum(c for c, _ in circles) / len(circles)
-        radius = max(abs(c - center) + r for c, r in circles)
-        return center, radius
-    if isinstance(shape, Grid):
-        c = shape.box.center
-        return c, math.hypot(shape.box.width, shape.box.height) / 2
-    raise InputError(f"unknown shape {type(shape).__name__}")
-
-
-def _check_disjoint(parts):
-    circles = [bounding_circle(p) for p in parts]
-    for i in range(len(parts)):
-        for j in range(i + 1, len(parts)):
-            ci, ri = circles[i]
-            cj, rj = circles[j]
-            if abs(ci - cj) <= ri + rj:
-                raise InputError(
-                    "sum parts may overlap (bounding circles intersect); "
-                    "supports must be disjoint"
-                )
-
-
-def support_distance(shape: Shape, z: complex) -> float:
-    """Signed distance from z to the support: positive outside, <= 0 inside."""
-    if isinstance(shape, Disk):
-        return abs(z - shape.center) - shape.R
-    if isinstance(shape, Annulus):
-        rho = abs(z - shape.center)
-        # positive both outside the outer circle and inside the hole
-        return max(rho - shape.R, shape.r - rho)
-    if isinstance(shape, Ellipse):
-        return _ellipse_signed_distance(shape, z)
-    if isinstance(shape, Weighted):
-        return support_distance(shape.base, z)
-    if isinstance(shape, Sum):
-        return min(support_distance(p, z) for p in shape.parts)
-    if isinstance(shape, Grid):
-        dx, dy = shape.cell
-        cell_r = 0.5 * math.hypot(dx, dy)
-        pos = shape.values > 0
-        if not pos.any():
-            return math.inf
-        d = np.abs(shape.centers()[pos] - z).min() - cell_r
-        return d
-    raise InputError(f"unknown shape {type(shape).__name__}")
-
-
-def _ellipse_signed_distance(e: Ellipse, z: complex) -> float:
-    w = (z - e.center) * np.exp(-1j * e.phi)
-    x, y = abs(w.real), abs(w.imag)
-    level = (x / e.p) ** 2 + (y / e.q) ** 2
-    # distance to the boundary: shrink a bracket around the closest parameter
-    lo, hi = 0.0, math.pi / 2
-    best = math.inf
-    for _ in range(30):
-        th = np.linspace(lo, hi, 17)
-        d2 = (e.p * np.cos(th) - x) ** 2 + (e.q * np.sin(th) - y) ** 2
-        i = int(np.argmin(d2))
-        best = float(d2[i])
-        lo, hi = th[max(i - 1, 0)], th[min(i + 1, 16)]
-        if hi - lo < 1e-13:
-            break
-    dist = math.sqrt(best)
-    return dist if level > 1.0 else -dist
-
-
-# ---------------------------------------------------------------------------
 # quadrature core
-
-
-def _leggauss_01(n: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
 
 
 def boundary_nodes(shape: Shape, n: int, shift: float = 0.0):
@@ -273,25 +499,7 @@ def boundary_nodes(shape: Shape, n: int, shift: float = 0.0):
     Nodes sit at theta = 2 pi (k + shift) / n, k = 0..n-1, so shift = 1/2
     gives the midpoints that refine an n-node trapezoid rule to 2n nodes.
     """
-    th = 2.0 * math.pi * (np.arange(n) + shift) / n
-    if isinstance(shape, Disk):
-        z = shape.center + shape.R * np.exp(1j * th)
-        dz = 1j * shape.R * np.exp(1j * th)
-        return [(z, dz)]
-    if isinstance(shape, Ellipse):
-        rot = np.exp(1j * shape.phi)
-        z = shape.center + rot * (shape.p * np.cos(th) + 1j * shape.q * np.sin(th))
-        dz = rot * (-shape.p * np.sin(th) + 1j * shape.q * np.cos(th))
-        return [(z, dz)]
-    if isinstance(shape, Annulus):
-        zo = shape.center + shape.R * np.exp(1j * th)
-        zi = shape.center + shape.r * np.exp(1j * th)
-        # inner component is traversed clockwise as part of the boundary
-        return [(zo, 1j * shape.R * np.exp(1j * th)), (zi, -1j * shape.r * np.exp(1j * th))]
-    raise InputError(
-        f"no boundary parametrization for {type(shape).__name__}; "
-        "exterior moments need a built-in shape"
-    )
+    return shape.boundary(2.0 * math.pi * (np.arange(n) + shift) / n)
 
 
 def _ellipse_centered_moments(p: float, q: float, order: int) -> np.ndarray:
@@ -307,7 +515,8 @@ def _ellipse_centered_moments(p: float, q: float, order: int) -> np.ndarray:
         raise PrecisionError(
             f"quadrature budget exceeded: ellipse moments of order {order} need {order * nt} nodes"
         )
-    s, ws = _leggauss_01(order)
+    x, wx = np.polynomial.legendre.leggauss(order)
+    s, ws = 0.5 * (x + 1.0), 0.5 * wx
     ((rim, _),) = boundary_nodes(Ellipse(0.0, p, q), nt)
     z = (s[:, None] * rim[None, :]).ravel()
     w = np.repeat(ws * s * (2.0 * p * q / nt), nt)
@@ -344,33 +553,7 @@ def moments(shape: Shape, order: int) -> MomentMatrix:
     """Moment matrix a[j, k] for j, k < order."""
     if order < 1:
         raise InputError("moment order must be >= 1")
-    return MomentMatrix(order, _moments(shape, order))
-
-
-def _moments(shape: Shape, order: int) -> np.ndarray:
-    if isinstance(shape, Disk):
-        a = _radial_diagonal(order, 0.0, shape.R)
-        return translate_moments(a, shape.center)
-    if isinstance(shape, Annulus):
-        a = _radial_diagonal(order, shape.r, shape.R)
-        return translate_moments(a, shape.center)
-    if isinstance(shape, Ellipse):
-        a = _ellipse_centered_moments(shape.p, shape.q, order)
-        a = rotate_moments(a, shape.phi)
-        return translate_moments(a, shape.center)
-    if isinstance(shape, Weighted):
-        return shape.t * _moments(shape.base, order)
-    if isinstance(shape, Sum):
-        return sum(_moments(p, order) for p in shape.parts)
-    if isinstance(shape, Grid):
-        z = shape.centers().ravel()
-        g = shape.values.ravel()
-        dx, dy = shape.cell
-        w = g * (dx * dy / math.pi)
-        powers = z[None, :] ** np.arange(order)[:, None]
-        a = (powers * w) @ powers.conj().T
-        return 0.5 * (a + a.conj().T)
-    raise InputError(f"unknown shape {type(shape).__name__}")
+    return MomentMatrix(order, shape.moment_array(order))
 
 
 def cauchy_columns(shape: Shape, d: int, order: int) -> np.ndarray:
@@ -384,24 +567,6 @@ def cauchy_columns(shape: Shape, d: int, order: int) -> np.ndarray:
     if d >= order:
         raise InputError("need d < order")
     return moments(shape, order).a[:, : d + 1].copy()
-
-
-def mass(shape: Shape) -> float:
-    """Integral of g over the plane (the L1 norm of the shade function)."""
-    if isinstance(shape, Disk):
-        return math.pi * shape.R**2
-    if isinstance(shape, Annulus):
-        return math.pi * (shape.R**2 - shape.r**2)
-    if isinstance(shape, Ellipse):
-        return math.pi * shape.p * shape.q
-    if isinstance(shape, Weighted):
-        return shape.t * mass(shape.base)
-    if isinstance(shape, Sum):
-        return sum(mass(p) for p in shape.parts)
-    if isinstance(shape, Grid):
-        dx, dy = shape.cell
-        return float(shape.values.sum() * dx * dy)
-    raise InputError(f"unknown shape {type(shape).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -419,68 +584,13 @@ def cauchy_kernel_log(shape: Shape, z: complex, w: complex, tol: float = 1e-9) -
     whose principal logarithm is single-valued because the support is convex
     and w lies outside.  The integrand is analytic on the boundary, so the
     trapezoid rule converges geometrically; the node count doubles until two
-    sums agree to tol (relative to the sum, floor 1), and exceeding the
-    quadrature budget raises PrecisionError.  Weights and unions act
-    linearly; a grid is summed cell by cell.  Points inside or on the support
-    are rejected.
+    sums agree to tol (relative to the sum, floor 1), and a rule that needs
+    more nodes than the quadrature budget raises PrecisionError.  Weights and
+    unions act linearly; a grid is summed cell by cell.  Points inside or on
+    the support are rejected.
     """
-    return _kernel_log(shape, complex(z), complex(w), tol, quad_budget())
-
-
-def _kernel_log(shape: Shape, z: complex, w: complex, tol: float, budget: int) -> complex:
-    if isinstance(shape, Weighted):
-        return shape.t * _kernel_log(shape.base, z, w, tol, budget)
-    if isinstance(shape, Sum):
-        return sum(_kernel_log(p, z, w, tol, budget) for p in shape.parts)
-    gap = min(support_distance(shape, z), support_distance(shape, w))
-    if gap <= 0:
+    budget = quad_budget()
+    z, w = complex(z), complex(w)
+    if shape.contains(z) or shape.contains(w):
         raise MathDomainError("evaluation point lies inside or on the support")
-    if isinstance(shape, Grid):
-        dx, dy = shape.cell
-        if gap < 2.0 * math.hypot(dx, dy):
-            raise MathDomainError(
-                "evaluation point is within two quadrature cells of the support"
-            )
-        zeta = shape.centers().ravel()
-        wgt = shape.values.ravel() * (dx * dy / math.pi)
-        return complex(np.sum(wgt / ((zeta - z) * (np.conj(zeta) - np.conj(w)))))
-    if isinstance(shape, Disk):
-        x = 1.0 / ((z - shape.center) * np.conj(w - shape.center))
-        return -cmath.log(1.0 - shape.R**2 * x)
-    if isinstance(shape, Annulus):
-        zc, wc = z - shape.center, w - shape.center
-        z_hole, w_hole = abs(zc) < shape.r, abs(wc) < shape.r
-        if z_hole != w_hole:
-            # the integrand has no angle-independent term: rotation symmetry
-            return 0j
-        if z_hole:
-            y = zc * np.conj(wc)
-            return (2.0 * math.log(shape.R / shape.r)
-                    - cmath.log(1.0 - y / shape.r**2) + cmath.log(1.0 - y / shape.R**2))
-        x = 1.0 / (zc * np.conj(wc))
-        return -cmath.log(1.0 - shape.R**2 * x) + cmath.log(1.0 - shape.r**2 * x)
-    if isinstance(shape, Ellipse):
-        return _ellipse_contour(shape, z, w, tol, budget)
-    raise InputError(f"unknown shape {type(shape).__name__}")
-
-
-def _ellipse_contour(e: Ellipse, z: complex, w: complex, tol: float, budget: int) -> complex:
-    wbar, cbar = np.conj(w), np.conj(e.center - w)
-
-    def node_sum(n: int, shift: float) -> complex:
-        ((zeta, dzeta),) = boundary_nodes(e, n, shift)
-        return complex(np.sum(np.log((np.conj(zeta) - wbar) / cbar) * dzeta / (zeta - z)))
-
-    n = 64
-    total = node_sum(n, 0.0)
-    while True:
-        if 2 * n > budget:
-            raise PrecisionError(
-                f"quadrature budget exceeded: the ellipse contour needs more than {n} nodes"
-            )
-        coarse = total / (1j * n)
-        total += node_sum(n, 0.5)
-        n *= 2
-        fine = total / (1j * n)
-        if abs(fine - coarse) <= tol * max(1.0, abs(fine)):
-            return complex(fine)
+    return shape.kernel_log(z, w, tol, budget)

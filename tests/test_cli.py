@@ -213,3 +213,18 @@ def test_malformed_matrix_document_is_input_error(tmp_path, doc):
     r = run("moments", path, "--order", "2")
     assert r.returncode == 2
     assert "malformed matrix JSON" in r.stderr and "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("source, name", [
+    ("gallery:ellipse?u=inf", "u"),
+    ("gallery:ellipse?u=-inf", "u"),
+    ("gallery:power?alpha=nan", "alpha"),
+    ("gallery:twodiag?A1=inf", "A1"),
+    ("shape.json", "Infinity"),
+], ids=["ellipse-inf", "ellipse-minus-inf", "power-nan", "twodiag-inf", "shape-file-infinity"])
+def test_non_finite_input_is_input_error(tmp_path, source, name):
+    with open(tmp_path / "shape.json", "w") as fh:
+        fh.write('{"type": "disk", "center": [0, 0], "R": Infinity}')
+    r = run("pipeline", source, "--order", "6", cwd=str(tmp_path))
+    assert r.returncode == 2
+    assert name in r.stderr and "Traceback" not in r.stderr and "Warning" not in r.stderr

@@ -27,6 +27,7 @@ from expotrans.exptransform import (
     nevanlinna_density,
     rot_diag_b,
 )
+from expotrans import shapes
 from expotrans.gallery import b_for
 from expotrans.shapes import Annulus, Disk, Ellipse, Sum, Weighted, moments
 
@@ -154,6 +155,50 @@ def test_eval_E_contour_budget(monkeypatch):
     capped = eval_E(e, 2.0, 2.0)
     monkeypatch.delenv("EXPOTRANS_QUAD_BUDGET")
     assert capped == eval_E(e, 2.0, 2.0)
+
+
+def _count_nodes(monkeypatch) -> list:
+    summed = []
+    contour = shapes.boundary_nodes
+
+    def counting(shape, n, shift=0.0):
+        summed.append(n)
+        return contour(shape, n, shift)
+
+    monkeypatch.setattr(shapes, "boundary_nodes", counting)
+    return summed
+
+
+def _confocal_sigma(e: Ellipse, z: complex) -> float:
+    # ln((P + Q)/(p + q)) for the confocal ellipse through z, from the focal distances
+    u = (z - e.center) * np.exp(-1j * e.phi)
+    c = math.sqrt(e.p**2 - e.q**2)
+    big = 0.5 * (abs(u - c) + abs(u + c))
+    return math.log((big + math.sqrt(big**2 - c**2)) / (e.p + e.q))
+
+
+def test_eval_E_near_ellipse_fails_before_summing(monkeypatch):
+    summed = _count_nodes(monkeypatch)
+    with pytest.raises(PrecisionError):
+        eval_E(Ellipse(0.0, 1.5, 0.5), 1.5 + 1e-7, 1.5 + 1e-7)
+    assert summed == []
+
+
+def test_ellipse_contour_needs_the_predicted_nodes(monkeypatch):
+    # the up-front rule rejects a point only when the loop could not resolve it
+    summed = _count_nodes(monkeypatch)
+    for e in (Ellipse(0.0, 1.5, 0.5), Ellipse(0.2 + 0.1j, 1.6, 0.7, 0.4), Ellipse(-0.3j, 1.0, 0.9, 2.0)):
+        rot = np.exp(1j * e.phi)
+        for th in (0.0, 0.3, 2.0):
+            normal = rot * complex(e.q * math.cos(th), e.p * math.sin(th))
+            rim = e.center + rot * complex(e.p * math.cos(th), e.q * math.sin(th))
+            for gap in (1e-1, 1e-2, 1e-3):
+                z = rim + gap * normal / abs(normal)
+                for w in (z, e.center + 3.0j * e.p * rot):
+                    summed.clear()
+                    eval_E(e, z, w)
+                    need = math.log(1e9) / min(_confocal_sigma(e, z), _confocal_sigma(e, w))
+                    assert sum(summed) >= need
 
 
 def test_eval_E_matches_series_tail():

@@ -17,7 +17,6 @@ from expotrans.serialize import (
     matrix_from_obj,
     matrix_to_obj,
     shape_from_obj,
-    shape_to_obj,
     trajectory_to_csv,
 )
 from expotrans.shapes import Annulus, Box, Disk, Ellipse, Grid, Sum, Weighted
@@ -103,14 +102,33 @@ def test_shape_round_trips():
         Grid(Box(-1, 1, -1, 1), np.array([[0.0, 1.0], [0.5, 0.25]])),
     ]
     for s in shapes:
-        obj = shape_to_obj(s)
+        obj = s.to_obj()
         assert obj["type"] in {"disk", "annulus", "ellipse", "weighted", "sum", "grid"}
         back = shape_from_obj(obj)
-        assert shape_to_obj(back) == obj
+        assert back.to_obj() == obj
         # serialized form is stable through a dumps/parse cycle
         import json
 
-        assert shape_to_obj(shape_from_obj(json.loads(dumps(obj)))) == obj
+        assert shape_from_obj(json.loads(dumps(obj))).to_obj() == obj
+
+
+@pytest.mark.parametrize("shape, text", [
+    (Disk(0.5 + 0.25j, 2.0), '{"type":"disk","center":[0.5,0.25],"R":2}'),
+    (Annulus(0.0, 0.5, 1.0), '{"type":"annulus","center":[0,0],"r":0.5,"R":1}'),
+    (Ellipse(0.1 - 0.2j, 1.5, 0.5, 0.7),
+     '{"type":"ellipse","center":[0.10000000000000001,-0.20000000000000001],'
+     '"p":1.5,"q":0.5,"phi":0.69999999999999996}'),
+    (Weighted(Disk(0.0, 1.0), 0.5),
+     '{"type":"weighted","t":0.5,"base":{"type":"disk","center":[0,0],"R":1}}'),
+    (Sum((Disk(-3.0, 1.0), Weighted(Ellipse(3.0, 1.0, 0.5), 0.25))),
+     '{"type":"sum","parts":[{"type":"disk","center":[-3,0],"R":1},{"type":"weighted",'
+     '"t":0.25,"base":{"type":"ellipse","center":[3,0],"p":1,"q":0.5,"phi":0}}]}'),
+    (Grid(Box(-1, 1, -1, 1), np.array([[0.0, 1.0], [0.5, 0.25]])),
+     '{"type":"grid","box":[-1,1,-1,1],"values":[[0,1],[0.5,0.25]]}'),
+], ids=["disk", "annulus", "ellipse", "weighted", "sum", "grid"])
+def test_shape_documents_are_pinned(shape, text):
+    # key order is part of the format: "type" first, a weighted shape's "t" before "base"
+    assert dumps(shape.to_obj()) == text
 
 
 def test_shape_validation():

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from expotrans.errors import InputError, PrecisionError
+from expotrans.errors import InputError, MathDomainError, PrecisionError
 from expotrans.shapes import (
     Annulus,
     Box,
@@ -19,12 +19,11 @@ from expotrans.shapes import (
     Grid,
     Sum,
     Weighted,
-    bounding_circle,
+    boundary_nodes,
     cauchy_columns,
-    mass,
+    cauchy_kernel_log,
     moments,
     rotate_moments,
-    support_distance,
     translate_moments,
 )
 
@@ -110,7 +109,7 @@ def test_grid_constant_box():
     g = Grid(box, np.full((8, 16), 1.0))
     a = moments(g, 3).a
     assert abs(a[0, 0] - box.area / math.pi) < 1e-12
-    assert abs(mass(g) - box.area) < 1e-12
+    assert abs(g.mass() - box.area) < 1e-12
 
 
 def test_grid_approximates_disk_loosely():
@@ -124,10 +123,10 @@ def test_grid_approximates_disk_loosely():
 
 
 def test_mass_values():
-    assert abs(mass(Disk(0.0, 2.0)) - 4 * math.pi) < 1e-12
-    assert abs(mass(Annulus(0.0, 0.5, 1.0)) - math.pi * 0.75) < 1e-12
-    assert abs(mass(Weighted(Disk(0.0, 1.0), 0.25)) - 0.25 * math.pi) < 1e-12
-    assert abs(mass(Ellipse(0.0, 1.5, 0.5, 0.3)) - math.pi * 0.75) < 1e-9
+    assert abs(Disk(0.0, 2.0).mass() - 4 * math.pi) < 1e-12
+    assert abs(Annulus(0.0, 0.5, 1.0).mass() - math.pi * 0.75) < 1e-12
+    assert abs(Weighted(Disk(0.0, 1.0), 0.25).mass() - 0.25 * math.pi) < 1e-12
+    assert abs(Ellipse(0.0, 1.5, 0.5, 0.3).mass() - math.pi * 0.75) < 1e-9
 
 
 def test_moment_matrices_hermitian():
@@ -154,10 +153,10 @@ def test_cauchy_columns():
 
 
 def test_geometry_helpers():
-    c, r = bounding_circle(Ellipse(1.0 + 1.0j, 2.0, 0.5, 0.3))
+    c, r = Ellipse(1.0 + 1.0j, 2.0, 0.5, 0.3).bounding_circle()
     assert c == 1.0 + 1.0j and r == 2.0
-    assert support_distance(Disk(0.0, 1.0), 3.0 + 0.0j) == pytest.approx(2.0)
-    assert support_distance(Annulus(0.0, 0.5, 1.0), 2.0j) == pytest.approx(1.0)
+    assert Disk(0.0, 1.0).support_distance(3.0 + 0.0j) == pytest.approx(2.0)
+    assert Annulus(0.0, 0.5, 1.0).support_distance(2.0j) == pytest.approx(1.0)
 
 
 def test_shape_validation():
@@ -180,3 +179,61 @@ def test_quad_budget_env(monkeypatch):
     monkeypatch.setenv("EXPOTRANS_QUAD_BUDGET", "zero")
     with pytest.raises(InputError):
         moments(Ellipse(0.0, 3.0, 1.0, 0.0), 4)
+
+
+def _rule_set_shapes():
+    rng = np.random.default_rng(11)
+    values = np.where(rng.random((6, 8)) < 0.3, 0.0, rng.random((6, 8)))
+    values[0, 0] = 1.0
+    return [
+        Disk(0.3 - 0.2j, 1.1),
+        Annulus(0.2j, 0.4, 1.0),
+        Ellipse(0.2 + 0.1j, 1.6, 0.7, 0.4),
+        Weighted(Ellipse(0.1j, 1.2, 0.5, -0.3), 0.35),
+        Sum((Disk(-2.0, 0.5), Weighted(Annulus(2.0 + 0.5j, 0.3, 0.75), 0.6))),
+        Grid(Box(-1.0, 1.0, -0.5, 0.5), values),
+    ]
+
+
+def _edge_points(shape):
+    """Points 1e-9 inside and 1e-9 outside the boundary of a shape."""
+    if isinstance(shape, Weighted):
+        return _edge_points(shape.base)
+    if isinstance(shape, Sum):
+        return np.concatenate([_edge_points(p) for p in shape.parts])
+    if isinstance(shape, Grid):
+        # the lower-left cell counts as a disk of the cell's half-diagonal
+        corner = shape.centers()[0, 0]
+        radius = 0.5 * math.hypot(*shape.cell)
+        return corner + (radius + np.array([-1e-9, 1e-9])) * np.exp(1.25j * math.pi)
+    pts = []
+    for z, dz in boundary_nodes(shape, 16):
+        outward = -1j * dz / np.abs(dz)
+        pts += [z - 1e-9 * outward, z + 1e-9 * outward]
+    return np.concatenate(pts)
+
+
+def test_rule_set_of_every_shape():
+    rng = np.random.default_rng(5)
+    for shape in _rule_set_shapes():
+        name = type(shape).__name__
+        a = moments(shape, 4).a
+        assert shape.mass() == pytest.approx(math.pi * a[0, 0].real, rel=1e-12), name
+        c, r = shape.bounding_circle()
+        seeded = c + 1.5 * r * np.sqrt(rng.random(200)) * np.exp(2j * math.pi * rng.random(200))
+        edge = _edge_points(shape)
+        for z in np.concatenate([seeded, edge]):
+            assert shape.contains(z) == (shape.support_distance(z) <= 0), (name, z)
+        assert any(shape.contains(z) for z in edge) and not all(shape.contains(z) for z in edge)
+        inside = next(z for z in seeded if shape.contains(z))
+        far = c + 3.0 * r
+        with pytest.raises(MathDomainError):
+            cauchy_kernel_log(shape, inside, far)
+        with pytest.raises(MathDomainError):
+            cauchy_kernel_log(shape, far, inside)
+        if isinstance(shape, (Weighted, Sum, Grid)):
+            # a weight must not borrow its base's boundary: exterior moments would lose t
+            with pytest.raises(InputError):
+                boundary_nodes(shape, 8)
+    union = _rule_set_shapes()[4]
+    assert union.shade_at(2.0 + 0.5j + 0.5) == 0.6 and union.shade_at(-2.0) == 1.0
