@@ -1,12 +1,15 @@
 """Shade-function recovery from moments.
 
-Complex moments convert exactly to real monomial moments m[p, q] by the
-binomial expansion of x = (z + conj(z))/2, y = (z - conj(z))/(2i); a square
-support box is estimated from the diagonal growth; and the density is
-approximated by its L2 projection onto tensor Legendre polynomials on the
-box, computed directly from the moments.  The projection is reported as is,
-Gibbs oscillations included; values outside [-0.1, 1.1] are only counted,
-never clipped.
+Complex moments convert to real monomial moments m[p, q], and back, by
+exact basis-change matrices: on each antidiagonal j + k = n the substitution
+x = (z + conj(z))/2, y = (z - conj(z))/(2i), or z = x + iy, z-bar = x - iy,
+is one (n+1) x (n+1) matrix of binomials times powers of 1/2 and i.  A box
+around the support is estimated from the even-moment growth, and the density
+is approximated by its L2 projection onto tensor Legendre polynomials on the
+box, pi * Lx m Ly^T, where the rows of Lx and Ly are the power-basis
+coefficients of the normalized Legendre polynomials.  The projection is
+reported as is, Gibbs oscillations included; values outside [-0.1, 1.1] are
+only counted, never clipped.
 """
 from __future__ import annotations
 
@@ -42,16 +45,34 @@ class GridFunction:
 
 
 def _covered_order(am: np.ndarray) -> int:
+    """Largest p such that every entry with j + k <= p is finite (-1 if none)."""
     n = am.shape[0]
-    finite = np.isfinite(am.real) & np.isfinite(am.imag)
-    best = -1
-    for p in range(n):
-        diag = [finite[j, p - j] for j in range(p + 1)]
-        if all(diag):
-            best = p
-        else:
-            break
-    return best
+    jk = np.add.outer(np.arange(n), np.arange(n))
+    return int(np.where(np.isfinite(am), n, jk).min(initial=n)) - 1
+
+
+def _substitute(src: np.ndarray, top: int, f, g) -> np.ndarray:
+    """The linear substitution X, Y -> f0 X + f1 Y, g0 X + g1 Y on moments.
+
+    out[p, n - p] = sum_r C_n[p, r] src[r, n - r] for n <= top, NaN beyond,
+    where C_n[p, r] is the coefficient of X^r Y^(n-r) in
+    (f0 X + f1 Y)^p (g0 X + g1 Y)^(n-p).  C_n comes from C_(n-1) by
+    multiplying each row by the g form and the last row also by the f form.
+    For the factors 1/2 and i used here its entries are integers below 2^n
+    times a power of 1/2 and of i, so they are exact for n <= 53.
+    """
+    out = np.full((top + 1, top + 1), np.nan + 0j)
+    out[0, 0] = src[0, 0]
+    c = np.ones((1, 1), dtype=complex)
+    for n in range(1, top + 1):
+        prev, c = c, np.zeros((n + 1, n + 1), dtype=complex)
+        c[:n, 1:] += g[0] * prev
+        c[:n, :n] += g[1] * prev
+        c[n, 1:] += f[0] * prev[n - 1]
+        c[n, :n] += f[1] * prev[n - 1]
+        r = np.arange(n + 1)
+        out[r, n - r] = c @ src[r, n - r]
+    return out
 
 
 def real_moments(a, total_order: int | None = None) -> RealMoments:
@@ -70,41 +91,22 @@ def real_moments(a, total_order: int | None = None) -> RealMoments:
         )
     finite = am[np.isfinite(am.real)]
     scale = max(1.0, float(np.abs(finite).max()) if finite.size else 1.0)
-    mm = np.full((p_max + 1, p_max + 1), np.nan)
-    for p in range(p_max + 1):
-        for q in range(p_max + 1 - p):
-            acc = 0.0 + 0.0j
-            for r in range(p + 1):
-                for s in range(q + 1):
-                    sign = -1.0 if (q - s) % 2 else 1.0
-                    acc += math.comb(p, r) * math.comb(q, s) * sign * am[r + s, p + q - r - s]
-            acc /= 2 ** (p + q) * (1j) ** q
-            if abs(acc.imag) > 1e-10 * scale:
-                raise MathDomainError(
-                    f"real moment ({p},{q}) has imaginary residue {acc.imag:.3e}"
-                )
-            mm[p, q] = acc.real
-    return RealMoments(p_max, mm)
+    mc = _substitute(am, p_max, (0.5, 0.5), (-0.5j, 0.5j))
+    residue = np.argwhere(np.abs(mc.imag) > 1e-10 * scale)
+    if residue.size:
+        p, q = residue[0]
+        raise MathDomainError(
+            f"real moment ({p},{q}) has imaginary residue {mc[p, q].imag:.3e}"
+        )
+    return RealMoments(p_max, mc.real)
 
 
 def complex_moments(rm: RealMoments, order: int) -> np.ndarray:
     """Inverse of real_moments; entries with j + k beyond the data are NaN."""
-    a = np.full((order, order), np.nan, dtype=complex)
-    for j in range(order):
-        for k in range(order):
-            if j + k > rm.total_order:
-                continue
-            acc = 0.0 + 0.0j
-            for r in range(j + 1):
-                for s in range(k + 1):
-                    acc += (
-                        math.comb(j, r)
-                        * math.comb(k, s)
-                        * (1j) ** (j - r)
-                        * (-1j) ** (k - s)
-                        * rm.m[r + s, j + k - r - s]
-                    )
-            a[j, k] = acc
+    tri = _substitute(rm.m, rm.total_order, (1.0, 1j), (1.0, -1j))
+    a = np.full((order, order), np.nan + 0j)
+    k = min(order, rm.total_order + 1)
+    a[:k, :k] = tri[:k, :k]
     return a
 
 
@@ -128,7 +130,10 @@ def support_box(a, pad: float = DEFAULT_PAD) -> Box:
     if not np.isfinite(a00) or a00 <= 0:
         raise MathDomainError("a[0, 0] must be positive to locate the support")
     center = am[1, 0] / a00 if am.shape[0] > 1 and np.isfinite(am[1, 0]) else 0.0 + 0.0j
-    rm = real_moments(translate_moments(am, -center) if center != 0 else am)
+    # translation is lower-triangular: a non-finite entry reaches only the
+    # entries (j, k) >= its own, so the others translate exactly with it set to 0
+    spread = np.logical_or.accumulate(np.logical_or.accumulate(~np.isfinite(am), 0), 1)
+    rm = real_moments(np.where(spread, np.nan, translate_moments(np.nan_to_num(am), -center)))
     half_x = half_y = 0.0
     for j in range(rm.total_order // 2 + 1):
         mx, my = rm.m[2 * j, 0], rm.m[0, 2 * j]
@@ -144,16 +149,20 @@ def support_box(a, pad: float = DEFAULT_PAD) -> Box:
     return Box(cx - half_x, cx + half_x, cy - half_y, cy + half_y)
 
 
-def _scaled_legendre_coeffs(deg: int, lo: float, hi: float) -> np.ndarray:
-    """Power-basis coefficients of the L2-normalized Legendre poly on [lo, hi]."""
-    base = np.polynomial.legendre.leg2poly(np.eye(deg + 1)[deg])
-    alpha = 2.0 / (hi - lo)
-    beta = -(hi + lo) / (hi - lo)
-    acc = np.array([base[-1]])
-    for c in base[-2::-1]:
-        acc = np.polynomial.polynomial.polymul(acc, np.array([beta, alpha]))
-        acc[0] += c
-    return acc * math.sqrt((2 * deg + 1) / (hi - lo))
+def _legendre_rows(order: int, lo: float, hi: float) -> np.ndarray:
+    """Row k: power-basis coefficients of the L2-normalized Legendre
+    polynomial of degree k on [lo, hi], k = 0..order.
+
+    Uses (k+1) P_(k+1) = (2k+1) t P_k - k P_(k-1) with t = alpha x + beta.
+    """
+    alpha, beta = 2.0 / (hi - lo), -(hi + lo) / (hi - lo)
+    rows = np.zeros((order + 1, order + 1))
+    rows[0, 0] = 1.0
+    for k in range(order):
+        tp = beta * rows[k]
+        tp[1:] += alpha * rows[k, :-1]
+        rows[k + 1] = ((2 * k + 1) * tp - (k * rows[k - 1] if k else 0.0)) / (k + 1)
+    return rows * np.sqrt((2 * np.arange(order + 1) + 1) / (hi - lo))[:, None]
 
 
 @dataclass
@@ -206,16 +215,11 @@ def legendre_fit(rm: RealMoments, box: Box, order: int) -> LegendreField:
     """
     if order > rm.total_order:
         raise InputError(f"moments cover total order {rm.total_order}, requested {order}")
-    lx = [_scaled_legendre_coeffs(p, box.x0, box.x1) for p in range(order + 1)]
-    ly = [_scaled_legendre_coeffs(p, box.y0, box.y1) for p in range(order + 1)]
-    coeffs = np.zeros((order + 1, order + 1))
-    for p in range(order + 1):
-        for q in range(order + 1 - p):
-            acc = 0.0
-            for r in range(p + 1):
-                for s in range(q + 1):
-                    acc += lx[p][r] * ly[q][s] * rm.m[r, s]
-            coeffs[p, q] = math.pi * acc
+    lx = _legendre_rows(order, box.x0, box.x1)
+    ly = _legendre_rows(order, box.y0, box.y1)
+    p, q = np.indices((order + 1, order + 1))
+    m = np.nan_to_num(rm.m[: order + 1, : order + 1])
+    coeffs = np.where(p + q <= order, math.pi * lx @ m @ ly.T, 0.0)
     return LegendreField(box, order, coeffs)
 
 

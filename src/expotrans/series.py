@@ -69,14 +69,6 @@ class BiSeries:
         tail = np.asarray(tail, dtype=complex)
         return cls(tail.shape[0], const, tail.copy())
 
-    def copy(self) -> "BiSeries":
-        return BiSeries(self.order, self.const, self.tail.copy())
-
-    def __mul__(self, other):
-        if isinstance(other, BiSeries):
-            return mul(self, other)
-        return NotImplemented
-
 
 def _check_same_order(f: BiSeries, g: BiSeries):
     if f.order != g.order:

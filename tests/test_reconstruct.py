@@ -5,12 +5,15 @@ Gamma(j + 1/2) / (sqrt(pi) Gamma(j + 2)), so m[0,0] = 1 and m[2,0] = 1/4;
 scaling x by p and y by q multiplies m[2j, 0] by p^(2j+1) q.
 """
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from expotrans.errors import InputError, MathDomainError
-from expotrans.finiteterm import detect_order
+from expotrans.exptransform import a_to_b
+from expotrans.finiteterm import detect_order, fill_from_first_column
+from expotrans.gallery import b_for
 from expotrans.operators import b_from_operator, trifoil_operator
 from expotrans.reconstruct import (
     complex_moments,
@@ -19,6 +22,7 @@ from expotrans.reconstruct import (
     reconstruct_from_certificate,
     support_box,
 )
+from expotrans.series import BiSeries, log_neg
 from expotrans.shapes import Annulus, Box, Disk, Ellipse, Grid, Weighted, moments
 
 
@@ -61,14 +65,58 @@ def test_real_moments_order_guard():
         real_moments(moments(Disk(0.0, 1.0), 4), total_order=9)
 
 
+def _certified_triangle(source: str, order: int) -> np.ndarray:
+    """Complex moments of a fill's certified triangle, NaN elsewhere."""
+    b = b_for(source, order)
+    filled = fill_from_first_column(b.b[:, 0], detect_order(b, 4).q, order)
+    a = log_neg(BiSeries(order, 1.0, -filled.masked_values(0.0))).tail
+    return np.where(filled.certified, a, np.nan)
+
+
 def test_complex_moment_round_trip():
-    a = moments(Ellipse(0.3 + 0.1j, 1.2, 0.7, 0.5), 6).a
-    rm = real_moments(a)
-    back = complex_moments(rm, 6)
-    jj, kk = np.indices((6, 6))
-    inside = jj + kk <= rm.total_order
-    assert np.max(np.abs((back - a)[inside])) < 1e-10
-    assert np.all(np.isnan(back[~inside]))
+    ell = Ellipse(0.3 + 0.1j, 1.2, 0.7, 0.5)
+    triangle = _certified_triangle("gallery:ellipse?u=2", 24)
+    # (a, total order, tolerance relative to max(1, largest entry)); the
+    # longer antidiagonals amplify rounding on the way back
+    cases = [(moments(ell, 6).a, 5, 1e-10), (moments(ell, 24).a, 23, 1e-10),
+             (moments(ell, 48).a, 47, 1e-9), (triangle, 22, 1e-9)]
+    for a, total_order, tol in cases:
+        order = a.shape[0]
+        rm = real_moments(a)
+        assert rm.total_order == total_order
+        back = complex_moments(rm, order)
+        jj, kk = np.indices((order, order))
+        inside = jj + kk <= total_order
+        scale = max(1.0, np.abs(a[inside]).max())
+        assert np.max(np.abs((back - a)[inside])) < tol * scale
+        assert np.all(np.isnan(back[~inside]))
+    assert np.isnan(triangle[12, 12])
+
+
+def _exact_real_moment(a, p, q) -> Fraction:
+    """m[p, q] = Re sum_{r,s} C(p,r) C(q,s) (-1)^(q-s) a[r+s, p+q-r-s] / (2^(p+q) i^q), in rationals."""
+    re = im = Fraction(0)
+    for r in range(p + 1):
+        for s in range(q + 1):
+            c = math.comb(p, r) * math.comb(q, s) * (-1) ** (q - s)
+            z = a[r + s, p + q - r - s]
+            re += c * Fraction(z.real)
+            im += c * Fraction(z.imag)
+    # Re(w / i^q) is Re w, Im w, -Re w, -Im w for q = 0, 1, 2, 3 mod 4
+    return (re, im, -re, -im)[q % 4] / 2 ** (p + q)
+
+
+def test_real_moments_exact_oracle():
+    a = moments(Ellipse(0.3 + 0.1j, 1.2, 0.7, 0.5), 25).a
+    rm = real_moments(a, total_order=24)
+    jj, kk = np.indices(a.shape)
+    scale = np.abs(a[jj + kk <= 24]).max()
+    err = max(
+        abs(rm.m[p, q] - float(_exact_real_moment(a, p, q)))
+        for p in range(25)
+        for q in range(25 - p)
+    )
+    assert err <= 1e-15 * scale
 
 
 def test_support_box_disk():
@@ -130,6 +178,40 @@ def test_legendre_order_guard():
         legendre_fit(rm, Box(-1, 1, -1, 1), 10)
 
 
+def _exact_legendre_rows(order, lo, hi):
+    """Power-basis rows of P_k((2x - lo - hi) / (hi - lo)), k <= order, in rationals,
+    from P_k(t) = 2^-k sum_i (-1)^i C(k, i) C(2k - 2i, k) t^(k - 2i)."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    alpha, beta = 2 / (hi - lo), -(hi + lo) / (hi - lo)
+    rows = []
+    for k in range(order + 1):
+        row = [Fraction(0)] * (order + 1)
+        for i in range(k // 2 + 1):
+            c = Fraction((-1) ** i * math.comb(k, i) * math.comb(2 * k - 2 * i, k), 2**k)
+            d = k - 2 * i  # expand c (alpha x + beta)^d
+            for r in range(d + 1):
+                row[r] += c * math.comb(d, r) * alpha**r * beta ** (d - r)
+        rows.append(row)
+    return rows
+
+
+def test_legendre_fit_exact_oracle():
+    order = 10
+    box = Box(-1.2, 1.3, -1.0, 0.9)
+    rm = real_moments(moments(Ellipse(0.05 - 0.05j, 1.0, 0.7, 0.3), 12))
+    fld = legendre_fit(rm, box, order)
+    lx = _exact_legendre_rows(order, box.x0, box.x1)
+    ly = _exact_legendre_rows(order, box.y0, box.y1)
+    m = [[Fraction(rm.m[r, s]) for s in range(order + 1 - r)] for r in range(order + 1)]
+    exact = np.zeros((order + 1, order + 1))
+    for p in range(order + 1):
+        for q in range(order + 1 - p):
+            acc = sum(lx[p][r] * ly[q][s] * m[r][s] for r in range(p + 1) for s in range(q + 1))
+            norm = math.sqrt((2 * p + 1) / box.width * (2 * q + 1) / box.height)
+            exact[p, q] = math.pi * norm * float(acc)
+    assert np.abs(fld.coeffs - exact).max() <= 1e-12 * np.abs(exact).max()
+
+
 def test_reconstruct_trifoil():
     b = b_from_operator(trifoil_operator(80), 12)
     cert = detect_order(b, 4)
@@ -142,6 +224,22 @@ def test_reconstruct_trifoil():
     x0, x1, y0, y1 = diag["box"]
     assert x0 < 0 < x1 and y0 < 0 < y1
     assert np.isfinite(fld(0.0, 0.0))
+
+
+def test_reconstruct_ellipse_quadrature_column():
+    # a centroid off 0, by 1e-17 or by design, must not spread the NaN mask
+    # of the certified triangle over the translated moments
+    for center in (0j, 0.2 + 0.1j):
+        ell = Ellipse(center, 0.8, 0.5, 0.7)
+        b = a_to_b(moments(ell, 12))
+        fld, diag = reconstruct_from_certificate(b.b[:, 0], detect_order(b, 4), 12, 6)
+        area = math.pi * 0.4
+        assert abs(fld.mass() - area) < 1e-12
+        gf = fld.sample(160, 160)
+        x, y = np.meshgrid(gf.xs, gf.ys)
+        truth = ell.contains(x + 1j * y).astype(float)
+        l1 = np.abs(gf.values - truth).sum() * gf.box.area / gf.values.size
+        assert l1 <= 0.35 * area
 
 
 def test_reconstruct_zero_column():
