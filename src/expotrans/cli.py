@@ -287,8 +287,16 @@ def cmd_selftest(args) -> int:
 # argument wiring
 
 
+def _count(least: int):
+    def count(text: str) -> int:
+        if int(text) < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {text}")
+        return int(text)
+    return count
+
+
 def _add_order(p, order: int):
-    p.add_argument("--order", type=int, default=order, help="moment matrix order N")
+    p.add_argument("--order", type=_count(1), default=order, help="moment matrix order N")
 
 
 def _add_out(p):
@@ -338,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=text)
         _add_source(p, order=12)
-        p.add_argument("--dmax", type=int, default=6, help="largest certificate degree to try")
+        p.add_argument("--dmax", type=_count(0), default=6, help="largest certificate degree to try")
         p.add_argument("--tol", type=float, default=1e-8, help="residual tolerance")
         p.set_defaults(fn=fn)
 
@@ -348,9 +356,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reconstruct", help="density field from column + certificate")
     _add_column(p)
-    p.add_argument("--grid", type=int, default=64, help="samples per axis in the CSV")
+    p.add_argument("--grid", type=_count(1), default=64, help="samples per axis in the CSV")
     p.add_argument("--tol", type=float, default=1e-6, help="residual tolerance")
-    p.add_argument("--legendre-order", type=int, default=10, dest="legendre_order")
+    p.add_argument("--legendre-order", type=_count(0), default=10, dest="legendre_order")
     p.set_defaults(fn=cmd_reconstruct)
 
     p = sub.add_parser("evolve", help="moment trajectories under squeeze or inject")
@@ -358,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--law", choices=("squeeze", "inject"), required=True)
     p.add_argument("--t0", type=float, default=0.0)
     p.add_argument("--t1", type=float, default=math.log(2.0))
-    p.add_argument("--steps", type=int, default=8)
+    p.add_argument("--steps", type=_count(0), default=8)
     p.set_defaults(fn=cmd_evolve)
 
     p = sub.add_parser("gallery", help="list or describe named examples")

@@ -7,7 +7,8 @@ A certificate of order d is a vector q with
 the moment shadow of the operator identity T xi = Q(T*) xi with Q of
 degree d.  Certificates are fitted by least squares, detected by scanning
 d upward, cross-checked against the Cauchy-transform route, and used to
-propagate a full moment matrix out of its first column.
+propagate a full moment matrix out of its first column by per-row reach
+(which for d >= 3 stalls short of the triangle at orders d + 5 .. d*d - 1).
 """
 from __future__ import annotations
 
@@ -119,76 +120,63 @@ def fill_from_first_column(col, q, order: int) -> FilledMoments:
 
         b[m+1, n] = sum_k q[k] b[m, k+n] - sum_{j<n} b[m, j] b[0, n-1-j].
 
-    Row 0 comes from Hermitian symmetry of the given column.  The relation
-    is applied forward, mirrored across the diagonal, and (when the leading
-    coefficient allows) solved backward for the highest column, until the
-    certified triangle m + n + d < order is filled.  Entries outside it are
-    absent (NaN with a False mask), never zero-filled.
+    Row 0 is the conjugate column.  Row m is known on columns 0..reach[m], and
+    reach never increases with m.  Each round applies the relation forward,
+    mirrors across the diagonal and, when the leading coefficient allows,
+    solves it backward for the next column, until the certified triangle
+    m + n + d < order is filled.  Off an operator's b the relation and
+    symmetry disagree, so the rule that computes an entry fixes it.  Entries
+    outside the triangle are NaN with a False mask.  Even with q[d] != 0 the
+    rules stall for d >= 3 at orders d + 5 .. d*d - 1 (MathDomainError).
     """
     col = np.asarray(col, dtype=complex).ravel()
     q = np.asarray(q, dtype=complex).ravel()
     d = q.shape[0] - 1
     if d < 0:
         raise InputError("certificate must have at least one coefficient")
-    if col.shape[0] < order:
-        raise InputError("column shorter than requested order")
-    n_ord = order
-    vals = np.full((n_ord, n_ord), np.nan, dtype=complex)
-    known = np.zeros((n_ord, n_ord), dtype=bool)
-    vals[:, 0] = col[:n_ord]
-    known[:, 0] = True
-    vals[0, :] = np.conj(col[:n_ord])
-    known[0, :] = True
+    if not 1 <= order <= col.shape[0]:
+        raise InputError(f"fill order {order} outside 1..{col.shape[0]} (the column length)")
+    vals = np.full((order, order), np.nan, dtype=complex)
+    vals[:, 0] = col[:order]
+    vals[0, :] = np.conj(col[:order])
+    reach = np.zeros(order, dtype=int)
+    reach[0] = order - 1
+    need = order - 1 - d - np.arange(order)  # last triangle column of each row
+    use_backward = abs(q[d]) > 1e-12 * max(1.0, float(np.abs(q).max()))
 
-    qd = q[d]
-    use_backward = abs(qd) > 1e-12 * max(1.0, float(np.abs(q).max()))
+    def cross(m, n):  # sum_{j<n} b[m, j] b[0, n-1-j]
+        return vals[m, :n] @ vals[0, n - 1 :: -1] if n else 0.0 + 0.0j
 
-    def cross(m, n):
-        # sum_{j<n} b[m, j] b[0, n-1-j]
-        if n == 0:
-            return 0.0 + 0.0j
-        return vals[m, :n] @ vals[0, n - 1 :: -1]
-
-    changed = True
-    while changed:
-        changed = False
-        for m in range(n_ord - 1):
-            for n in range(1, n_ord):
-                if known[m + 1, n] or n + d >= n_ord:
-                    continue
-                if known[m, : n + d + 1].all():
-                    vals[m + 1, n] = q @ vals[m, n : n + d + 1] - cross(m, n)
-                    known[m + 1, n] = True
-                    changed = True
-        mirror = known.T & ~known
-        if mirror.any():
-            vals[mirror] = np.conj(vals.T[mirror])
-            known |= mirror
-            changed = True
+    while (reach < need).any():
+        before = reach.copy()
+        for m in range(order - 1):
+            last = min(reach[m] - d, order - 1 - d)
+            for n in range(reach[m + 1] + 1, last + 1):
+                vals[m + 1, n] = q @ vals[m, n : n + d + 1] - cross(m, n)
+            reach[m + 1] = max(reach[m + 1], last)
+        # rows 0..top[j] know column j; -reach is sorted, so count by bisection
+        top = np.searchsorted(-reach, -np.arange(order), side="right") - 1
+        for j in range(order):
+            vals[j, reach[j] + 1 : top[j] + 1] = np.conj(vals[reach[j] + 1 : top[j] + 1, j])
+        reach = np.maximum(reach, top)
         if use_backward:
-            for m in range(n_ord - 1):
-                for n in range(n_ord - d):
-                    if known[m, n + d] or not known[m + 1, n]:
-                        continue
-                    if known[m, : n + d].all():
-                        rhs = vals[m + 1, n] - q[:d] @ vals[m, n : n + d] + cross(m, n)
-                        vals[m, n + d] = rhs / qd
-                        known[m, n + d] = True
-                        changed = True
+            for m in range(order - 1):
+                while d - 1 <= reach[m] < order - 1 and reach[m] + 1 - d <= reach[m + 1]:
+                    n = reach[m] + 1 - d
+                    rhs = vals[m + 1, n] - q[:d] @ vals[m, n : n + d] + cross(m, n)
+                    vals[m, n + d] = rhs / q[d]
+                    reach[m] += 1
+        if (reach == before).all():
+            m = int(np.argmax(reach < need))
+            cause = "" if use_backward else " (the leading coefficient vanishes)"
+            raise MathDomainError(
+                f"certificate of degree {d} stalls at order {order}: entry ({m}, {reach[m] + 1}) "
+                f"of the certified triangle is not reached{cause}"
+            )
 
-    jj, kk = np.indices((n_ord, n_ord))
-    triangle = jj + kk + d < n_ord
-    triangle[:, 0] = True
-    triangle[0, :] = True
-    missing = triangle & ~known
-    if missing.any():
-        raise MathDomainError(
-            "certificate cannot propagate to the full certified triangle "
-            "(vanishing leading coefficient?)"
-        )
-    certified = triangle
-    out = np.where(certified, vals, np.nan + 0j)
-    return FilledMoments(n_ord, out, certified)
+    jj, kk = np.indices((order, order))
+    certified = (jj + kk + d < order) | (jj == 0) | (kk == 0)
+    return FilledMoments(order, np.where(certified, vals, np.nan + 0j), certified)
 
 
 def band_profile(h, tol: float = 1e-8) -> BandProfile:

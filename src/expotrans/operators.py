@@ -227,6 +227,8 @@ def b_from_operator(op: BandedOperator, order: int) -> ExpMoments:
     never touches the vectors entering the Gram matrix; the result then
     agrees with the infinite model exactly.
     """
+    if order < 1:
+        raise InputError("operator Gram order must be >= 1")
     needed = op.xi_index + order * op.max_offset + 2
     if op.size < needed:
         raise InputError(

@@ -8,6 +8,8 @@ import sys
 import numpy as np
 import pytest
 
+from expotrans.cli import main
+
 # the tree under test, ahead of any installed copy
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 BASE = [sys.executable, "-m", "expotrans.cli"]
@@ -63,7 +65,8 @@ def test_transform_round_trip(tmp_path):
     r = run("transform", b_path, "--inverse", "--order", "6")
     assert r.returncode == 0
     back = json.loads(r.stdout)
-    orig = json.loads(open(a_path).read())
+    with open(a_path) as fh:
+        orig = json.load(fh)
     err = np.abs(np.array(back["re"]) - np.array(orig["re"])).max()
     assert err < 1e-10
 
@@ -200,6 +203,36 @@ def test_options_a_command_does_not_read_are_rejected(tmp_path):
     out = str(tmp_path / "selftest.txt")
     assert run("selftest", "--out", out).returncode == 2
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("argv", [
+    "fill gallery:trifoil cert.json --order 0",
+    "reconstruct gallery:trifoil cert.json --order 0",
+    "pipeline gallery:ellipse --order 0",
+    "pipeline gallery:trifoil --order 0",
+    "detect gallery:ellipse --order 0",
+    "detect gallery:trifoil --order 0",
+    "transform gallery:ellipse --order 0",
+    "transform gallery:trifoil --order 0",
+    "moments mat.json --order 0",
+    "transform mat.json --order 0",
+    "evolve gallery:disk --law squeeze --steps -1",
+    "reconstruct gallery:trifoil cert.json --grid 0",
+    "reconstruct gallery:trifoil cert.json --legendre-order -1",
+    "detect gallery:trifoil --dmax -1",
+])
+def test_count_below_range_is_usage_error(tmp_path, monkeypatch, capsys, argv):
+    with open(tmp_path / "cert.json", "w") as fh:
+        json.dump({"d": 2, "q": [[0, 0], [0, 0], [1, 0]], "residual": 0, "rows_used": 9}, fh)
+    with open(tmp_path / "mat.json", "w") as fh:
+        json.dump({"order": 2, "re": [[1, 0.5], [0.5, 1]], "im": [[0, 0], [0, 0]]}, fh)
+    monkeypatch.chdir(tmp_path)
+    # argparse exits 2; any other exception would escape pytest.raises
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "must be >=" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("doc", [

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from expotrans.errors import InputError
+from expotrans.errors import InputError, MathDomainError
 from expotrans.exptransform import a_to_b
 from expotrans.finiteterm import (
     band_profile,
@@ -132,6 +132,26 @@ def test_fill_validation():
         fill_from_first_column(np.ones(4), np.zeros(0), 4)
     with pytest.raises(InputError):
         fill_from_first_column(np.ones(4), np.array([1.0]), 6)
+    with pytest.raises(InputError):
+        fill_from_first_column(np.ones(4), np.array([1.0]), 0)
+
+
+def test_fill_reach_limit():
+    # with q[d] != 0 the rules stall for d >= 3 at orders d + 5 .. d*d - 1;
+    # the error names the order and the first entry not reached
+    rng = np.random.default_rng(8)
+    col = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+    q = np.array([0.1, 0.2, 0.3, 1.0])
+    with pytest.raises(MathDomainError, match=r"order 8: entry \(2, 2\)") as exc:
+        fill_from_first_column(col, q, 8)
+    assert "leading coefficient" not in str(exc.value)
+    filled = fill_from_first_column(col, q, 12)
+    jj, kk = np.indices((12, 12))
+    triangle = (jj + kk + 3 < 12) | (jj == 0) | (kk == 0)
+    assert np.array_equal(filled.certified, triangle)
+    assert np.all(np.isfinite(filled.values[triangle]))
+    with pytest.raises(MathDomainError, match="leading coefficient"):
+        fill_from_first_column(col, np.array([0.3, 0.2, 0.0]), 12)
 
 
 def band_of(shape_or_op, order):

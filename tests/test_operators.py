@@ -95,6 +95,8 @@ def test_ellipse_krylov_gram_by_hand():
 def test_b_from_operator_guard():
     with pytest.raises(InputError):
         b_from_operator(toeplitz_ellipse(2.0, 8), 12)
+    with pytest.raises(InputError):
+        b_from_operator(toeplitz_ellipse(2.0, 8), 0)
     b = b_from_operator(toeplitz_ellipse(2.0, 30), 8).b
     assert np.max(np.abs(b - b.conj().T)) < 1e-12
 
