@@ -295,18 +295,18 @@ def _count(least: int):
     return count
 
 
-def _add_order(p, order: int):
-    p.add_argument("--order", type=_count(1), default=order, help="moment matrix order N")
+def _add_order(p, order: int, least: int = 1):
+    p.add_argument("--order", type=_count(least), default=order, help="moment matrix order N")
 
 
 def _add_out(p):
     p.add_argument("--out", default=None, help="output path (default stdout)")
 
 
-def _add_source(p, order: int = 8):
-    """A SOURCE and the options that read it: --order, --given, --out."""
+def _add_source(p, order: int = 8, least: int = 1):
+    """A SOURCE and the options that read it: --order (>= least), --given, --out."""
     p.add_argument("source")
-    _add_order(p, order)
+    _add_order(p, order, least)
     p.add_argument(
         "--given",
         choices=("a", "b"),
@@ -345,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("detect", cmd_detect, "smallest band certificate, if any"),
     ):
         p = sub.add_parser(name, help=text)
-        _add_source(p, order=12)
+        _add_source(p, order=12, least=2)  # a certificate fit needs one row
         p.add_argument("--dmax", type=_count(0), default=6, help="largest certificate degree to try")
         p.add_argument("--tol", type=float, default=1e-8, help="residual tolerance")
         p.set_defaults(fn=fn)

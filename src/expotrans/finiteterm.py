@@ -42,9 +42,9 @@ class FilledMoments:
     values: np.ndarray
     certified: np.ndarray
 
-    def masked_values(self, fill: complex = 0.0) -> np.ndarray:
-        out = np.where(self.certified, self.values, fill)
-        return out.astype(complex)
+    def masked_values(self) -> np.ndarray:
+        """The values with every uncertified entry set to 0."""
+        return np.where(self.certified, self.values, 0.0).astype(complex)
 
 
 @dataclass
@@ -80,11 +80,11 @@ def detect_order(b, dmax: int, tol: float = 1e-8) -> BandCertificate | None:
     """Smallest d whose certificate residual beats tol * ||b[:, 0]||.
 
     Residuals are non-increasing in d (nested design matrices), so the scan
-    stops at the first hit; None when nothing fits up to dmax.
+    stops at the first hit; None when nothing fits up to min(dmax, order - 1).
     """
     bm = square_matrix(b, "b")
     cutoff = tol * float(np.linalg.norm(bm[:, 0]))
-    for d in range(dmax + 1):
+    for d in range(min(dmax, bm.shape[0] - 1) + 1):
         cert = fit_certificate(bm, d)
         if cert.residual <= cutoff:
             return cert
@@ -179,24 +179,22 @@ def fill_from_first_column(col, q, order: int) -> FilledMoments:
     return FilledMoments(order, np.where(certified, vals, np.nan + 0j), certified)
 
 
-def band_profile(h, tol: float = 1e-8) -> BandProfile:
-    """Bandwidth of the Hessenberg matrix above the diagonal.
+def band_profile(h) -> BandProfile:
+    """Bandwidth of the `orthopoly.Hessenberg` h above the diagonal.
 
     ``recursion_length`` counts the terms in z P_n = sum h[j, n] P_j, i.e.
     upper bandwidth plus the diagonal and subdiagonal terms.  The Toeplitz
     deviation is the largest change along any diagonal of the certified
-    block.
+    block.  Entries count as nonzero above 1e-8 of the block's largest.
     """
-    mat = h.h if hasattr(h, "h") else np.asarray(h, dtype=complex)
-    cert = h.certified if hasattr(h, "certified") else mat.shape[0]
-    block = mat[:cert, :cert]
+    block = h.h[: h.certified, : h.certified]
     if block.size == 0:
         raise InputError("empty Hessenberg block")
     scale = float(np.abs(block).max())
     ubw = 0
     if scale > 0:
         jj, kk = np.indices(block.shape)
-        sig = np.abs(block) > tol * scale
+        sig = np.abs(block) > 1e-8 * scale
         above = sig & (kk > jj)
         if above.any():
             ubw = int((kk - jj)[above].max())

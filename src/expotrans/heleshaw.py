@@ -43,8 +43,8 @@ class ExteriorMoments:
     t: np.ndarray
 
 
-def exterior_moments(shape: Shape, kmax: int, nodes: int = 1024) -> ExteriorMoments:
-    """Exterior harmonic moments t_1..t_kmax by trapezoid contour quadrature.
+def exterior_moments(shape: Shape, kmax: int) -> ExteriorMoments:
+    """Exterior harmonic moments t_1..t_kmax by the 1024-node trapezoid rule.
 
     Spectrally accurate for these analytic boundaries.  The origin must be
     strictly enclosed by the outer boundary (z^-k blows up on the contour
@@ -52,7 +52,7 @@ def exterior_moments(shape: Shape, kmax: int, nodes: int = 1024) -> ExteriorMome
     """
     if kmax < 1:
         raise InputError("need kmax >= 1")
-    comps = boundary_nodes(shape, nodes)
+    comps = boundary_nodes(shape, 1024)
     z_outer = comps[0][0]
     if np.abs(z_outer).min() < 1e-12:
         raise MathDomainError("boundary passes through the origin")

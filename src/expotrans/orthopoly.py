@@ -52,10 +52,10 @@ class CompletenessReport:
     verdict: str
 
 
-def orthonormalize(b, pivot_tol: float = PIVOT_TOL) -> PolyBasis:
+def orthonormalize(b) -> PolyBasis:
     """Gram-Schmidt on monomials under the b inner product, with pivot stop.
 
-    Stops at the first relative pivot below ``pivot_tol`` and returns the
+    Stops at the first relative pivot below PIVOT_TOL and returns the
     polynomials found so far; raises if the matrix is indefinite beyond
     tolerance.
     """
@@ -74,7 +74,7 @@ def orthonormalize(b, pivot_tol: float = PIVOT_TOL) -> PolyBasis:
     stopped = False
     for k in range(n):
         pivot = gram[k, k].real - float(np.sum(np.abs(chol[k, :k]) ** 2))
-        if pivot <= pivot_tol * b00:
+        if pivot <= PIVOT_TOL * b00:
             if pivot < -1e-9 * max(norm, 1e-30):
                 raise MathDomainError("b matrix is indefinite beyond tolerance")
             degree = k

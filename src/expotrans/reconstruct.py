@@ -253,7 +253,7 @@ def reconstruct_from_certificate(
             "covered_order": legendre_order,
         }
     filled = fill_from_first_column(col, q, order)
-    e_tail = -filled.masked_values(0.0)
+    e_tail = -filled.masked_values()
     avals = log_neg(BiSeries(order, 1.0, e_tail)).tail
     avals = np.where(filled.certified, avals, np.nan + 0j)
     rm = real_moments(avals, total_order=legendre_order)

@@ -2,7 +2,8 @@
 
 Supported shapes are disks, annuli, ellipses, weighted copies (0 < t <= 1),
 disjoint unions, and sampled grids.  Each is a `Shape` subclass that carries
-all of its own rules, so a new shape type is one class.  The moment matrix is
+all of its own rules, so a new shape type is one class; the support is
+known only through membership, `contains(z)`.  The moment matrix is
 
     a[j, k] = (1/pi) * integral of z^j conj(z)^k g(z) dA(z).
 
@@ -85,16 +86,13 @@ class Box:
 class Shape:
     """A shade function g with compact support; each subclass owns its rules.
 
-    A subclass provides `bounding_circle()`, `support_distance(z)` (signed:
-    positive outside), `moment_array(order)`, `mass()` (the integral of g),
-    `kernel_log(z, w, tol, budget)` (the Cauchy kernel for z, w outside the
-    support), `to_obj()` and a `from_obj(obj)` classmethod.  The defaults
-    here serve plain shapes: shade 1 and no boundary parametrization.
+    A subclass provides `bounding_circle()`, `contains(z)` (whether z lies
+    in the support, boundary included), `moment_array(order)`, `mass()` (the
+    integral of g), `kernel_log(z, w, tol, budget)` (the Cauchy kernel for
+    z, w outside the support), `to_obj()` and a `from_obj(obj)` classmethod.
+    The defaults here serve plain shapes: shade 1 and no boundary
+    parametrization.
     """
-
-    def contains(self, z: complex) -> bool:
-        """Whether z lies in the support (boundary included)."""
-        return self.support_distance(z) <= 0
 
     def shade_at(self, z: complex) -> float:
         """Value of g at a point z inside the support."""
@@ -141,8 +139,8 @@ class Disk(Shape):
     def bounding_circle(self) -> tuple[complex, float]:
         return self.center, self.R
 
-    def support_distance(self, z: complex) -> float:
-        return abs(z - self.center) - self.R
+    def contains(self, z: complex) -> bool:
+        return abs(z - self.center) <= self.R
 
     def boundary(self, th: np.ndarray) -> list:
         e = np.exp(1j * th)
@@ -179,10 +177,8 @@ class Annulus(Shape):
     def bounding_circle(self) -> tuple[complex, float]:
         return self.center, self.R
 
-    def support_distance(self, z: complex) -> float:
-        rho = abs(z - self.center)
-        # positive both outside the outer circle and inside the hole
-        return max(rho - self.R, self.r - rho)
+    def contains(self, z: complex) -> bool:
+        return self.r <= abs(z - self.center) <= self.R
 
     def boundary(self, th: np.ndarray) -> list:
         e = np.exp(1j * th)
@@ -238,23 +234,6 @@ class Ellipse(Shape):
     def contains(self, z: complex) -> bool:
         u = self._local(z)
         return (u.real / self.p) ** 2 + (u.imag / self.q) ** 2 <= 1.0
-
-    def support_distance(self, z: complex) -> float:
-        u = self._local(z)
-        x, y = abs(u.real), abs(u.imag)
-        # distance to the boundary: shrink a bracket around the closest parameter
-        lo, hi = 0.0, math.pi / 2
-        best = math.inf
-        for _ in range(30):
-            th = np.linspace(lo, hi, 17)
-            d2 = (self.p * np.cos(th) - x) ** 2 + (self.q * np.sin(th) - y) ** 2
-            i = int(np.argmin(d2))
-            best = float(d2[i])
-            lo, hi = th[max(i - 1, 0)], th[min(i + 1, 16)]
-            if hi - lo < 1e-13:
-                break
-        dist = math.sqrt(best)
-        return -dist if self.contains(z) else dist
 
     def boundary(self, th: np.ndarray) -> list:
         rot = np.exp(1j * self.phi)
@@ -332,9 +311,6 @@ class Weighted(Shape):
     def contains(self, z: complex) -> bool:
         return self.base.contains(z)
 
-    def support_distance(self, z: complex) -> float:
-        return self.base.support_distance(z)
-
     def shade_at(self, z: complex) -> float:
         return self.t * self.base.shade_at(z)
 
@@ -381,9 +357,6 @@ class Sum(Shape):
     def contains(self, z: complex) -> bool:
         return any(p.contains(z) for p in self.parts)
 
-    def support_distance(self, z: complex) -> float:
-        return min(p.support_distance(z) for p in self.parts)
-
     def shade_at(self, z: complex) -> float:
         return next(p for p in self.parts if p.contains(z)).shade_at(z)
 
@@ -407,7 +380,7 @@ class Sum(Shape):
 @dataclass(frozen=True, eq=False)
 class Grid(Shape):
     """Cell-centred samples of g on a box; each positive cell counts as a disk
-    of the cell's half-diagonal for distances."""
+    of the cell's half-diagonal for membership and the kernel's guard."""
 
     box: Box
     values: np.ndarray
@@ -437,11 +410,15 @@ class Grid(Shape):
     def bounding_circle(self) -> tuple[complex, float]:
         return self.box.center, math.hypot(self.box.width, self.box.height) / 2
 
-    def support_distance(self, z: complex) -> float:
+    def _cell_distance(self, z: complex) -> float:
+        """Distance from z to the nearest positive cell's disk, negative inside."""
         pos = self.values > 0
         if not pos.any():
             return math.inf
         return np.abs(self.centers()[pos] - z).min() - 0.5 * math.hypot(*self.cell)
+
+    def contains(self, z: complex) -> bool:
+        return self._cell_distance(z) <= 0
 
     def moment_array(self, order: int) -> np.ndarray:
         z = self.centers().ravel()
@@ -457,7 +434,7 @@ class Grid(Shape):
 
     def kernel_log(self, z: complex, w: complex, tol: float, budget: int) -> complex:
         dx, dy = self.cell
-        if min(self.support_distance(z), self.support_distance(w)) < 2.0 * math.hypot(dx, dy):
+        if min(self._cell_distance(z), self._cell_distance(w)) < 2.0 * math.hypot(dx, dy):
             raise MathDomainError(
                 "evaluation point is within two quadrature cells of the support"
             )
@@ -573,7 +550,7 @@ def cauchy_columns(shape: Shape, d: int, order: int) -> np.ndarray:
 # Cauchy kernel integral, shared by the exponential transform evaluator
 
 
-def cauchy_kernel_log(shape: Shape, z: complex, w: complex, tol: float = 1e-9) -> complex:
+def cauchy_kernel_log(shape: Shape, z: complex, w: complex) -> complex:
     """(1/pi) * integral of g(zeta) / ((zeta - z)(conj(zeta) - conj(w))) dA.
 
     Disks and annuli use closed forms.  For an ellipse with centre c, Green's
@@ -584,7 +561,7 @@ def cauchy_kernel_log(shape: Shape, z: complex, w: complex, tol: float = 1e-9) -
     whose principal logarithm is single-valued because the support is convex
     and w lies outside.  The integrand is analytic on the boundary, so the
     trapezoid rule converges geometrically; the node count doubles until two
-    sums agree to tol (relative to the sum, floor 1), and a rule that needs
+    sums agree to 1e-9 (relative to the sum, floor 1), and a rule that needs
     more nodes than the quadrature budget raises PrecisionError.  Weights and
     unions act linearly; a grid is summed cell by cell.  Points inside or on
     the support are rejected.
@@ -593,4 +570,4 @@ def cauchy_kernel_log(shape: Shape, z: complex, w: complex, tol: float = 1e-9) -
     z, w = complex(z), complex(w)
     if shape.contains(z) or shape.contains(w):
         raise MathDomainError("evaluation point lies inside or on the support")
-    return shape.kernel_log(z, w, tol, budget)
+    return shape.kernel_log(z, w, 1e-9, budget)

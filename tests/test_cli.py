@@ -1,14 +1,16 @@
 """End-to-end command-line tests: happy paths, exit codes, determinism."""
+import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from expotrans.cli import main
+from expotrans.cli import build_parser, main
 
 # the tree under test, ahead of any installed copy
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -94,6 +96,14 @@ def test_detect_trifoil():
     assert obj["d"] == 2
     q = np.array([c[0] + 1j * c[1] for c in obj["q"]])
     assert np.max(np.abs(q - np.array([0, 0, 1]))) < 1e-8
+
+
+@pytest.mark.parametrize("command", ["detect", "pipeline"])
+def test_no_certificate_below_order_is_null(command):
+    # at order 3 only d = 0..2 can be fitted, and none beats tol 1e-30
+    r = run(command, "gallery:ellipse-shape", "--order", "3", "--tol", "1e-30")
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.rstrip().endswith('"certificate":null}')
 
 
 def test_fill_and_reconstruct(tmp_path):
@@ -220,6 +230,8 @@ def test_options_a_command_does_not_read_are_rejected(tmp_path):
     "reconstruct gallery:trifoil cert.json --grid 0",
     "reconstruct gallery:trifoil cert.json --legendre-order -1",
     "detect gallery:trifoil --dmax -1",
+    "detect gallery:ellipse --order 1",
+    "pipeline gallery:disk --order 1",
 ])
 def test_count_below_range_is_usage_error(tmp_path, monkeypatch, capsys, argv):
     with open(tmp_path / "cert.json", "w") as fh:
@@ -261,3 +273,38 @@ def test_non_finite_input_is_input_error(tmp_path, source, name):
     r = run("pipeline", source, "--order", "6", cwd=str(tmp_path))
     assert r.returncode == 2
     assert name in r.stderr and "Traceback" not in r.stderr and "Warning" not in r.stderr
+
+
+def _readme_command_table() -> dict:
+    """README's command table: subcommand -> (argument words, {option: shown default or ''})."""
+    with open(os.path.join(os.path.dirname(SRC), "README.md"), encoding="utf-8") as fh:
+        section = fh.read().split("## Command line", 1)[1].split("\n## ", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) == 3 and cells[0].startswith("`"):
+            options = dict(re.findall(r"`(--[\w-]+)`(?: \(([^)]*)\))?", cells[2]))
+            rows[cells[0].strip("`")] = (cells[1].split(), options)
+    return rows
+
+
+def test_readme_command_table_matches_parser():
+    (subcommands,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    table = _readme_command_table()
+    assert set(table) == set(subcommands.choices)
+    for name, (words, shown) in table.items():
+        actions = subcommands.choices[name]._actions
+        positionals = [a for a in actions if not a.option_strings]
+        assert [w.strip("[]").lower() for w in words] == [a.dest for a in positionals], name
+        assert [w.startswith("[") for w in words] == [a.nargs == "?" for a in positionals], name
+        options = {a.option_strings[-1]: a for a in actions if a.option_strings and a.dest != "help"}
+        assert set(shown) == set(options), name
+        for option, default in shown.items():
+            action = options[option]
+            if default == "required":
+                assert action.required, (name, option)
+            elif default == "log 2":
+                assert action.default == math.log(2), (name, option)
+            elif default:
+                want = default if re.fullmatch(r"[a-z]+", default) else float(default)
+                assert action.default == want, (name, option)

@@ -1,13 +1,17 @@
-"""Property tests of the real <-> complex moment conversion and the fill.
+"""Property tests of the real <-> complex moment conversion, rotation, the
+fill and the matrix documents.
 
 The conversion properties are linear identities, so they hold for any
 Hermitian matrix a, moment matrix of a shade function or not: the
 conversion is the substitution x = (z + conj(z))/2, y = (z - conj(z))/(2i)
 and its inverse, and a shift z -> z + h with h real is the shift
-x -> x + h.  The fill property holds for b of a banded operator model:
-the certificate detected on its Krylov Gram propagates the first column
-back to the Gram on the certified triangle.
+x -> x + h.  Rotating a shape by theta about 0 multiplies a[j, k] and
+b[j, k] by exp(i theta (j - k)).  The fill property holds for b of a banded
+operator model: the certificate detected on its Krylov Gram propagates the
+first column back to the Gram on the certified triangle.  A matrix document
+read back and written again is the same bytes.
 """
+import json
 import math
 
 import numpy as np
@@ -15,10 +19,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expotrans import gallery
+from expotrans.exptransform import a_to_b
 from expotrans.finiteterm import detect_order, fill_from_first_column
 from expotrans.operators import b_from_operator
 from expotrans.reconstruct import complex_moments, real_moments
-from expotrans.shapes import translate_moments
+from expotrans.serialize import dumps, matrix_from_obj, matrix_to_obj
+from expotrans.shapes import Annulus, Disk, Ellipse, moments, rotate_moments, translate_moments
 
 ORDERS = st.integers(1, 16)
 SEEDS = st.integers(0, 2**32 - 1)
@@ -63,6 +69,31 @@ def test_x_translation_covariance(order, seed, h):
     assert np.abs(got - expected)[inside].max() < 1e-12 * scale
 
 
+def _shape_pair(kind: int, seed: int, theta: float):
+    """A shape near the origin and the same shape rotated by theta about 0."""
+    rng = np.random.default_rng(seed)
+    c = complex(*rng.uniform(-0.3, 0.3, 2))
+    turn = complex(math.cos(theta), math.sin(theta))
+    radius, ratio, phi = rng.uniform(0.2, 0.6), rng.uniform(0.2, 0.9), rng.uniform(-math.pi, math.pi)
+    if kind == 0:
+        return Disk(c, radius), Disk(c * turn, radius)
+    if kind == 1:
+        return Annulus(c, ratio * radius, radius), Annulus(c * turn, ratio * radius, radius)
+    return (Ellipse(c, radius, ratio * radius, phi),
+            Ellipse(c * turn, radius, ratio * radius, phi + theta))
+
+
+@settings(max_examples=60, deadline=None)
+@given(ORDERS, st.integers(0, 2), SEEDS, st.floats(-math.pi, math.pi))
+def test_rotation_covariance_of_a_and_b(order, kind, seed, theta):
+    shape, turned = _shape_pair(kind, seed, theta)
+    a, a_turned = moments(shape, order).a, moments(turned, order).a
+    b, b_turned = a_to_b(a).b, a_to_b(a_turned).b
+    for m, m_turned in ((a, a_turned), (b, b_turned)):
+        want = rotate_moments(m, theta)
+        assert np.abs(m_turned - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def _fill_error(address: str, order: int) -> float:
     """Largest fill error on the certified triangle, relative to max |b| there."""
     b = b_from_operator(gallery.resolve(address).sized_for(order), order).b
@@ -87,3 +118,14 @@ def test_fill_matches_operator_b_ellipse(order, u):
     # the monomial-basis fill loses digits as u and order grow:
     # measured up to 3.3e-10 at u = 2.7, order 16
     assert _fill_error(f"gallery:ellipse?u={u!r}", order) < 1e-8
+
+
+@settings(max_examples=60, deadline=None)
+@given(ORDERS, SEEDS)
+def test_matrix_document_round_trip_is_byte_stable(order, seed):
+    rng = np.random.default_rng(seed)
+    size = (order, order, 2)
+    parts = rng.choice([-1.0, 1.0], size) * rng.uniform(1.0, 10.0, size) * 10.0 ** rng.integers(-300, 301, size)
+    mask = rng.random((order, order)) < 0.7
+    first = dumps(matrix_to_obj(parts[..., 0] + 1j * parts[..., 1], mask))
+    assert dumps(matrix_to_obj(*matrix_from_obj(json.loads(first)))) == first

@@ -69,7 +69,7 @@ def _certified_triangle(source: str, order: int) -> np.ndarray:
     """Complex moments of a fill's certified triangle, NaN elsewhere."""
     b = b_for(source, order)
     filled = fill_from_first_column(b.b[:, 0], detect_order(b, 4).q, order)
-    a = log_neg(BiSeries(order, 1.0, -filled.masked_values(0.0))).tail
+    a = log_neg(BiSeries(order, 1.0, -filled.masked_values())).tail
     return np.where(filled.certified, a, np.nan)
 
 

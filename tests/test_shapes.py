@@ -155,8 +155,11 @@ def test_cauchy_columns():
 def test_geometry_helpers():
     c, r = Ellipse(1.0 + 1.0j, 2.0, 0.5, 0.3).bounding_circle()
     assert c == 1.0 + 1.0j and r == 2.0
-    assert Disk(0.0, 1.0).support_distance(3.0 + 0.0j) == pytest.approx(2.0)
-    assert Annulus(0.0, 0.5, 1.0).support_distance(2.0j) == pytest.approx(1.0)
+    # 1e-9 inside each boundary is in the support, 1e-9 outside is not
+    disk, ring = Disk(0.0, 1.0), Annulus(0.0, 0.5, 1.0)
+    assert disk.contains(1.0 - 1e-9) and not disk.contains(1.0 + 1e-9)
+    assert ring.contains((1.0 - 1e-9) * 1j) and not ring.contains((1.0 + 1e-9) * 1j)
+    assert ring.contains(-(0.5 + 1e-9)) and not ring.contains(-(0.5 - 1e-9))
 
 
 def test_shape_validation():
@@ -195,8 +198,24 @@ def _rule_set_shapes():
     ]
 
 
+def _oracle(shape, z) -> bool:
+    """Membership from the geometry alone: foci for ellipses, cell disks for grids."""
+    if isinstance(shape, Weighted):
+        return _oracle(shape.base, z)
+    if isinstance(shape, Sum):
+        return any(_oracle(p, z) for p in shape.parts)
+    if isinstance(shape, Grid):
+        radius = 0.5 * math.hypot(*shape.cell)
+        return any(abs(c - z) <= radius for c in shape.centers()[shape.values > 0])
+    if isinstance(shape, Ellipse):
+        f = math.sqrt(shape.p**2 - shape.q**2) * np.exp(1j * shape.phi)
+        return abs(z - shape.center - f) + abs(z - shape.center + f) <= 2.0 * shape.p
+    rho = abs(z - shape.center)
+    return rho <= shape.R and (isinstance(shape, Disk) or rho >= shape.r)
+
+
 def _edge_points(shape):
-    """Points 1e-9 inside and 1e-9 outside the boundary of a shape."""
+    """Points 1e-9 inside and 1e-9 outside the boundary of a shape, in pairs."""
     if isinstance(shape, Weighted):
         return _edge_points(shape.base)
     if isinstance(shape, Sum):
@@ -209,7 +228,7 @@ def _edge_points(shape):
     pts = []
     for z, dz in boundary_nodes(shape, 16):
         outward = -1j * dz / np.abs(dz)
-        pts += [z - 1e-9 * outward, z + 1e-9 * outward]
+        pts.append(np.stack([z - 1e-9 * outward, z + 1e-9 * outward], axis=1).ravel())
     return np.concatenate(pts)
 
 
@@ -222,8 +241,9 @@ def test_rule_set_of_every_shape():
         c, r = shape.bounding_circle()
         seeded = c + 1.5 * r * np.sqrt(rng.random(200)) * np.exp(2j * math.pi * rng.random(200))
         edge = _edge_points(shape)
-        for z in np.concatenate([seeded, edge]):
-            assert shape.contains(z) == (shape.support_distance(z) <= 0), (name, z)
+        for z in seeded:
+            assert shape.contains(z) == _oracle(shape, z), (name, z)
+        assert [bool(shape.contains(z)) for z in edge] == [True, False] * (len(edge) // 2), name
         assert any(shape.contains(z) for z in edge) and not all(shape.contains(z) for z in edge)
         inside = next(z for z in seeded if shape.contains(z))
         far = c + 3.0 * r
