@@ -27,14 +27,17 @@ from .series import BiSeries, exp_neg, log_neg
 from .shapes import Annulus, MomentMatrix, Shape, moments
 
 
-def _load_source(path_or_addr: str):
-    """A gallery address, a shape JSON file, or a matrix JSON file."""
+def _load_source(path_or_addr: str, read_matrix=None):
+    """A gallery address, a shape JSON file, or a matrix JSON file, read by
+    ``read_matrix`` or else as a matrix with no null entry."""
     if path_or_addr.startswith("gallery:"):
         return gallery.resolve(path_or_addr)
     obj = serialize.load_json(path_or_addr)
     if isinstance(obj, dict) and "type" in obj:
         return serialize.shape_from_obj(obj)
     if isinstance(obj, dict) and "re" in obj:
+        if read_matrix:
+            return read_matrix(obj)
         arr, mask = serialize.matrix_from_obj(obj)
         if not mask.all():
             raise InputError(f"{path_or_addr} has uncertified (null) entries")
@@ -70,13 +73,15 @@ def _a_of(source, order: int, given: str) -> MomentMatrix:
 
 
 def _column_of(path_or_addr: str, order: int) -> np.ndarray:
-    if path_or_addr.startswith("gallery:"):
-        return gallery.b_for(path_or_addr, order).b[:, 0].copy()
-    obj = serialize.load_json(path_or_addr)
-    col = serialize.column_from_obj(obj)
-    if col.shape[0] < order:
-        raise InputError(f"column of length {col.shape[0]} shorter than order {order}")
-    return col[:order]
+    """The first moment column, which a and b share, of any SOURCE or column document."""
+    source = _load_source(path_or_addr, serialize.column_from_obj)
+    if isinstance(source, Shape):
+        return moments(source, order).a[:, 0]
+    if isinstance(source, OperatorFamily):
+        return gallery.b_for(source, order).b[:, 0]
+    if source.shape[0] < order:
+        raise InputError(f"column of length {source.shape[0]} shorter than order {order}")
+    return source[:order]
 
 
 def _emit(text: str, out: str | None):

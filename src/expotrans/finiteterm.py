@@ -26,7 +26,6 @@ class BandCertificate:
     q: np.ndarray
     residual: float
     rows_used: int
-    rank: int = -1
     row_residuals: np.ndarray | None = None
 
     @property
@@ -70,21 +69,23 @@ def fit_certificate(b, d: int, rows: int | None = None) -> BandCertificate:
         raise InputError("rows must lie in 1..order-1")
     design = bm[:m, : d + 1]
     target = bm[1 : m + 1, 0]
-    q, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
+    q = np.linalg.lstsq(design, target, rcond=None)[0]
     res = target - design @ q
     rms = float(np.sqrt(np.mean(np.abs(res) ** 2)))
-    return BandCertificate(d, q, rms, m, int(rank), res)
+    return BandCertificate(d, q, rms, m, res)
 
 
 def detect_order(b, dmax: int, tol: float = 1e-8) -> BandCertificate | None:
     """Smallest d whose certificate residual beats tol * ||b[:, 0]||.
 
     Residuals are non-increasing in d (nested design matrices), so the scan
-    stops at the first hit; None when nothing fits up to min(dmax, order - 1).
+    stops at the first hit; None when nothing fits up to min(dmax, order - 3).
+    Every fit keeps a spare row (order - 1 rows for at most order - 2
+    unknowns): an exactly determined fit would match any b to rounding.
     """
     bm = square_matrix(b, "b")
     cutoff = tol * float(np.linalg.norm(bm[:, 0]))
-    for d in range(min(dmax, bm.shape[0] - 1) + 1):
+    for d in range(min(dmax, bm.shape[0] - 3) + 1):
         cert = fit_certificate(bm, d)
         if cert.residual <= cutoff:
             return cert

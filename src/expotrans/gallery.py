@@ -46,59 +46,46 @@ def _params(query: str, allowed: dict[str, float]) -> dict[str, float]:
     return out
 
 
+def _power(p: dict[str, float]) -> OperatorFamily:
+    d = int(p["d"])
+    if d != p["d"] or d < 1:
+        raise InputError("gallery power needs integer d >= 1")
+    a, b = p["alpha"], p["beta"]
+    return OperatorFamily(f"power a={a:g} b={b:g} d={d}", lambda size: toeplitz_power(a, b, d, size), d, d + 1)
+
+
+# name -> (parameter defaults, builder), in listing order: shapes, then operator families
+_TABLE: dict[str, tuple[dict[str, float], Callable]] = {
+    "disk": ({"R": 1.0, "x": 0.0, "y": 0.0}, lambda p: Disk(complex(p["x"], p["y"]), p["R"])),
+    "annulus": ({"r": 0.5, "R": 1.0, "x": 0.0, "y": 0.0},
+                lambda p: Annulus(complex(p["x"], p["y"]), p["r"], p["R"])),
+    "ellipse-shape": ({"p": 1.5, "q": 0.5, "phi": 0.0, "x": 0.0, "y": 0.0},
+                      lambda p: Ellipse(complex(p["x"], p["y"]), p["p"], p["q"], p["phi"])),
+    "tdisk": ({"t": 0.5, "R": 1.0}, lambda p: Weighted(Disk(0j, p["R"]), p["t"])),
+    "ellipse": ({"u": 2.0}, lambda p: OperatorFamily(
+        f"ellipse u={p['u']:g}", lambda size: toeplitz_ellipse(p["u"], size), 0, 1)),
+    "trifoil": ({}, lambda p: OperatorFamily(
+        "trifoil", lambda size: toeplitz_power(1.0, 1.0, 1, size), 1, 2)),
+    "power": ({"alpha": 1.0, "beta": 1.0, "d": 1.0}, _power),
+    "twodiag": ({"A1": 1.0, "B1": 1.0}, lambda p: OperatorFamily(
+        f"twodiag A1={p['A1']:g} B1={p['B1']:g}", lambda size: two_diagonal(p["A1"], p["B1"], size), 0, 2)),
+}
+
+
 def resolve(address: str) -> Shape | OperatorFamily:
     """Parse "gallery:<name>?param=value" into a Shape or OperatorFamily."""
     if address.startswith("gallery:"):
         address = address[len("gallery:"):]
     name, _, query = address.partition("?")
     name = name.strip().lower()
-
-    if name == "disk":
-        p = _params(query, {"R": 1.0, "x": 0.0, "y": 0.0})
-        return Disk(complex(p["x"], p["y"]), p["R"])
-    if name == "annulus":
-        p = _params(query, {"r": 0.5, "R": 1.0, "x": 0.0, "y": 0.0})
-        return Annulus(complex(p["x"], p["y"]), p["r"], p["R"])
-    if name == "ellipse-shape":
-        p = _params(query, {"p": 1.5, "q": 0.5, "phi": 0.0, "x": 0.0, "y": 0.0})
-        return Ellipse(complex(p["x"], p["y"]), p["p"], p["q"], p["phi"])
-    if name == "tdisk":
-        p = _params(query, {"t": 0.5, "R": 1.0})
-        return Weighted(Disk(0j, p["R"]), p["t"])
-
-    if name == "ellipse":
-        p = _params(query, {"u": 2.0})
-        u = p["u"]
-        return OperatorFamily(f"ellipse u={u:g}", lambda size: toeplitz_ellipse(u, size), 0, 1)
-    if name == "trifoil":
-        _params(query, {})
-        return OperatorFamily("trifoil", lambda size: toeplitz_power(1.0, 1.0, 1, size), 1, 2)
-    if name == "power":
-        p = _params(query, {"alpha": 1.0, "beta": 1.0, "d": 1.0})
-        d = int(p["d"])
-        if d != p["d"] or d < 1:
-            raise InputError("gallery power needs integer d >= 1")
-        a, b = p["alpha"], p["beta"]
-        return OperatorFamily(
-            f"power a={a:g} b={b:g} d={d}",
-            lambda size: toeplitz_power(a, b, d, size),
-            d,
-            d + 1,
-        )
-    if name == "twodiag":
-        p = _params(query, {"A1": 1.0, "B1": 1.0})
-        a1, b1 = p["A1"], p["B1"]
-        return OperatorFamily(
-            f"twodiag A1={a1:g} B1={b1:g}",
-            lambda size: two_diagonal(a1, b1, size),
-            0,
-            2,
-        )
-    raise InputError(f"unknown gallery entry {name!r}")
+    if name not in _TABLE:
+        raise InputError(f"unknown gallery entry {name!r}")
+    defaults, build = _TABLE[name]
+    return build(_params(query, defaults))
 
 
 def names() -> list[str]:
-    return ["disk", "annulus", "ellipse-shape", "tdisk", "ellipse", "trifoil", "power", "twodiag"]
+    return list(_TABLE)
 
 
 def b_for(source: str | Shape | OperatorFamily, order: int) -> ExpMoments:

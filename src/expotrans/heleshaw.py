@@ -89,9 +89,10 @@ def mother_body(c: float, mass_total: float, x) -> np.ndarray:
     return out
 
 
-def mother_body_moment(c: float, mass_total: float, j: int, nodes: int = 256) -> float:
-    """integral of x^j rho(x) dx over the focal segment (Gauss-Legendre)."""
-    xg, wg = np.polynomial.legendre.leggauss(nodes)
+def mother_body_moment(c: float, mass_total: float, j: int) -> float:
+    """integral of x^j rho(x) dx over the focal segment (1024-node Gauss-Legendre;
+    the endpoint square-root singularity limits it to algebraic decay)."""
+    xg, wg = np.polynomial.legendre.leggauss(1024)
     x = c * xg
     w = c * wg
     return float(np.sum(w * x**j * mother_body(c, mass_total, x)))

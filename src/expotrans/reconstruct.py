@@ -228,7 +228,6 @@ def reconstruct_from_certificate(
     cert,
     order: int,
     legendre_order: int,
-    pad: float = DEFAULT_PAD,
 ) -> tuple[LegendreField, dict]:
     """Full pipeline: column + certificate -> b fill -> a -> projection.
 
@@ -257,7 +256,7 @@ def reconstruct_from_certificate(
     avals = log_neg(BiSeries(order, 1.0, e_tail)).tail
     avals = np.where(filled.certified, avals, np.nan + 0j)
     rm = real_moments(avals, total_order=legendre_order)
-    box = support_box(avals, pad)
+    box = support_box(avals)
     fld = legendre_fit(rm, box, legendre_order)
     diagnostics = {
         "box": box.as_tuple(),

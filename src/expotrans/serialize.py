@@ -23,7 +23,7 @@ def fmt(x: float) -> str:
     x = float(x)
     if not math.isfinite(x):
         raise InputError("cannot serialize a non-finite number")
-    return format(x, ".17g")
+    return format(x + 0.0, ".17g")  # -0.0 + 0.0 is 0.0: JSON reads "-0" back as 0
 
 
 def dumps(obj) -> str:
@@ -59,67 +59,43 @@ def write_text(path: str, text: str):
 
 def matrix_to_obj(m: np.ndarray, certified: np.ndarray | None = None) -> dict:
     m = np.asarray(m, dtype=complex)
-    order = m.shape[0]
-    re, im = [], []
-    for j in range(order):
-        re_row, im_row = [], []
-        for k in range(m.shape[1]):
-            if certified is not None and not certified[j, k]:
-                re_row.append(None)
-                im_row.append(None)
-            else:
-                re_row.append(float(m[j, k].real))
-                im_row.append(float(m[j, k].imag))
-        re.append(re_row)
-        im.append(im_row)
-    return {"order": order, "re": re, "im": im}
+    mask = np.ones(m.shape, dtype=bool) if certified is None else np.asarray(certified)
+    re, im = (np.where(mask, part, None).tolist() for part in (m.real, m.imag))
+    return {"order": m.shape[0], "re": re, "im": im}
+
+
+def _entries(obj, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """A document's re + i im as complex values, and a mask that is False where
+    an entry is null (NaN).  Any shape is returned; the callers check it."""
+    try:
+        re = np.asarray(obj["re"], dtype=float)
+        im = np.asarray(obj["im"], dtype=float)
+    except (KeyError, TypeError, ValueError) as exc:  # ragged, string or nested entries
+        raise InputError(f"malformed {what} JSON: {exc}") from exc
+    if re.shape != im.shape:
+        raise InputError(f"malformed {what} JSON: re/im shapes differ")
+    if np.isinf([re, im]).any():  # a literal such as 1e400
+        raise InputError(f"non-finite number in {what} JSON")
+    mask = ~(np.isnan(re) | np.isnan(im))
+    return np.where(mask, re + 1j * im, np.nan), mask
 
 
 def matrix_from_obj(obj: dict) -> tuple[np.ndarray, np.ndarray]:
     """Matrix plus certification mask (False where entries were null)."""
-    try:
-        order = int(obj["order"])
-        re = obj["re"]
-        im = obj["im"]
-        arr = np.full((order, len(re[0]) if re else 0), np.nan, dtype=complex)
-        mask = np.zeros(arr.shape, dtype=bool)
-        if len(re) != order or len(im) != order:
-            raise InputError("matrix JSON rows do not match order")
-        for j in range(order):
-            if len(re[j]) != arr.shape[1] or len(im[j]) != arr.shape[1]:
-                raise InputError("ragged matrix JSON")
-            for k in range(arr.shape[1]):
-                if re[j][k] is None or im[j][k] is None:
-                    continue
-                arr[j, k] = float(re[j][k]) + 1j * float(im[j][k])
-                mask[j, k] = True
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed matrix JSON: {exc}") from exc
+    arr, mask = _entries(obj, "matrix")
+    if arr.ndim != 2 or arr.shape[0] != obj.get("order"):
+        raise InputError("malformed matrix JSON: need one re and im row per order")
     return arr, mask
 
 
-def column_to_obj(col: np.ndarray) -> dict:
-    col = np.asarray(col, dtype=complex).ravel()
-    return {
-        "order": col.shape[0],
-        "re": [float(v.real) for v in col],
-        "im": [float(v.imag) for v in col],
-    }
-
-
 def column_from_obj(obj: dict) -> np.ndarray:
-    try:
-        re = obj["re"]
-        im = obj["im"]
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"malformed column JSON: {exc}") from exc
-    re = np.asarray(re, dtype=float)
-    im = np.asarray(im, dtype=float)
-    if re.ndim == 2:  # a full matrix doubles as its first column
-        re, im = re[:, 0], im[:, 0]
-    if re.shape != im.shape or re.ndim != 1:
-        raise InputError("column JSON re/im mismatch")
-    return re + 1j * im
+    """A column document, or the first column of a matrix document; no nulls."""
+    col, mask = _entries(obj, "column")
+    if col.ndim == 2 and col.shape[1]:
+        col, mask = col[:, 0], mask[:, 0]
+    if col.ndim != 1 or not mask.all():
+        raise InputError("malformed column JSON: need one list of non-null re and im")
+    return col
 
 
 def filled_to_obj(filled: FilledMoments) -> dict:
@@ -140,6 +116,11 @@ def certificate_to_obj(cert: BandCertificate) -> dict:
 
 
 def certificate_from_obj(obj: dict) -> BandCertificate:
+    """A certificate document, or the certificate a detect or pipeline document holds."""
+    if isinstance(obj, dict) and "certificate" in obj:
+        obj = obj["certificate"]
+        if obj is None:
+            raise InputError("the document holds no certificate (null)")
     try:
         d = int(obj["d"])
         q = np.array([float(p[0]) + 1j * float(p[1]) for p in obj["q"]], dtype=complex)

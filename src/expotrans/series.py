@@ -65,9 +65,9 @@ class BiSeries:
         return cls(order, 1.0, np.zeros((order, order), dtype=complex))
 
     @classmethod
-    def from_tail(cls, tail, const: complex = 0.0) -> "BiSeries":
+    def from_tail(cls, tail) -> "BiSeries":
         tail = np.asarray(tail, dtype=complex)
-        return cls(tail.shape[0], const, tail.copy())
+        return cls(tail.shape[0], 0.0, tail.copy())
 
 
 def _check_same_order(f: BiSeries, g: BiSeries):

@@ -268,7 +268,7 @@ def test_criterion_09_mother_body():
     mass_e = 1.5 * 0.5
     a = moments(e, 6).a
     for j in (0, 2, 4):
-        assert abs(mother_body_moment(c, mass_e, j, nodes=1024) - a[j, 0].real) < 1e-8
+        assert abs(mother_body_moment(c, mass_e, j) - a[j, 0].real) < 1e-8
     cols = []
     for s in (0.4, 0.8, 1.2):
         fam = confocal_ellipse(c, s)

@@ -260,6 +260,78 @@ def test_malformed_matrix_document_is_input_error(tmp_path, doc):
     assert "malformed matrix JSON" in r.stderr and "Traceback" not in r.stderr
 
 
+_MATRIX_DOCS = {
+    "ragged-row": {"order": 2, "re": [[1, 0], [0]], "im": [[0, 0], [0, 0]]},
+    "string-entry": {"order": 2, "re": [[1, "x"], [0, 1]], "im": [[0, 0], [0, 0]]},
+    "nested-object": {"order": 2, "re": [[1, {"re": 0}], [0, 1]], "im": [[0, 0], [0, 0]]},
+    "re-im-mismatch": {"order": 2, "re": [[1, 0], [0, 1]], "im": [[0, 0]]},
+    "null-in-column": {"order": 2, "re": [1, None], "im": [0, 0]},
+    "top-level-list": [[1, 0], [0, 1]],
+}
+_CERT_DOCS = {
+    "missing-key": {"d": 2, "q": [[0, 0], [0, 0], [1, 0]], "residual": 0},
+    "q-length": {"d": 2, "q": [[0, 0]], "residual": 0, "rows_used": 3},
+    "null-certificate": {"certificate": None},
+    "string-entry": {"d": 2, "q": [[0, "x"], [0, 0], [1, 0]], "residual": 0, "rows_used": 3},
+    "top-level-list": [[0, 0], [0, 0], [1, 0]],
+}
+_SLOTS = {  # argv with the document in the slot under test
+    "moments-source": ("moments doc.json --order 2", _MATRIX_DOCS),
+    "pipeline-source": ("pipeline doc.json --order 2", _MATRIX_DOCS),
+    "evolve-source": ("evolve doc.json --law squeeze --order 2", _MATRIX_DOCS),
+    "fill-column": ("fill doc.json cert.json --order 2", _MATRIX_DOCS),
+    "reconstruct-column": ("reconstruct doc.json cert.json --order 2", _MATRIX_DOCS),
+    "fill-cert": ("fill gallery:trifoil doc.json --order 4", _CERT_DOCS),
+    "reconstruct-cert": ("reconstruct gallery:trifoil doc.json --order 4", _CERT_DOCS),
+}
+
+
+@pytest.mark.parametrize("slot, doc", [
+    pytest.param(slot, doc, id=f"{slot}-{name}")
+    for slot, (_, docs) in _SLOTS.items() for name, doc in docs.items()
+])
+def test_malformed_document_in_every_slot_is_input_error(tmp_path, monkeypatch, capsys, slot, doc):
+    with open(tmp_path / "cert.json", "w") as fh:
+        json.dump({"d": 0, "q": [[0.5, 0]], "residual": 0, "rows_used": 1}, fh)
+    with open(tmp_path / "doc.json", "w") as fh:
+        json.dump(doc, fh)
+    monkeypatch.chdir(tmp_path)
+    # any exception other than an ExpotransError would escape main and fail the test
+    assert main(_SLOTS[slot][0].split()) == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and "Traceback" not in err
+
+
+def _out(capsys, argv: str) -> str:
+    assert main(argv.split()) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", [
+    "fill gallery:trifoil {} --order 10",
+    "reconstruct gallery:trifoil {} --order 12 --legendre-order 6 --grid 8",
+], ids=["fill", "reconstruct"])
+def test_cert_reads_detect_and_pipeline_documents(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    for name in ("detect", "pipeline"):
+        _out(capsys, f"{name} gallery:trifoil --order 10 --out {name}.json")
+    with open("detect.json") as fh:
+        bare = json.load(fh)["certificate"]
+    with open("cert.json", "w") as fh:
+        json.dump(bare, fh)
+    want = _out(capsys, command.format("cert.json"))
+    assert _out(capsys, command.format("detect.json")) == want
+    assert _out(capsys, command.format("pipeline.json")) == want
+
+
+def test_column_reads_shape_files(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    _out(capsys, "gallery ellipse-shape --out s.json")
+    _out(capsys, "detect gallery:ellipse-shape --order 10 --out cert.json")
+    want = _out(capsys, "fill gallery:ellipse-shape cert.json --order 10")
+    assert _out(capsys, "fill s.json cert.json --order 10") == want
+
+
 @pytest.mark.parametrize("source, name", [
     ("gallery:ellipse?u=inf", "u"),
     ("gallery:ellipse?u=-inf", "u"),

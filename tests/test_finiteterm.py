@@ -63,6 +63,17 @@ def test_power_model_needs_wide_window():
     assert ghost.residual < 1e-12
 
 
+@pytest.mark.parametrize("order", [3, 4, 6, 8])
+def test_detect_keeps_a_spare_row(order):
+    # a random PSD b has no finite term relation; the exactly determined fit
+    # at d = order - 2 matches it to rounding, so detect must not try that d
+    rng = np.random.default_rng(order)
+    x = rng.standard_normal((order, order)) + 1j * rng.standard_normal((order, order))
+    b = x @ x.conj().T
+    assert fit_certificate(b, order - 2).residual < 1e-12
+    assert detect_order(b, order) is None
+
+
 def test_fit_certificate_validation():
     b = shape_b(Disk(0, 1), 6)
     with pytest.raises(InputError):

@@ -126,6 +126,7 @@ def test_matrix_document_round_trip_is_byte_stable(order, seed):
     rng = np.random.default_rng(seed)
     size = (order, order, 2)
     parts = rng.choice([-1.0, 1.0], size) * rng.uniform(1.0, 10.0, size) * 10.0 ** rng.integers(-300, 301, size)
+    parts = np.where(rng.random(size) < 0.2, rng.choice([-0.0, 0.0], size), parts)
     mask = rng.random((order, order)) < 0.7
     first = dumps(matrix_to_obj(parts[..., 0] + 1j * parts[..., 1], mask))
     assert dumps(matrix_to_obj(*matrix_from_obj(json.loads(first)))) == first

@@ -1,4 +1,6 @@
 """Round trips and byte determinism of the JSON/CSV writers."""
+import json
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from expotrans.serialize import (
     certificate_from_obj,
     certificate_to_obj,
     column_from_obj,
-    column_to_obj,
     dumps,
     filled_to_obj,
     fmt,
@@ -67,9 +68,19 @@ def test_matrix_validation():
         matrix_from_obj({"order": 1, "re": [[1.0, 2.0]], "im": [[0.0]]})
 
 
+@pytest.mark.parametrize("text", [
+    '{"order": 1, "re": [[1e400]], "im": [[0]]}',
+    '{"order": 1, "re": [[1]], "im": [[-1e400]]}',
+], ids=["re", "im"])
+def test_overflowing_entry_is_input_error(text):
+    # json reads 1e400 as inf (the Infinity literal itself is refused by load_json)
+    with pytest.raises(InputError, match="non-finite"):
+        matrix_from_obj(json.loads(text))
+
+
 def test_column_round_trip():
     col = np.array([1.0, 0.5 - 0.25j, 0.0])
-    back = column_from_obj(column_to_obj(col))
+    back = column_from_obj({"order": 3, "re": [1.0, 0.5, 0.0], "im": [0.0, -0.25, 0.0]})
     assert np.array_equal(back, col)
     # a matrix object is accepted and read as its first column
     m = np.array([[1.0, 2.0], [3.0 + 1j, 4.0]])
