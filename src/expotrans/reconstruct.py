@@ -80,7 +80,8 @@ def real_moments(a, total_order: int | None = None) -> RealMoments:
 
     NaN entries are tolerated outside the requested total order, so a
     certified-triangle fill can be converted as far as it reaches.  Residual
-    imaginary parts beyond 1e-10 of scale raise rather than being dropped.
+    imaginary parts beyond 1e-10 of the largest entry with j + k <= the
+    converted order raise rather than being dropped.
     """
     am = square_matrix(a, "a")
     covered = _covered_order(am)
@@ -89,8 +90,8 @@ def real_moments(a, total_order: int | None = None) -> RealMoments:
         raise MathDomainError(
             f"moments cover total order {covered}, requested {total_order}"
         )
-    finite = am[np.isfinite(am.real)]
-    scale = max(1.0, float(np.abs(finite).max()) if finite.size else 1.0)
+    r = np.arange(am.shape[0])
+    scale = max(1.0, float(np.abs(am[np.add.outer(r, r) <= p_max]).max()))
     mc = _substitute(am, p_max, (0.5, 0.5), (-0.5j, 0.5j))
     residue = np.argwhere(np.abs(mc.imag) > 1e-10 * scale)
     if residue.size:

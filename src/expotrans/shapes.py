@@ -8,9 +8,9 @@ known only through membership, `contains(z)`.  The moment matrix is
     a[j, k] = (1/pi) * integral of z^j conj(z)^k g(z) dA(z).
 
 Disks and annuli reduce to radial closed forms.  Ellipses use the smooth
-substitution x = p s cos(theta), y = q s sin(theta) with a fixed rule,
-Gauss-Legendre in s times the trapezoid rule in theta, that is exact for
-every requested moment; there is no indicator-function sampling anywhere.
+substitution x = p s cos(theta), y = q s sin(theta): the s integral is a
+closed form and the trapezoid rule in theta is exact for every requested
+moment; there is no indicator-function sampling anywhere.
 Off-center and rotated shapes are handled by exact binomial translation and
 phase rotation of the centered moments.
 
@@ -482,23 +482,21 @@ def boundary_nodes(shape: Shape, n: int, shift: float = 0.0):
 def _ellipse_centered_moments(p: float, q: float, order: int) -> np.ndarray:
     """Fixed rule, exact for every z^j conj(z)^k with j, k < order.
 
-    Under z = s (p cos(theta) + i q sin(theta)) the integrand is s^(j+k+1),
-    of degree <= 2 order - 1 (exact under order Gauss nodes in s), times a
-    trigonometric polynomial of degree <= 2 order - 2 in theta (exact under
-    2 order - 1 trapezoid nodes).
+    Under z = s (p cos(theta) + i q sin(theta)), dA = p q s ds dtheta and the
+    integrand splits into s^(j+k+1), whose integral over [0, 1] is
+    1/(j+k+2), times a trigonometric polynomial of degree <= 2 order - 2 in
+    theta, exact under 2 order - 1 trapezoid nodes.  The budget counts the
+    order x (2 order - 1) nodes of the product rule in (s, theta).
     """
     nt = 2 * order - 1
     if order * nt > quad_budget():
         raise PrecisionError(
             f"quadrature budget exceeded: ellipse moments of order {order} need {order * nt} nodes"
         )
-    x, wx = np.polynomial.legendre.leggauss(order)
-    s, ws = 0.5 * (x + 1.0), 0.5 * wx
     ((rim, _),) = boundary_nodes(Ellipse(0.0, p, q), nt)
-    z = (s[:, None] * rim[None, :]).ravel()
-    w = np.repeat(ws * s * (2.0 * p * q / nt), nt)
-    powers = z[None, :] ** np.arange(order)[:, None]
-    a = (powers * w) @ powers.conj().T
+    powers = rim[None, :] ** np.arange(order)[:, None]
+    jk = np.add.outer(np.arange(order), np.arange(order))
+    a = (2.0 * p * q / nt) * (powers @ powers.conj().T) / (jk + 2)
     return 0.5 * (a + a.conj().T)
 
 

@@ -23,7 +23,16 @@ from expotrans.reconstruct import (
     support_box,
 )
 from expotrans.series import BiSeries, log_neg
-from expotrans.shapes import Annulus, Box, Disk, Ellipse, Grid, Weighted, moments
+from expotrans.shapes import (
+    Annulus,
+    Box,
+    Disk,
+    Ellipse,
+    Grid,
+    Weighted,
+    moments,
+    translate_moments,
+)
 
 
 def test_real_moments_disk():
@@ -56,6 +65,15 @@ def test_real_moments_rejects_non_hermitian():
     a[0, 1] = 1.0  # no matching conjugate in a[1, 0]
     with pytest.raises(MathDomainError):
         real_moments(a)
+
+
+def test_real_moments_residue_scale_is_the_converted_triangle():
+    # Centred at its centroid, this ellipse's full N = 48 matrix peaks at 5e4
+    # but the converted triangle j + k <= 47 at 22; the residue 2.4e-9 at
+    # (0, 44) is noise against the triangle and must raise.
+    a = moments(Ellipse(0.3 + 0.1j, 1.2, 0.7, 0.5), 48).a
+    with pytest.raises(MathDomainError, match="imaginary residue"):
+        real_moments(translate_moments(a, -a[1, 0] / a[0, 0]))
 
 
 def test_real_moments_order_guard():

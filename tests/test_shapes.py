@@ -6,6 +6,7 @@ a40 = pq(p^2-q^2)^2/8, and translations expand by the binomial theorem;
 those hand results anchor everything else.
 """
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -60,6 +61,28 @@ def test_ellipse_closed_forms():
         for k in range(6):
             if (j - k) % 2:
                 assert abs(a[j, k]) < 1e-12
+
+
+@pytest.mark.parametrize("p, q", [(1.25, 0.75), (1.5, 0.5)])
+def test_ellipse_moments_match_binomial_expansion(p, q):
+    # z = s (alpha e^(it) + beta e^(-it)) with alpha = (p+q)/2, beta = (p-q)/2
+    # gives a[j,k] = 2pq/(j+k+2) * sum_r C(j,r) C(k,s) alpha^(r+s) beta^(j+k-r-s)
+    # over the r, s with 2r - j = 2s - k, summed here in exact rationals.
+    n = 48
+    al, be = (Fraction(p) + Fraction(q)) / 2, (Fraction(p) - Fraction(q)) / 2
+    want = np.zeros((n, n))
+    for j in range(n):
+        for k in range(j % 2, n, 2):
+            terms = (
+                (r, (2 * r - j + k) // 2) for r in range(j + 1) if 0 <= 2 * r - j + k <= 2 * k
+            )
+            tot = sum(
+                math.comb(j, r) * math.comb(k, t) * al ** (r + t) * be ** (j + k - r - t)
+                for r, t in terms
+            )
+            want[j, k] = float(2 * Fraction(p) * Fraction(q) / (j + k + 2) * tot)
+    got = moments(Ellipse(0.0, p, q, 0.0), n).a
+    assert np.abs(got - want).max() <= 2e-14 * np.abs(want).max()
 
 
 def test_rotation_covariance():
