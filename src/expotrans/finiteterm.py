@@ -129,6 +129,9 @@ def fill_from_first_column(col, q, order: int) -> FilledMoments:
     symmetry disagree, so the rule that computes an entry fixes it.  Entries
     outside the triangle are NaN with a False mask.  Even with q[d] != 0 the
     rules stall for d >= 3 at orders d + 5 .. d*d - 1 (MathDomainError).
+    A degree-0 certificate, which a disk's b fits, runs the same rules, so
+    a disk of radius R centred at 0 fills b[1, 1] = -R^4 where its b is 0:
+    T xi = q0 xi is incompatible with [T*, T] = xi (x) xi.
     """
     col = np.asarray(col, dtype=complex).ravel()
     q = np.asarray(q, dtype=complex).ravel()

@@ -3,13 +3,15 @@
 Complex moments convert to real monomial moments m[p, q], and back, by
 exact basis-change matrices: on each antidiagonal j + k = n the substitution
 x = (z + conj(z))/2, y = (z - conj(z))/(2i), or z = x + iy, z-bar = x - iy,
-is one (n+1) x (n+1) matrix of binomials times powers of 1/2 and i.  A box
-around the support is estimated from the even-moment growth, and the density
-is approximated by its L2 projection onto tensor Legendre polynomials on the
+is one (n+1) x (n+1) matrix of binomials times powers of 1/2 and i, built
+once per substitution and reused by every later call.  A box around the
+support is estimated from the even-moment growth, and the density is
+approximated by its L2 projection onto tensor Legendre polynomials on the
 box, pi * Lx m Ly^T, where the rows of Lx and Ly are the power-basis
-coefficients of the normalized Legendre polynomials.  The projection is
-reported as is, Gibbs oscillations included; values outside [-0.1, 1.1] are
-only counted, never clipped.
+coefficients of the normalized Legendre polynomials.  A grid sample runs one
+Clenshaw pass along x on the grid's x values and one along y on its y
+values.  The projection is reported as is, Gibbs oscillations included;
+values outside [-0.1, 1.1] are only counted, never clipped.
 """
 from __future__ import annotations
 
@@ -51,6 +53,28 @@ def _covered_order(am: np.ndarray) -> int:
     return int(np.where(np.isfinite(am), n, jk).min(initial=n)) - 1
 
 
+# C_0..C_top of each substitution, built once and read-only; a longer
+# tuple is swapped in whole, so no reader ever sees one half-built
+_SUBSTITUTION_MATRICES: dict[tuple, tuple[np.ndarray, ...]] = {}
+
+
+def _substitution_matrices(f, g, top: int) -> tuple[np.ndarray, ...]:
+    mats = _SUBSTITUTION_MATRICES.get((f, g), ())
+    if len(mats) <= top:
+        grown = list(mats) or [np.ones((1, 1), dtype=complex)]
+        for n in range(len(grown), top + 1):
+            prev, c = grown[-1], np.zeros((n + 1, n + 1), dtype=complex)
+            c[:n, 1:] += g[0] * prev
+            c[:n, :n] += g[1] * prev
+            c[n, 1:] += f[0] * prev[n - 1]
+            c[n, :n] += f[1] * prev[n - 1]
+            grown.append(c)
+        for c in grown:
+            c.flags.writeable = False
+        mats = _SUBSTITUTION_MATRICES[(f, g)] = tuple(grown)
+    return mats
+
+
 def _substitute(src: np.ndarray, top: int, f, g) -> np.ndarray:
     """The linear substitution X, Y -> f0 X + f1 Y, g0 X + g1 Y on moments.
 
@@ -59,19 +83,16 @@ def _substitute(src: np.ndarray, top: int, f, g) -> np.ndarray:
     (f0 X + f1 Y)^p (g0 X + g1 Y)^(n-p).  C_n comes from C_(n-1) by
     multiplying each row by the g form and the last row also by the f form.
     For the factors 1/2 and i used here its entries are integers below 2^n
-    times a power of 1/2 and of i, so they are exact for n <= 53.
+    times a power of 1/2 and of i, so they are exact for n <= 53.  Each C_n
+    is built once per (f, g) and kept read-only for the life of the process:
+    sum (n+1)^2 complex entries, 0.86 MB per pair up to n = 53.
     """
     out = np.full((top + 1, top + 1), np.nan + 0j)
     out[0, 0] = src[0, 0]
-    c = np.ones((1, 1), dtype=complex)
+    mats = _substitution_matrices(f, g, top)
     for n in range(1, top + 1):
-        prev, c = c, np.zeros((n + 1, n + 1), dtype=complex)
-        c[:n, 1:] += g[0] * prev
-        c[:n, :n] += g[1] * prev
-        c[n, 1:] += f[0] * prev[n - 1]
-        c[n, :n] += f[1] * prev[n - 1]
         r = np.arange(n + 1)
-        out[r, n - r] = c @ src[r, n - r]
+        out[r, n - r] = mats[n] @ src[r, n - r]
     return out
 
 
@@ -181,10 +202,14 @@ class LegendreField:
         scale = np.sqrt((2 * p + 1) / w)[:, None] * np.sqrt((2 * p + 1) / h)[None, :]
         self._legmat = self.coeffs * scale
 
-    def __call__(self, x, y):
+    def _unit(self, x, y):
+        """The box's affine map onto [-1, 1] x [-1, 1]."""
         xi = (2.0 * np.asarray(x, dtype=float) - self.box.x0 - self.box.x1) / self.box.width
         eta = (2.0 * np.asarray(y, dtype=float) - self.box.y0 - self.box.y1) / self.box.height
-        return np.polynomial.legendre.legval2d(xi, eta, self._legmat)
+        return xi, eta
+
+    def __call__(self, x, y):
+        return np.polynomial.legendre.legval2d(*self._unit(x, y), self._legmat)
 
     def mass(self) -> float:
         return float(self.coeffs[0, 0].real * math.sqrt(self.box.area))
@@ -192,9 +217,12 @@ class LegendreField:
     def sample(self, nx: int, ny: int) -> GridFunction:
         xs = self.box.x0 + self.box.width * (np.arange(nx) + 0.5) / nx
         ys = self.box.y0 + self.box.height * (np.arange(ny) + 0.5) / ny
-        # legval2d evaluates pointwise and refuses mismatched shapes
-        xg, yg = np.meshgrid(xs, ys)
-        vals = self(xg, yg)
+        # the same Clenshaw steps as self(*np.meshgrid(xs, ys)), point for
+        # point, but the x pass runs on nx values instead of nx * ny; C order
+        # keeps the summation order of later reductions over the grid
+        vals = np.ascontiguousarray(
+            np.polynomial.legendre.leggrid2d(*self._unit(xs, ys), self._legmat).T
+        )
         if not np.all(np.isfinite(vals)):
             raise MathDomainError("non-finite values in sampled reconstruction")
         return GridFunction(

@@ -14,8 +14,10 @@ from expotrans.errors import InputError, MathDomainError
 from expotrans.exptransform import a_to_b
 from expotrans.finiteterm import detect_order, fill_from_first_column
 from expotrans.gallery import b_for
+from expotrans import reconstruct
 from expotrans.operators import b_from_operator, trifoil_operator
 from expotrans.reconstruct import (
+    LegendreField,
     complex_moments,
     legendre_fit,
     real_moments,
@@ -74,6 +76,44 @@ def test_real_moments_residue_scale_is_the_converted_triangle():
     a = moments(Ellipse(0.3 + 0.1j, 1.2, 0.7, 0.5), 48).a
     with pytest.raises(MathDomainError, match="imaginary residue"):
         real_moments(translate_moments(a, -a[1, 0] / a[0, 0]))
+
+
+def _rebuilt_substitute(src, top, f, g):
+    """The substitution with every C_n rebuilt on each call, as the oracle."""
+    out = np.full((top + 1, top + 1), np.nan + 0j)
+    out[0, 0] = src[0, 0]
+    c = np.ones((1, 1), dtype=complex)
+    for n in range(1, top + 1):
+        prev, c = c, np.zeros((n + 1, n + 1), dtype=complex)
+        c[:n, 1:] += g[0] * prev
+        c[:n, :n] += g[1] * prev
+        c[n, 1:] += f[0] * prev[n - 1]
+        c[n, :n] += f[1] * prev[n - 1]
+        r = np.arange(n + 1)
+        out[r, n - r] = c @ src[r, n - r]
+    return out
+
+
+def test_cached_substitution_matches_rebuilt_oracle(monkeypatch):
+    # from an empty cache, growing (increasing top) and then reading a prefix
+    # (decreasing top) must both give the rebuilt matrices' results bit for bit
+    monkeypatch.setattr(reconstruct, "_SUBSTITUTION_MATRICES", {})
+    a = moments(Ellipse(0.3 + 0.1j, 1.2, 0.7, 0.5), 41).a
+    for top in (0, 1, 2, 5, 17, 18, 40, 23, 6, 2, 0):
+        rm = real_moments(a, total_order=top)
+        want = _rebuilt_substitute(a, top, (0.5, 0.5), (-0.5j, 0.5j))
+        assert np.array_equal(rm.m, want.real, equal_nan=True)
+        back = _rebuilt_substitute(rm.m, top, (1.0, 1j), (1.0, -1j))
+        got = complex_moments(rm, top + 1)
+        assert np.array_equal(got, back, equal_nan=True)
+    assert len(reconstruct._SUBSTITUTION_MATRICES[(0.5, 0.5), (-0.5j, 0.5j)]) == 41
+
+
+def test_cached_substitution_is_read_only():
+    real_moments(moments(Disk(0.2, 1.0), 8))
+    for c in reconstruct._SUBSTITUTION_MATRICES[(0.5, 0.5), (-0.5j, 0.5j)]:
+        with pytest.raises(ValueError):
+            c[0, 0] = 2.0
 
 
 def test_real_moments_order_guard():
@@ -181,6 +221,19 @@ def test_legendre_disk_projection():
     assert rel < 0.35
     # Gibbs overshoot exists but stays moderate
     assert gf.above + gf.below < gf.values.size // 10
+
+
+def test_sample_equals_pointwise_evaluation():
+    rng = np.random.default_rng(12)
+    for order in range(13):
+        for nx, ny in ((1, 1), (3, 5), (17, 2), (2, 9)):
+            x0, y0 = rng.uniform(-4.0, 4.0, 2)
+            w, h = rng.uniform(0.2, 3.0, 2)
+            c = rng.standard_normal((order + 1, order + 1))
+            fld = LegendreField(Box(x0, x0 + w, y0, y0 + h), order, c)
+            gf = fld.sample(nx, ny)
+            assert gf.values.shape == (ny, nx)
+            assert np.array_equal(gf.values, fld(*np.meshgrid(gf.xs, gf.ys)))
 
 
 def test_legendre_weighted_level():
