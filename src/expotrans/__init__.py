@@ -46,6 +46,7 @@ from .operators import (
     RecursionState,
     b_from_operator,
     commutator_defect,
+    ellipse_operator,
     toeplitz_ellipse,
     toeplitz_power,
     trifoil_curve,

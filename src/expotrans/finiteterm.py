@@ -7,17 +7,31 @@ A certificate of order d is a vector q with
 the moment shadow of the operator identity T xi = Q(T*) xi with Q of
 degree d.  Certificates are fitted by least squares, detected by scanning
 d upward, cross-checked against the Cauchy-transform route, and used to
-propagate a full moment matrix out of its first column by per-row reach
-(which for d >= 3 stalls short of the triangle at orders d + 5 .. d*d - 1).
+fill a moment matrix out of its first column.  A degree-1 certificate is
+a three-term relation, which holds exactly for uniform ellipses: with b00
+it fixes the ellipse operator T = c + alpha S + beta S*, whose Krylov Gram
+fills the triangle in O(N) matrix-vector products, provided its first
+column matches the given one.  Every other degree runs the entrywise
+recursion by per-row reach (which for d >= 3 stalls short of the triangle
+at orders d + 5 .. d*d - 1): no closed form exists for d >= 2, and for
+d = 0 the disk's rule (centre q0, radius^2 b00) would also change the
+annulus fill that acceptance criterion 6 pins.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError, MathDomainError
+from .operators import b_from_operator, ellipse_operator
 from .series import BiSeries, exp_neg, square_matrix
+
+# largest normwise gap, relative to the column's norm, between a given first
+# column and the first column of the ellipse operator its degree-1
+# certificate fixes; a column that misses by more belongs to another shade
+ELLIPSE_COLUMN_RTOL = 1e-6
 
 
 @dataclass
@@ -117,20 +131,30 @@ def certificate_from_cauchy(cols, q, order: int) -> np.ndarray:
 
 
 def fill_from_first_column(col, q, order: int) -> FilledMoments:
-    """Propagate b out of its first column with the certificate relation
+    """Fill b on the certified triangle m + n + d < order from its first column.
+
+    Row 0 is the conjugate column; entries outside the triangle are NaN
+    with a False mask.  A degree-1 certificate fixes the ellipse operator
+    (see `_ellipse_gram`), and the triangle is that operator's Krylov Gram:
+    exact to rounding at every order, where the recursion below loses
+    digits as the order grows.  MathDomainError when |q[1]| <= 1, when b00
+    is not a positive number, or when the operator's first column misses
+    the given one by more than ELLIPSE_COLUMN_RTOL, normwise: the column
+    then belongs to another shade than the certificate.  Every other
+    degree runs the recursion
 
         b[m+1, n] = sum_k q[k] b[m, k+n] - sum_{j<n} b[m, j] b[0, n-1-j].
 
-    Row 0 is the conjugate column.  Row m is known on columns 0..reach[m], and
-    reach never increases with m.  Each round applies the relation forward,
-    mirrors across the diagonal and, when the leading coefficient allows,
-    solves it backward for the next column, until the certified triangle
-    m + n + d < order is filled.  Off an operator's b the relation and
-    symmetry disagree, so the rule that computes an entry fixes it.  Entries
-    outside the triangle are NaN with a False mask.  Even with q[d] != 0 the
-    rules stall for d >= 3 at orders d + 5 .. d*d - 1 (MathDomainError).
-    A degree-0 certificate, which a disk's b fits, runs the same rules, so
-    a disk of radius R centred at 0 fills b[1, 1] = -R^4 where its b is 0:
+    Row m is known on columns 0..reach[m], and reach never increases with
+    m.  Each round applies the relation forward, mirrors across the
+    diagonal and, when the leading coefficient allows, solves it backward
+    for the next column, until the triangle is filled.  Off an operator's b
+    the relation and symmetry disagree, so the rule that computes an entry
+    fixes it.  The recursion never re-derives column 0, so it cannot check
+    the column against the certificate.  Even with q[d] != 0 the rules
+    stall for d >= 3 at orders d + 5 .. d*d - 1 (MathDomainError).  A
+    degree-0 certificate, which a disk's b fits, runs the same rules, so a
+    disk of radius R centred at 0 fills b[1, 1] = -R^4 where its b is 0:
     T xi = q0 xi is incompatible with [T*, T] = xi (x) xi.
     """
     col = np.asarray(col, dtype=complex).ravel()
@@ -140,6 +164,46 @@ def fill_from_first_column(col, q, order: int) -> FilledMoments:
         raise InputError("certificate must have at least one coefficient")
     if not 1 <= order <= col.shape[0]:
         raise InputError(f"fill order {order} outside 1..{col.shape[0]} (the column length)")
+    if d == 1:
+        vals = _ellipse_gram(col[:order], q)
+        vals[:, 0] = col[:order]
+        vals[0, :] = np.conj(col[:order])
+    else:
+        vals = _propagate(col, q, order)
+    jj, kk = np.indices((order, order))
+    certified = (jj + kk + d < order) | (jj == 0) | (kk == 0)
+    return FilledMoments(order, np.where(certified, vals, np.nan + 0j), certified)
+
+
+def _ellipse_gram(col: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Krylov Gram of the ellipse operator fixed by b00 and q = (q0, q1).
+
+    T = c + alpha S + beta S* has T xi = q0 xi + q1 T* xi with q1 = alpha /
+    conj(beta) and q0 = c - q1 conj(c), and b00 = |alpha|^2 - |beta|^2.  In
+    the gauge beta > 0 that gives beta = sqrt(b00 / (|q1|^2 - 1)),
+    alpha = q1 beta and c = (q0 + q1 conj(q0)) / (1 - |q1|^2).
+    """
+    order = col.shape[0]
+    b00 = col[0]
+    if not (np.isfinite(b00) and b00.real > 0):
+        raise MathDomainError(f"a degree-1 fill needs b00 > 0, got {b00:.6g}")
+    if not abs(q[1]) > 1:
+        raise MathDomainError(f"a degree-1 fill needs |q[1]| > 1, got {abs(q[1]):.6g}")
+    beta = math.sqrt(b00.real / (abs(q[1]) ** 2 - 1.0))
+    c = (q[0] + q[1] * np.conj(q[0])) / (1.0 - abs(q[1]) ** 2)
+    gram = b_from_operator(ellipse_operator(c, q[1] * beta, beta, order + 2), order).b
+    gap = np.linalg.norm(gram[:, 0] - col) / np.linalg.norm(col)
+    if not gap <= ELLIPSE_COLUMN_RTOL:
+        raise MathDomainError(
+            f"the column misses the ellipse its degree-1 certificate fixes by {gap:.3e} "
+            f"(relative, normwise; at most {ELLIPSE_COLUMN_RTOL:g})"
+        )
+    return gram
+
+
+def _propagate(col: np.ndarray, q: np.ndarray, order: int) -> np.ndarray:
+    """The recursion of `fill_from_first_column`, on the whole triangle."""
+    d = q.shape[0] - 1
     vals = np.full((order, order), np.nan, dtype=complex)
     vals[:, 0] = col[:order]
     vals[0, :] = np.conj(col[:order])
@@ -177,10 +241,7 @@ def fill_from_first_column(col, q, order: int) -> FilledMoments:
                 f"certificate of degree {d} stalls at order {order}: entry ({m}, {reach[m] + 1}) "
                 f"of the certified triangle is not reached{cause}"
             )
-
-    jj, kk = np.indices((order, order))
-    certified = (jj + kk + d < order) | (jj == 0) | (kk == 0)
-    return FilledMoments(order, np.where(certified, vals, np.nan + 0j), certified)
+    return vals
 
 
 def band_profile(h) -> BandProfile:

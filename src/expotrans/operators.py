@@ -52,17 +52,27 @@ class BandedOperator:
         return v
 
 
-def toeplitz_ellipse(u: complex, size: int) -> BandedOperator:
-    """T = u S + S*, the model of an ellipse; needs |u| > 1."""
-    if not abs(u) > 1:
-        raise MathDomainError("ellipse model needs |u| > 1")
+def ellipse_operator(c: complex, alpha: complex, beta: complex, size: int) -> BandedOperator:
+    """T = c + alpha S + beta S*, xi = sqrt(|alpha|^2 - |beta|^2) e_0; needs |alpha| > |beta|.
+
+    The one model of a uniform ellipse: S is the unilateral shift (offset
+    -1), the ellipse is centred at c, and T xi = q0 xi + q1 T* xi with
+    q1 = alpha / conj(beta) and q0 = c - q1 conj(c).
+    """
+    if not abs(alpha) > abs(beta):
+        raise MathDomainError("ellipse model needs |alpha| > |beta|")
     ones = np.ones(size - 1, dtype=complex)
     return BandedOperator(
         size,
-        {-1: u * ones, +1: ones},
+        {0: c * np.ones(size, dtype=complex), -1: alpha * ones, +1: beta * ones},
         xi_index=0,
-        xi_norm=math.sqrt(abs(u) ** 2 - 1.0),
+        xi_norm=math.sqrt(abs(alpha) ** 2 - abs(beta) ** 2),
     )
+
+
+def toeplitz_ellipse(u: complex, size: int) -> BandedOperator:
+    """T = u S + S*, the ellipse model centred at 0; needs |u| > 1."""
+    return ellipse_operator(0.0, u, 1.0, size)
 
 
 def toeplitz_power(alpha: complex, beta: complex, d: int, size: int) -> BandedOperator:

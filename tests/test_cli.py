@@ -149,6 +149,21 @@ def test_reconstruct_rejects_sloppy_certificate(tmp_path):
     assert "residual" in r.stderr
 
 
+@pytest.mark.parametrize("command", [
+    "fill gallery:disk c.json --order 6",
+    "reconstruct gallery:disk c.json --order 6 --legendre-order 4 --grid 4",
+], ids=["fill", "reconstruct"])
+def test_column_of_another_shade_than_the_certificate(tmp_path, monkeypatch, capsys, command):
+    # the ellipse's certificate fixes an ellipse operator whose first column
+    # misses the disk's by 1.1 relative; the recursion would fill b[1, 1] = -1
+    monkeypatch.chdir(tmp_path)
+    _out(capsys, "detect gallery:ellipse --order 12 --out c.json")
+    assert main(command.split()) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "misses the ellipse" in captured.err
+
+
 def test_evolve_squeeze():
     r = run("evolve", "gallery:disk", "--law", "squeeze", "--order", "4", "--steps", "4")
     assert r.returncode == 0

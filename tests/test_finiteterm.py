@@ -11,7 +11,14 @@ from expotrans.finiteterm import (
     fill_from_first_column,
     fit_certificate,
 )
-from expotrans.operators import b_from_operator, toeplitz_ellipse, toeplitz_power, trifoil_operator
+from expotrans.gallery import b_for
+from expotrans.operators import (
+    b_from_operator,
+    ellipse_operator,
+    toeplitz_ellipse,
+    toeplitz_power,
+    trifoil_operator,
+)
 from expotrans.orthopoly import hessenberg, orthonormalize
 from expotrans.shapes import Annulus, Disk, Ellipse, cauchy_columns, moments
 
@@ -138,6 +145,37 @@ def test_fill_needs_true_band_structure():
     assert abs(filled.values[1, 1] - b[1, 1] + 0.75) < 1e-12
 
 
+def test_fill_degree_one_is_the_ellipse_gram():
+    # an offset, rotated ellipse: the fill is the model's own Gram, with row
+    # and column 0 exactly as given
+    op = ellipse_operator(0.4 - 0.3j, 1.7 * np.exp(0.5j), 0.8 * np.exp(-1.2j), 26)
+    b = b_from_operator(op, 24).b
+    q1 = op.diagonals[-1][0] / np.conj(op.diagonals[1][0])
+    filled = fill_from_first_column(b[:, 0], [0.4 - 0.3j - q1 * (0.4 + 0.3j), q1], 24)
+    assert np.array_equal(filled.values[:, 0], b[:, 0])
+    assert np.array_equal(filled.values[0, :], np.conj(b[:, 0]))
+    inside = filled.certified
+    assert np.abs(filled.values - b)[inside].max() < 1e-13 * np.abs(b[inside]).max()
+    jj, kk = np.indices((24, 24))
+    assert np.array_equal(inside, (jj + kk < 23) | (jj == 0) | (kk == 0))
+
+
+def test_fill_degree_one_needs_an_ellipse():
+    col = b_from_operator(toeplitz_ellipse(2.0, 14), 12).b[:, 0]
+    for q in ([0.0, 1.0], [0.3, 0.5j], [0.0, 0.0]):
+        with pytest.raises(MathDomainError, match=r"\|q\[1\]\| > 1"):
+            fill_from_first_column(col, q, 12)
+    for b00 in (0.0, -3.0, np.nan, np.inf):
+        with pytest.raises(MathDomainError, match="b00 > 0"):
+            fill_from_first_column(np.r_[b00, col[1:]], [0.0, 2.0], 12)
+    # a disk's column, or the ellipse's with another u, misses the operator
+    for other in (shape_b(Disk(0, 1.0), 12).b[:, 0], b_from_operator(toeplitz_ellipse(2.1, 14), 12).b[:, 0]):
+        with pytest.raises(MathDomainError, match="misses the ellipse"):
+            fill_from_first_column(other, [0.0, 2.0], 12)
+    with pytest.raises(MathDomainError, match="misses the ellipse"):
+        fill_from_first_column(col, [np.nan, 2.0], 12)
+
+
 def test_fill_validation():
     with pytest.raises(InputError):
         fill_from_first_column(np.ones(4), np.zeros(0), 4)
@@ -163,6 +201,62 @@ def test_fill_reach_limit():
     assert np.all(np.isfinite(filled.values[triangle]))
     with pytest.raises(MathDomainError, match="leading coefficient"):
         fill_from_first_column(col, np.array([0.3, 0.2, 0.0]), 12)
+
+
+def _recursion_oracle(col, q, order):
+    """The entrywise fill as it ran for every degree before degree 1 got the
+    ellipse Gram, kept verbatim (minus its stall report) as an oracle."""
+    col = np.asarray(col, dtype=complex).ravel()
+    q = np.asarray(q, dtype=complex).ravel()
+    d = q.shape[0] - 1
+    vals = np.full((order, order), np.nan, dtype=complex)
+    vals[:, 0] = col[:order]
+    vals[0, :] = np.conj(col[:order])
+    reach = np.zeros(order, dtype=int)
+    reach[0] = order - 1
+    need = order - 1 - d - np.arange(order)
+    use_backward = abs(q[d]) > 1e-12 * max(1.0, float(np.abs(q).max()))
+
+    def cross(m, n):
+        return vals[m, :n] @ vals[0, n - 1 :: -1] if n else 0.0 + 0.0j
+
+    while (reach < need).any():
+        for m in range(order - 1):
+            last = min(reach[m] - d, order - 1 - d)
+            for n in range(reach[m + 1] + 1, last + 1):
+                vals[m + 1, n] = q @ vals[m, n : n + d + 1] - cross(m, n)
+            reach[m + 1] = max(reach[m + 1], last)
+        top = np.searchsorted(-reach, -np.arange(order), side="right") - 1
+        for j in range(order):
+            vals[j, reach[j] + 1 : top[j] + 1] = np.conj(vals[reach[j] + 1 : top[j] + 1, j])
+        reach = np.maximum(reach, top)
+        if use_backward:
+            for m in range(order - 1):
+                while d - 1 <= reach[m] < order - 1 and reach[m] + 1 - d <= reach[m + 1]:
+                    n = reach[m] + 1 - d
+                    rhs = vals[m + 1, n] - q[:d] @ vals[m, n : n + d] + cross(m, n)
+                    vals[m, n + d] = rhs / q[d]
+                    reach[m] += 1
+    jj, kk = np.indices((order, order))
+    return np.where((jj + kk + d < order) | (jj == 0) | (kk == 0), vals, np.nan + 0j)
+
+
+def test_fill_other_degrees_unchanged():
+    # d = 0 (annulus), d = 2 (trifoil), the degree twodiag's b fits, and
+    # d = 3 on a random column: bit for bit the recursion's output
+    rng = np.random.default_rng(8)
+    cases = [(shape_b(Annulus(0, 0.5, 1.0), 12).b[:, 0], [0.0], 12),
+             (rng.standard_normal(12) + 1j * rng.standard_normal(12), [0.1, 0.2, 0.3, 1.0], 12)]
+    for source in ("gallery:trifoil", "gallery:twodiag?A1=0.5", "gallery:twodiag?A1=2"):
+        for order in (10, 24):
+            b = b_for(source, order)
+            cases.append((b.b[:, 0], detect_order(b, 4).q, order))
+    degrees = set()
+    for col, q, order in cases:
+        filled = fill_from_first_column(col, q, order)
+        degrees.add(len(q) - 1)
+        assert np.array_equal(filled.values, _recursion_oracle(col, q, order), equal_nan=True)
+    assert 1 not in degrees and {0, 2, 3} <= degrees
 
 
 def band_of(shape_or_op, order):

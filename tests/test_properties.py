@@ -7,8 +7,9 @@ conversion is the substitution x = (z + conj(z))/2, y = (z - conj(z))/(2i)
 and its inverse, and a shift z -> z + h with h real is the shift
 x -> x + h.  Rotating a shape by theta about 0 multiplies a[j, k] and
 b[j, k] by exp(i theta (j - k)).  The fill property holds for b of a banded
-operator model: the certificate detected on its Krylov Gram propagates the
-first column back to the Gram on the certified triangle.  A matrix document
+operator model: the certificate detected on its Krylov Gram, or the one an
+ellipse model satisfies by construction, propagates the first column back to
+the Gram on the certified triangle.  A matrix document
 read back and written again is the same bytes.
 """
 import json
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 from expotrans import gallery
 from expotrans.exptransform import a_to_b
 from expotrans.finiteterm import detect_order, fill_from_first_column
-from expotrans.operators import b_from_operator
+from expotrans.operators import b_from_operator, ellipse_operator
 from expotrans.reconstruct import complex_moments, real_moments
 from expotrans.serialize import dumps, matrix_from_obj, matrix_to_obj
 from expotrans.shapes import Annulus, Disk, Ellipse, moments, rotate_moments, translate_moments
@@ -94,12 +95,17 @@ def test_rotation_covariance_of_a_and_b(order, kind, seed, theta):
         assert np.abs(m_turned - want).max() <= 1e-12 * np.abs(want).max()
 
 
-def _fill_error(address: str, order: int) -> float:
+def _fill_error(b: np.ndarray, q) -> float:
     """Largest fill error on the certified triangle, relative to max |b| there."""
-    b = b_from_operator(gallery.resolve(address).sized_for(order), order).b
-    filled = fill_from_first_column(b[:, 0], detect_order(b, 4).q, order)
+    filled = fill_from_first_column(b[:, 0], q, b.shape[0])
     inside = filled.certified
     return np.abs(filled.values - b)[inside].max() / np.abs(b[inside]).max()
+
+
+def _family_fill_error(address: str, order: int) -> float:
+    """The fill error of a gallery family's b from the certificate detected on it."""
+    b = b_from_operator(gallery.resolve(address).sized_for(order), order).b
+    return _fill_error(b, detect_order(b, 4).q)
 
 
 @settings(max_examples=40, deadline=None)
@@ -109,15 +115,29 @@ def _fill_error(address: str, order: int) -> float:
 )
 def test_fill_matches_operator_b(order, name):
     # measured up to 4.7e-13 (twodiag A1 = 0.5, order 31)
-    assert _fill_error(f"gallery:{name}", order) < 1e-12
+    assert _family_fill_error(f"gallery:{name}", order) < 1e-12
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.integers(6, 16), st.floats(1.5, 2.7))
+@settings(max_examples=40, deadline=None)
+@given(st.integers(6, 48), st.floats(1.5, 2.7))
 def test_fill_matches_operator_b_ellipse(order, u):
-    # the monomial-basis fill loses digits as u and order grow:
-    # measured up to 3.3e-10 at u = 2.7, order 16
-    assert _fill_error(f"gallery:ellipse?u={u!r}", order) < 1e-8
+    # the degree-1 fill is the Krylov Gram of the ellipse operator that b00
+    # and the detected certificate fix: measured up to 1.1e-14 (u = 1.5, order 42)
+    assert _family_fill_error(f"gallery:ellipse?u={u!r}", order) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(6, 48), SEEDS)
+def test_fill_matches_offset_rotated_ellipse(order, seed):
+    # T = c + alpha S + beta S* with complex c, alpha and beta, from the
+    # certificate the model satisfies: measured up to 1.0e-14 (order 48)
+    rng = np.random.default_rng(seed)
+    beta = rng.uniform(0.5, 2.0) * np.exp(2j * math.pi * rng.random())
+    alpha = abs(beta) * rng.uniform(1.2, 3.0) * np.exp(2j * math.pi * rng.random())
+    c = complex(*rng.uniform(-2.0, 2.0, 2))
+    b = b_from_operator(ellipse_operator(c, alpha, beta, order + 2), order).b
+    q1 = alpha / np.conj(beta)
+    assert _fill_error(b, [c - q1 * np.conj(c), q1]) < 1e-12
 
 
 @settings(max_examples=60, deadline=None)

@@ -313,6 +313,22 @@ def test_reconstruct_ellipse_quadrature_column():
         assert l1 <= 0.35 * area
 
 
+def test_reconstruct_ellipse_family_at_order_48():
+    # criterion 12 (L1/area <= 0.35, mass within 2 %) at N = 48; the
+    # entrywise fill lost every digit there, so real moment (39, 7) raised
+    # with an imaginary residue of 6.6e17.  Measured L1/area 0.215
+    u = 2.6
+    b = b_for(f"gallery:ellipse?u={u}", 48)
+    fld, diag = reconstruct_from_certificate(b.b[:, 0], detect_order(b, 4), 48, 10)
+    gf = fld.sample(64, 64)
+    x, y = np.meshgrid(gf.xs, gf.ys)
+    truth = ((x / (u + 1.0)) ** 2 + (y / (u - 1.0)) ** 2 <= 1.0).astype(float)
+    area = math.pi * (u + 1.0) * (u - 1.0)
+    l1 = np.abs(gf.values - truth).sum() * gf.box.area / gf.values.size
+    assert l1 <= 0.35 * area
+    assert abs(diag["mass_from_moments"] - area) <= 0.02 * area
+
+
 def test_reconstruct_zero_column():
     fld, diag = reconstruct_from_certificate(np.zeros(8), np.array([0.0, 1.0]), 8, 4)
     assert diag["mass_from_moments"] == 0.0
