@@ -76,8 +76,10 @@ def boundary_root(
     membership in the support down to a width w (1 % of the bracket at
     first), fits a quartic to F at hi + k w, k = 1..5, where hi is the
     bisection's outer end, and takes the fit's root nearest the bisection
-    interval.  Then w shrinks eightfold, until two successive roots agree to
-    tol/4.  E is sampled only outside the support.
+    interval.  Then w shrinks threefold, until two successive roots agree to
+    tol/4: a round costs about 1/w contour nodes while its fit error falls
+    like w^5, so a small shrink keeps the accepting round from landing far
+    below the width it needed.  E is sampled only outside the support.
 
     The bracket must straddle the crossing: lower end inside the support,
     upper end outside.
@@ -115,7 +117,7 @@ def boundary_root(
             if not t_lo <= root <= t_hi:
                 raise MathDomainError("no boundary crossing found in bracket")
             return float(root)
-        width /= 8.0
+        width /= 3.0
     raise PrecisionError("boundary root did not settle to tol")
 
 

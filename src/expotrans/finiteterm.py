@@ -15,7 +15,8 @@ column matches the given one.  Every other degree runs the entrywise
 recursion by per-row reach (which for d >= 3 stalls short of the triangle
 at orders d + 5 .. d*d - 1): no closed form exists for d >= 2, and for
 d = 0 the disk's rule (centre q0, radius^2 b00) would also change the
-annulus fill that acceptance criterion 6 pins.
+annulus fill that acceptance criterion 6 pins.  The recursion only reads
+the first column, so the fill then checks the certificate's relation on it.
 """
 from __future__ import annotations
 
@@ -29,9 +30,10 @@ from .operators import b_from_operator, ellipse_operator
 from .series import BiSeries, exp_neg, square_matrix
 
 # largest normwise gap, relative to the column's norm, between a given first
-# column and the first column of the ellipse operator its degree-1
-# certificate fixes; a column that misses by more belongs to another shade
-ELLIPSE_COLUMN_RTOL = 1e-6
+# column and the one its certificate predicts (the ellipse operator's for
+# d = 1, the relation on column 0 otherwise); a column that misses by more
+# belongs to another shade
+COLUMN_RTOL = 1e-6
 
 
 @dataclass
@@ -139,8 +141,8 @@ def fill_from_first_column(col, q, order: int) -> FilledMoments:
     exact to rounding at every order, where the recursion below loses
     digits as the order grows.  MathDomainError when |q[1]| <= 1, when b00
     is not a positive number, or when the operator's first column misses
-    the given one by more than ELLIPSE_COLUMN_RTOL, normwise: the column
-    then belongs to another shade than the certificate.  Every other
+    the given one by more than COLUMN_RTOL, normwise: the column then
+    belongs to another shade than the certificate.  Every other
     degree runs the recursion
 
         b[m+1, n] = sum_k q[k] b[m, k+n] - sum_{j<n} b[m, j] b[0, n-1-j].
@@ -150,9 +152,11 @@ def fill_from_first_column(col, q, order: int) -> FilledMoments:
     diagonal and, when the leading coefficient allows, solves it backward
     for the next column, until the triangle is filled.  Off an operator's b
     the relation and symmetry disagree, so the rule that computes an entry
-    fixes it.  The recursion never re-derives column 0, so it cannot check
-    the column against the certificate.  Even with q[d] != 0 the rules
-    stall for d >= 3 at orders d + 5 .. d*d - 1 (MathDomainError).  A
+    fixes it.  The recursion never re-derives column 0, so the fill then
+    checks the certificate's own relation b[m+1, 0] = sum_k q[k] b[m, k] on
+    every row whose b[m, 0..d] is certified: MathDomainError when it misses
+    by more than COLUMN_RTOL of the column, normwise.  Even with q[d] != 0
+    the rules stall for d >= 3 at orders d + 5 .. d*d - 1 (MathDomainError).  A
     degree-0 certificate, which a disk's b fits, runs the same rules, so a
     disk of radius R centred at 0 fills b[1, 1] = -R^4 where its b is 0:
     T xi = q0 xi is incompatible with [T*, T] = xi (x) xi.
@@ -170,6 +174,14 @@ def fill_from_first_column(col, q, order: int) -> FilledMoments:
         vals[0, :] = np.conj(col[:order])
     else:
         vals = _propagate(col, q, order)
+        if d < order:
+            # rows whose b[m, 0..d] is certified: row 0 and every m + 2d < order
+            m = np.arange(order - 1)
+            m = m[(m == 0) | (m + 2 * d < order)]
+            _require_column(
+                vals[m + 1, 0] - vals[m, : d + 1] @ q, col[:order],
+                f"the column breaks its degree-{d} certificate's relation b[m+1, 0] = sum q[k] b[m, k]",
+            )
     jj, kk = np.indices((order, order))
     certified = (jj + kk + d < order) | (jj == 0) | (kk == 0)
     return FilledMoments(order, np.where(certified, vals, np.nan + 0j), certified)
@@ -192,13 +204,15 @@ def _ellipse_gram(col: np.ndarray, q: np.ndarray) -> np.ndarray:
     beta = math.sqrt(b00.real / (abs(q[1]) ** 2 - 1.0))
     c = (q[0] + q[1] * np.conj(q[0])) / (1.0 - abs(q[1]) ** 2)
     gram = b_from_operator(ellipse_operator(c, q[1] * beta, beta, order + 2), order).b
-    gap = np.linalg.norm(gram[:, 0] - col) / np.linalg.norm(col)
-    if not gap <= ELLIPSE_COLUMN_RTOL:
-        raise MathDomainError(
-            f"the column misses the ellipse its degree-1 certificate fixes by {gap:.3e} "
-            f"(relative, normwise; at most {ELLIPSE_COLUMN_RTOL:g})"
-        )
+    _require_column(gram[:, 0] - col, col, "the column misses the ellipse its degree-1 certificate fixes")
     return gram
+
+
+def _require_column(miss: np.ndarray, col: np.ndarray, what: str) -> None:
+    """MathDomainError unless ||miss|| <= COLUMN_RTOL ||col|| (NaN fails)."""
+    if not np.linalg.norm(miss) <= COLUMN_RTOL * np.linalg.norm(col):
+        gap = np.linalg.norm(miss) / np.linalg.norm(col)
+        raise MathDomainError(f"{what} by {gap:.3e} (relative, normwise; at most {COLUMN_RTOL:g})")
 
 
 def _propagate(col: np.ndarray, q: np.ndarray, order: int) -> np.ndarray:

@@ -164,6 +164,21 @@ def test_column_of_another_shade_than_the_certificate(tmp_path, monkeypatch, cap
     assert "misses the ellipse" in captured.err
 
 
+@pytest.mark.parametrize("command", [
+    "fill gallery:trifoil c.json --order 6",
+    "reconstruct gallery:trifoil c.json --order 6 --legendre-order 4 --grid 4",
+], ids=["fill", "reconstruct"])
+def test_column_breaking_its_certificate_relation(tmp_path, monkeypatch, capsys, command):
+    # the disk's degree-0 certificate q = (0,) says b[m+1, 0] = 0, and the
+    # trifoil's b[3, 0] = 2 breaks it
+    monkeypatch.chdir(tmp_path)
+    _out(capsys, "detect gallery:disk --order 6 --out c.json")
+    assert main(command.split()) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "breaks its degree-0 certificate" in captured.err
+
+
 def test_evolve_squeeze():
     r = run("evolve", "gallery:disk", "--law", "squeeze", "--order", "4", "--steps", "4")
     assert r.returncode == 0

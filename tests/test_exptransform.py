@@ -241,6 +241,52 @@ def test_boundary_root_meets_its_tol():
         assert abs(boundary_root(shape, d, bracket, tol) - t_true) < tol
 
 
+def _ray_crossing(center: complex, p: float, q: float, phi: float, d: complex) -> float:
+    # t d - center, turned by -phi, lies on x^2/p^2 + y^2/q^2 = 1: the larger
+    # root of a quadratic in t
+    u, v = -center * np.exp(-1j * phi), d * np.exp(-1j * phi)
+    a = (v.real / p) ** 2 + (v.imag / q) ** 2
+    b = 2 * (u.real * v.real / p**2 + u.imag * v.imag / q**2)
+    c = (u.real / p) ** 2 + (u.imag / q) ** 2 - 1
+    return (-b + math.sqrt(b * b - 4 * a * c)) / (2 * a)
+
+
+def test_boundary_root_accuracy_sweep():
+    # seeded rotated, offset ellipses along their major and minor axes, where
+    # the ellipse contour rule is slowest to converge, plus offset disks and
+    # annuli; the advertised tol is met with a 16x margin
+    tol = 1e-5
+    rng = np.random.default_rng(14)
+    rays = []
+    for _ in range(40):
+        p = rng.uniform(1.2, 1.8)
+        q = p * rng.uniform(0.3, 0.9)
+        e = Ellipse(0.1 * q * np.exp(2j * math.pi * rng.random()), p, q, rng.uniform(0, math.pi))
+        for axis in (0.0, 0.5 * math.pi):
+            d = np.exp(1j * (e.phi + axis + rng.uniform(-0.15, 0.15)))
+            rays.append((e, d, _ray_crossing(e.center, p, q, e.phi, d)))
+    for _ in range(10):
+        R = rng.uniform(0.5, 2.0)
+        c = 0.3 * R * np.exp(2j * math.pi * rng.random())
+        d = np.exp(2j * math.pi * rng.random())
+        rays.append((Disk(c, R), d, _ray_crossing(c, R, R, 0.0, d)))
+        rays.append((Annulus(0.0, R * rng.uniform(0.2, 0.38), R), d, R))  # hole inside 0.4 R
+    worst = 0.0
+    for shape, d, t_true in rays:
+        worst = max(worst, abs(boundary_root(shape, d, (0.4 * t_true, 2.5 * t_true), tol) - t_true))
+    assert worst <= tol / 16
+
+
+def test_boundary_root_contour_cost(monkeypatch):
+    # criterion 11's two ellipse rays: the rounds' widths shrink threefold, so
+    # the accepting round needs at most a few times the nodes of the one before
+    summed = _count_nodes(monkeypatch)
+    e = Ellipse(0.0, 1.5, 0.5)
+    boundary_root(e, 1.0, (1.0, 3.0))
+    boundary_root(e, 1j, (0.2, 2.0))
+    assert sum(summed) <= 167_000
+
+
 def test_boundary_root_no_crossing():
     with pytest.raises(MathDomainError):
         boundary_root(Disk(0.0, 1.0), 1.0 + 0.0j, (2.0, 4.0))

@@ -5,6 +5,7 @@ import pytest
 from expotrans.errors import InputError, MathDomainError
 from expotrans.exptransform import a_to_b
 from expotrans.finiteterm import (
+    _propagate,
     band_profile,
     certificate_from_cauchy,
     detect_order,
@@ -194,11 +195,13 @@ def test_fill_reach_limit():
     with pytest.raises(MathDomainError, match=r"order 8: entry \(2, 2\)") as exc:
         fill_from_first_column(col, q, 8)
     assert "leading coefficient" not in str(exc.value)
-    filled = fill_from_first_column(col, q, 12)
+    # at order 12 the rules reach the whole triangle; the random column then
+    # breaks its certificate's relation on column 0, so the fill refuses it
     jj, kk = np.indices((12, 12))
     triangle = (jj + kk + 3 < 12) | (jj == 0) | (kk == 0)
-    assert np.array_equal(filled.certified, triangle)
-    assert np.all(np.isfinite(filled.values[triangle]))
+    assert np.all(np.isfinite(_propagate(col, q, 12)[triangle]))
+    with pytest.raises(MathDomainError, match="breaks its degree-3 certificate"):
+        fill_from_first_column(col, q, 12)
     with pytest.raises(MathDomainError, match="leading coefficient"):
         fill_from_first_column(col, np.array([0.3, 0.2, 0.0]), 12)
 
@@ -242,12 +245,13 @@ def _recursion_oracle(col, q, order):
 
 
 def test_fill_other_degrees_unchanged():
-    # d = 0 (annulus), d = 2 (trifoil), the degree twodiag's b fits, and
-    # d = 3 on a random column: bit for bit the recursion's output
-    rng = np.random.default_rng(8)
-    cases = [(shape_b(Annulus(0, 0.5, 1.0), 12).b[:, 0], [0.0], 12),
-             (rng.standard_normal(12) + 1j * rng.standard_normal(12), [0.1, 0.2, 0.3, 1.0], 12)]
-    for source in ("gallery:trifoil", "gallery:twodiag?A1=0.5", "gallery:twodiag?A1=2"):
+    # d = 0 (annulus, centred and offset disks) and d = 2 (trifoil, the
+    # degree twodiag's b fits) pass the column check bit for bit as the
+    # recursion's output; d = 3 on a random column runs the same recursion,
+    # and the check refuses the column
+    cases = [(shape_b(Annulus(0, 0.5, 1.0), 12).b[:, 0], [0.0], 12)]
+    for source in ("gallery:disk", "gallery:disk?R=0.9&x=0.2&y=-0.1", "gallery:trifoil",
+                   "gallery:twodiag?A1=0.5", "gallery:twodiag?A1=2"):
         for order in (10, 24):
             b = b_for(source, order)
             cases.append((b.b[:, 0], detect_order(b, 4).q, order))
@@ -256,7 +260,30 @@ def test_fill_other_degrees_unchanged():
         filled = fill_from_first_column(col, q, order)
         degrees.add(len(q) - 1)
         assert np.array_equal(filled.values, _recursion_oracle(col, q, order), equal_nan=True)
-    assert 1 not in degrees and {0, 2, 3} <= degrees
+    assert degrees == {0, 2}
+    rng = np.random.default_rng(8)
+    col, q = rng.standard_normal(12) + 1j * rng.standard_normal(12), [0.1, 0.2, 0.3, 1.0]
+    jj, kk = np.indices((12, 12))
+    vals = np.where((jj + kk + 3 < 12) | (jj == 0) | (kk == 0), _propagate(col, np.array(q, complex), 12), np.nan)
+    assert np.array_equal(vals, _recursion_oracle(col, q, 12), equal_nan=True)
+    with pytest.raises(MathDomainError, match="breaks its degree-3 certificate"):
+        fill_from_first_column(col, q, 12)
+
+
+def test_fill_checks_the_column_against_the_certificate():
+    # the disk's q = (0,) says b[m+1, 0] = 0, which the trifoil's b[3, 0] = 2
+    # breaks; the trifoil's q = (0, 0, 1) and a twodiag column disagree too
+    trifoil = b_for("gallery:trifoil", 12).b
+    with pytest.raises(MathDomainError, match=r"breaks its degree-0 certificate.*at most 1e-06"):
+        fill_from_first_column(trifoil[:, 0], [0.0], 6)
+    twodiag = b_for("gallery:twodiag?A1=2", 12).b
+    with pytest.raises(MathDomainError, match="breaks its degree-2 certificate"):
+        fill_from_first_column(twodiag[:, 0], detect_order(trifoil, 4).q, 12)
+    # a valid fill meets the relation far inside the bound: the gap is rounding
+    q = detect_order(twodiag, 4).q
+    vals = fill_from_first_column(twodiag[:, 0], q, 12).values
+    gap = np.linalg.norm(vals[1:9, 0] - vals[:8, :3] @ q) / np.linalg.norm(twodiag[:, 0])
+    assert gap < 1e-12
 
 
 def band_of(shape_or_op, order):
