@@ -63,9 +63,13 @@ def orthonormalize(b) -> PolyBasis:
     n = bm.shape[0]
     gram = bm.conj()  # gram[m, n] = <z^m, z^n> = b[n, m]
     b00 = gram[0, 0].real
-    norm = float(np.linalg.norm(bm, 2))
+
+    def indefinite(value: float) -> bool:
+        # only a negative value can pass -1e-9 ||b||_2, so the SVD runs only then
+        return value < 0 and value < -1e-9 * max(float(np.linalg.norm(bm, 2)), 1e-30)
+
     if b00 <= 0:
-        if b00 < -1e-9 * max(norm, 1e-30):
+        if indefinite(b00):
             raise MathDomainError("b matrix is indefinite beyond tolerance")
         # nothing to normalize against: the degenerate degree-0 basis
         return PolyBasis(0, np.zeros((0, 0), dtype=complex), n, True)
@@ -75,7 +79,7 @@ def orthonormalize(b) -> PolyBasis:
     for k in range(n):
         pivot = gram[k, k].real - float(np.sum(np.abs(chol[k, :k]) ** 2))
         if pivot <= PIVOT_TOL * b00:
-            if pivot < -1e-9 * max(norm, 1e-30):
+            if indefinite(pivot):
                 raise MathDomainError("b matrix is indefinite beyond tolerance")
             degree = k
             stopped = True

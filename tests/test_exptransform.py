@@ -185,7 +185,8 @@ def test_eval_E_near_ellipse_fails_before_summing(monkeypatch):
 
 
 def test_ellipse_contour_needs_the_predicted_nodes(monkeypatch):
-    # the up-front rule rejects a point only when the loop could not resolve it
+    # the up-front rule rejects a point only when the loop could not resolve it,
+    # and the rule, started at half the prediction, sums at most 2.5 times it
     summed = _count_nodes(monkeypatch)
     for e in (Ellipse(0.0, 1.5, 0.5), Ellipse(0.2 + 0.1j, 1.6, 0.7, 0.4), Ellipse(-0.3j, 1.0, 0.9, 2.0)):
         rot = np.exp(1j * e.phi)
@@ -198,7 +199,7 @@ def test_ellipse_contour_needs_the_predicted_nodes(monkeypatch):
                     summed.clear()
                     eval_E(e, z, w)
                     need = math.log(1e9) / min(_confocal_sigma(e, z), _confocal_sigma(e, w))
-                    assert sum(summed) >= need
+                    assert need <= sum(summed) <= 2.5 * need
 
 
 def test_eval_E_matches_series_tail():
@@ -279,12 +280,37 @@ def test_boundary_root_accuracy_sweep():
 
 def test_boundary_root_contour_cost(monkeypatch):
     # criterion 11's two ellipse rays: the rounds' widths shrink threefold, so
-    # the accepting round needs at most a few times the nodes of the one before
+    # the accepting round needs at most a few times the nodes of the one before,
+    # and each kernel sums about the predicted ln(1/tol)/sigma nodes
     summed = _count_nodes(monkeypatch)
     e = Ellipse(0.0, 1.5, 0.5)
     boundary_root(e, 1.0, (1.0, 3.0))
     boundary_root(e, 1j, (0.2, 2.0))
-    assert sum(summed) <= 167_000
+    assert sum(summed) <= 84_000
+
+
+def test_ellipse_contour_meets_its_tol():
+    # the geometric stop rule against the same rule at tol 1e-13, on offset,
+    # rotated ellipses at gaps 1e-3 to 10^0.5 outside the rim, for z = w and z != w
+    rng = np.random.default_rng(15)
+    budget = shapes.quad_budget()
+
+    def outside(e: Ellipse) -> complex:
+        th = rng.uniform(0.0, 2.0 * math.pi)
+        rot = np.exp(1j * e.phi)
+        normal = rot * complex(e.q * math.cos(th), e.p * math.sin(th))
+        rim = e.center + rot * complex(e.p * math.cos(th), e.q * math.sin(th))
+        return rim + 10 ** rng.uniform(-3.0, 0.5) * normal / abs(normal)
+
+    worst = 0.0
+    for k in range(60):
+        p = rng.uniform(0.8, 2.0)
+        e = Ellipse(complex(*rng.uniform(-0.5, 0.5, 2)), p, p * rng.uniform(0.2, 1.0), rng.uniform(0, math.pi))
+        z = outside(e)
+        w = z if k % 2 else outside(e)
+        want = e.kernel_log(z, w, 1e-13, budget)
+        worst = max(worst, abs(e.kernel_log(z, w, 1e-9, budget) - want) / max(1.0, abs(want)))
+    assert worst <= 1e-9
 
 
 def test_boundary_root_no_crossing():

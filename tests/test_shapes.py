@@ -114,6 +114,25 @@ def test_translate_moments_matches_direct():
     assert np.max(np.abs(translate_moments(centered, c) - direct)) < 1e-8
 
 
+def _translate_by_loop(a: np.ndarray, c: complex) -> np.ndarray:
+    # the Pascal matrix t[j, p] = comb(j, p) c^(j - p) built entry by entry
+    n = a.shape[0]
+    t = np.zeros((n, n), dtype=complex)
+    for j in range(n):
+        for p in range(j + 1):
+            t[j, p] = math.comb(j, p) * c ** (j - p)
+    return t @ np.asarray(a, dtype=complex) @ t.conj().T
+
+
+def test_translate_moments_bit_identical_to_loop():
+    # binomials beyond 2^53 (n > 57) round once, as in the loop
+    rng = np.random.default_rng(15)
+    for n in list(range(1, 13)) + [24, 48, 60, 100]:
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        for c in (complex(*rng.standard_normal(2)), complex(rng.uniform(-0.5, 0.5), 0.0), 1.7j):
+            assert np.array_equal(translate_moments(a, c), _translate_by_loop(a, c))
+
+
 def test_sum_additivity():
     d1 = Disk(-2.0, 0.5)
     d2 = Disk(2.0, 0.75)
