@@ -25,12 +25,11 @@ from .finiteterm import (
     BandProfile,
     FilledMoments,
     band_profile,
-    certificate_from_cauchy,
     detect_order,
     fill_from_first_column,
     fit_certificate,
 )
-from .gallery import OperatorFamily, b_for, resolve
+from .gallery import MatrixSource, OperatorFamily, a_for, b_for, resolve
 from .heleshaw import (
     ExteriorMoments,
     confocal_ellipse,
@@ -62,13 +61,11 @@ from .orthopoly import (
     hessenberg,
     orthonormalize,
     poly_zeros,
-    subdiag_check,
 )
 from .reconstruct import (
     GridFunction,
     LegendreField,
     RealMoments,
-    complex_moments,
     legendre_fit,
     real_moments,
     reconstruct_from_certificate,
@@ -85,7 +82,6 @@ from .shapes import (
     Shape,
     Sum,
     Weighted,
-    cauchy_columns,
     cauchy_kernel_log,
     moments,
 )

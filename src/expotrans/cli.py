@@ -16,20 +16,21 @@ import numpy as np
 
 from . import gallery, serialize
 from .errors import ExpotransError, InputError, MathDomainError, PrecisionError
-from .exptransform import ExpMoments, a_to_b, b_to_a
+from .exptransform import a_to_b, b_to_a
 from .finiteterm import band_profile, detect_order, fill_from_first_column
-from .gallery import OperatorFamily
+from .gallery import MatrixSource
 from .heleshaw import inject_trajectory, squeeze_trajectory
 from .operators import b_from_operator, commutator_defect, toeplitz_ellipse, trifoil_operator
 from .orthopoly import completeness_gap, hessenberg, orthonormalize
 from .reconstruct import reconstruct_from_certificate
 from .series import BiSeries, exp_neg, log_neg
-from .shapes import Annulus, MomentMatrix, Shape, moments
+from .shapes import Annulus, moments
 
 
-def _load_source(path_or_addr: str, read_matrix=None):
-    """A gallery address, a shape JSON file, or a matrix JSON file, read by
-    ``read_matrix`` or else as a matrix with no null entry."""
+def _load_source(path_or_addr: str, given: str = "a", read_matrix=None):
+    """A gallery address, a shape JSON file, or a matrix JSON file as a
+    `MatrixSource` holding ``given``, read by ``read_matrix`` or else as a
+    matrix with no null entry."""
     if path_or_addr.startswith("gallery:"):
         return gallery.resolve(path_or_addr)
     obj = serialize.load_json(path_or_addr)
@@ -37,51 +38,12 @@ def _load_source(path_or_addr: str, read_matrix=None):
         return serialize.shape_from_obj(obj)
     if isinstance(obj, dict) and "re" in obj:
         if read_matrix:
-            return read_matrix(obj)
+            return MatrixSource(read_matrix(obj), given)
         arr, mask = serialize.matrix_from_obj(obj)
         if not mask.all():
             raise InputError(f"{path_or_addr} has uncertified (null) entries")
-        return arr
+        return MatrixSource(arr, given)
     raise InputError(f"{path_or_addr} is neither a shape nor a matrix document")
-
-
-def _block(arr: np.ndarray, order: int) -> np.ndarray:
-    """The leading order x order block of a matrix read from a file."""
-    if arr.shape[0] < order:
-        raise InputError(f"matrix of order {arr.shape[0]} smaller than requested {order}")
-    return arr[:order, :order]
-
-
-def _b_of(source, order: int, given: str) -> ExpMoments:
-    if isinstance(source, (Shape, OperatorFamily)):
-        return gallery.b_for(source, order)
-    arr = _block(source, order)
-    if given == "b":
-        return ExpMoments(order, arr)
-    return a_to_b(MomentMatrix(order, arr))
-
-
-def _a_of(source, order: int, given: str) -> MomentMatrix:
-    if isinstance(source, Shape):
-        return moments(source, order)
-    if isinstance(source, OperatorFamily):
-        return b_to_a(gallery.b_for(source, order))
-    arr = _block(source, order)
-    if given == "b":
-        return b_to_a(ExpMoments(order, arr))
-    return MomentMatrix(order, arr)
-
-
-def _column_of(path_or_addr: str, order: int) -> np.ndarray:
-    """The first moment column, which a and b share, of any SOURCE or column document."""
-    source = _load_source(path_or_addr, serialize.column_from_obj)
-    if isinstance(source, Shape):
-        return moments(source, order).a[:, 0]
-    if isinstance(source, OperatorFamily):
-        return gallery.b_for(source, order).b[:, 0]
-    if source.shape[0] < order:
-        raise InputError(f"column of length {source.shape[0]} shorter than order {order}")
-    return source[:order]
 
 
 def _emit(text: str, out: str | None):
@@ -103,28 +65,25 @@ def _stage(name: str, fn):
 
 
 def cmd_moments(args) -> int:
-    source = _load_source(args.source)
-    a = _a_of(source, args.order, args.given)
+    a = gallery.a_for(_load_source(args.source, args.given), args.order)
     _emit(serialize.dumps(serialize.matrix_to_obj(a.a)), args.out)
     return 0
 
 
 def cmd_transform(args) -> int:
-    source = _load_source(args.source)
+    source = _load_source(args.source, "b" if args.inverse else args.given)
     if args.inverse:
-        b = _b_of(source, args.order, "b")
-        out = b_to_a(b).a
+        out = b_to_a(gallery.b_for(source, args.order)).a
     else:
-        a = _a_of(source, args.order, args.given)
-        out = a_to_b(a).b
+        out = a_to_b(gallery.a_for(source, args.order)).b
     _emit(serialize.dumps(serialize.matrix_to_obj(out)), args.out)
     return 0
 
 
 def cmd_pipeline(args) -> int:
-    source = _load_source(args.source)
+    source = _load_source(args.source, args.given)
     label = args.source
-    b = _stage("moments", lambda: _b_of(source, args.order, args.given))
+    b = _stage("moments", lambda: gallery.b_for(source, args.order))
     basis = _stage("orthonormalize", lambda: orthonormalize(b))
     h = _stage("hessenberg", lambda: hessenberg(b, basis))
     report_c = _stage("completeness", lambda: completeness_gap(h, b.b[0, 0].real))
@@ -158,8 +117,7 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    source = _load_source(args.source)
-    b = _b_of(source, args.order, args.given)
+    b = gallery.b_for(_load_source(args.source, args.given), args.order)
     cert = detect_order(b, args.dmax, args.tol)
     obj = {"certificate": serialize.certificate_to_obj(cert) if cert is not None else None}
     _emit(serialize.dumps(obj), args.out)
@@ -167,7 +125,7 @@ def cmd_detect(args) -> int:
 
 
 def cmd_fill(args) -> int:
-    col = _column_of(args.column, args.order)
+    col = _load_source(args.column, read_matrix=serialize.column_from_obj).column(args.order)
     cert = serialize.certificate_from_obj(serialize.load_json(args.cert))
     filled = fill_from_first_column(col, cert.q, args.order)
     _emit(serialize.dumps(serialize.filled_to_obj(filled)), args.out)
@@ -175,7 +133,7 @@ def cmd_fill(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    col = _column_of(args.column, args.order)
+    col = _load_source(args.column, read_matrix=serialize.column_from_obj).column(args.order)
     cert = serialize.certificate_from_obj(serialize.load_json(args.cert))
     if cert.residual > args.tol:
         raise MathDomainError(
@@ -190,8 +148,7 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_evolve(args) -> int:
-    source = _load_source(args.source)
-    a = _a_of(source, args.order, args.given)
+    a = gallery.a_for(_load_source(args.source, args.given), args.order)
     col = a.a[:, 0].copy()
     ts = np.linspace(args.t0, args.t1, args.steps + 1)
     if args.law == "squeeze":
@@ -208,17 +165,7 @@ def cmd_gallery(args) -> int:
     if not args.name:
         _emit(serialize.dumps({"entries": gallery.names()}), args.out)
         return 0
-    entry = gallery.resolve(args.name)
-    if isinstance(entry, OperatorFamily):
-        obj = {
-            "kind": "operator",
-            "name": entry.name,
-            "xi_index": entry.xi_index,
-            "max_offset": entry.max_offset,
-        }
-    else:
-        obj = entry.to_obj()
-    _emit(serialize.dumps(obj), args.out)
+    _emit(serialize.dumps(gallery.resolve(args.name).to_obj()), args.out)
     return 0
 
 

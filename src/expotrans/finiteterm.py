@@ -6,17 +6,17 @@ A certificate of order d is a vector q with
 
 the moment shadow of the operator identity T xi = Q(T*) xi with Q of
 degree d.  Certificates are fitted by least squares, detected by scanning
-d upward, cross-checked against the Cauchy-transform route, and used to
-fill a moment matrix out of its first column.  A degree-1 certificate is
-a three-term relation, which holds exactly for uniform ellipses: with b00
-it fixes the ellipse operator T = c + alpha S + beta S*, whose Krylov Gram
-fills the triangle in O(N) matrix-vector products, provided its first
-column matches the given one.  Every other degree runs the entrywise
-recursion by per-row reach (which for d >= 3 stalls short of the triangle
-at orders d + 5 .. d*d - 1): no closed form exists for d >= 2, and for
-d = 0 the disk's rule (centre q0, radius^2 b00) would also change the
-annulus fill that acceptance criterion 6 pins.  The recursion only reads
-the first column, so the fill then checks the certificate's relation on it.
+d upward, and used to fill a moment matrix out of its first column.  A
+degree-1 certificate is a three-term relation, which holds exactly for
+uniform ellipses: with b00 it fixes the ellipse operator
+T = c + alpha S + beta S*, whose Krylov Gram fills the triangle in O(N)
+matrix-vector products, provided its first column matches the given one.
+Every other degree runs the entrywise recursion by per-row reach (which
+for d >= 3 stalls short of the triangle at orders d + 5 .. d*d - 1): no
+closed form exists for d >= 2, and for d = 0 the disk's rule (centre q0,
+radius^2 b00) would also change the annulus fill that acceptance
+criterion 6 pins.  The recursion only reads the first column, so the fill
+then checks the certificate's relation on it.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import InputError, MathDomainError
 from .operators import b_from_operator, ellipse_operator
-from .series import BiSeries, exp_neg, square_matrix
+from .series import square_matrix
 
 # largest normwise gap, relative to the column's norm, between a given first
 # column and the one its certificate predicts (the ellipse operator's for
@@ -106,30 +106,6 @@ def detect_order(b, dmax: int, tol: float = 1e-8) -> BandCertificate | None:
         if cert.residual <= cutoff:
             return cert
     return None
-
-
-def certificate_from_cauchy(cols, q, order: int) -> np.ndarray:
-    """Certificate residuals computed through the Cauchy-transform route.
-
-    ``cols`` holds the moment columns F_0..F_d (entry [j, k] multiplies
-    u^(j+1) in F_k).  The truncated kernel sum_k F_k(u) v^(k+1) is pushed
-    through the exponential; the residual vector read off the result equals
-    the least-squares row residuals of the direct fit.
-    """
-    cols = np.asarray(cols, dtype=complex)
-    if cols.ndim != 2:
-        raise InputError("cols must be a 2-D array (order, d+1)")
-    q = np.asarray(q, dtype=complex)
-    d = q.shape[0] - 1
-    if cols.shape[1] < d + 1:
-        raise InputError("not enough columns for the certificate degree")
-    if cols.shape[0] < order:
-        raise InputError("columns shorter than requested order")
-    tail = np.zeros((order, order), dtype=complex)
-    tail[:, : d + 1] = cols[:order, : d + 1]
-    bhat = -exp_neg(BiSeries.from_tail(tail)).tail
-    res = bhat[1:, 0] - bhat[:-1, : d + 1] @ q
-    return res
 
 
 def fill_from_first_column(col, q, order: int) -> FilledMoments:

@@ -1,8 +1,14 @@
-"""Named example domains and operators, addressable as "gallery:<name>?k=v".
+"""Named example domains and operators, addressable as "gallery:<name>?k=v",
+and the one interface every moment source answers.
 
 The gallery keeps docs and tests free of JSON boilerplate: every entry is
 either a Shape or an operator family whose truncation size is derived from
 the requested moment order via the exactness rule.
+
+A source is a Shape, an OperatorFamily or a MatrixSource read from a file.
+Each answers ``data(order)`` with its native moments (a `MomentMatrix` a or
+an `ExpMoments` b) and ``column(order)`` with its native first column, which
+a and b share.  `b_for` and `a_for` are the one place that converts a <-> b.
 """
 from __future__ import annotations
 
@@ -11,10 +17,12 @@ from dataclasses import dataclass
 from typing import Callable
 from urllib.parse import parse_qsl
 
+import numpy as np
+
 from .errors import InputError
-from .exptransform import ExpMoments, a_to_b
+from .exptransform import ExpMoments, a_to_b, b_to_a
 from .operators import BandedOperator, b_from_operator, toeplitz_ellipse, toeplitz_power, two_diagonal
-from .shapes import Annulus, Disk, Ellipse, Shape, Weighted, moments
+from .shapes import Annulus, Disk, Ellipse, MomentMatrix, Shape, Weighted
 
 
 @dataclass(frozen=True)
@@ -30,6 +38,39 @@ class OperatorFamily:
         # exactness rule: no Krylov vector may touch the truncation edge
         size = self.xi_index + order * self.max_offset + 2
         return self.build(size)
+
+    def data(self, order: int) -> ExpMoments:
+        """b, the Krylov Gram of the model sized for ``order``."""
+        return b_from_operator(self.sized_for(order), order)
+
+    def column(self, order: int) -> np.ndarray:
+        return self.data(order).b[:, 0]
+
+    def to_obj(self) -> dict:
+        return {"kind": "operator", "name": self.name, "xi_index": self.xi_index, "max_offset": self.max_offset}
+
+
+class MatrixSource:
+    """A matrix read from a file, holding a or b as ``given`` says, or a
+    column read from a file (1-D), which serves only ``column``."""
+
+    def __init__(self, arr: np.ndarray, given: str = "a"):
+        self.arr, self.given = arr, given
+
+    def data(self, order: int) -> MomentMatrix | ExpMoments:
+        """The leading order x order block."""
+        if self.arr.ndim != 2:
+            raise InputError("a column document holds no moment matrix")
+        if self.arr.shape[0] < order:
+            raise InputError(f"matrix of order {self.arr.shape[0]} smaller than requested {order}")
+        block = self.arr[:order, :order]
+        return ExpMoments(order, block) if self.given == "b" else MomentMatrix(order, block)
+
+    def column(self, order: int) -> np.ndarray:
+        col = self.arr if self.arr.ndim == 1 else self.arr[:, 0]
+        if col.shape[0] < order:
+            raise InputError(f"column of length {col.shape[0]} shorter than order {order}")
+        return col[:order]
 
 
 def _params(query: str, allowed: dict[str, float]) -> dict[str, float]:
@@ -88,10 +129,13 @@ def names() -> list[str]:
     return list(_TABLE)
 
 
-def b_for(source: str | Shape | OperatorFamily, order: int) -> ExpMoments:
-    """Moment data b for a gallery address or a resolved entry (any Shape or
-    OperatorFamily), by quadrature or by Krylov Gram."""
-    entry = resolve(source) if isinstance(source, str) else source
-    if isinstance(entry, OperatorFamily):
-        return b_from_operator(entry.sized_for(order), order)
-    return a_to_b(moments(entry, order))
+def b_for(source: str | Shape | OperatorFamily | MatrixSource, order: int) -> ExpMoments:
+    """b for a gallery address or a source: its data, through `a_to_b` when that is a."""
+    data = (resolve(source) if isinstance(source, str) else source).data(order)
+    return a_to_b(data) if isinstance(data, MomentMatrix) else data
+
+
+def a_for(source: str | Shape | OperatorFamily | MatrixSource, order: int) -> MomentMatrix:
+    """a for a gallery address or a source: its data, through `b_to_a` when that is b."""
+    data = (resolve(source) if isinstance(source, str) else source).data(order)
+    return b_to_a(data) if isinstance(data, ExpMoments) else data

@@ -136,12 +136,6 @@ class RecursionState:
         n = np.arange(1, len(self.B))
         return float(np.abs(self.B[n] + self.B[n - 1] - self.A[n + 1] - 1.0).max())
 
-    def quotient_residual(self) -> float:
-        # B_{n-1} A_{n+2} = A_n B_n for n >= 1
-        hi = min(len(self.A) - 2, len(self.B) - 1)
-        n = np.arange(1, hi)
-        return float(np.abs(self.B[n - 1] * self.A[n + 2] - self.A[n] * self.B[n]).max())
-
     def telescope_residual(self) -> float:
         # A_{n+3} + A_{n+1} = C (1 + 1/A_{n+2}) for n >= 0
         a = self.A

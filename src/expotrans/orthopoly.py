@@ -155,15 +155,6 @@ def completeness_gap(h: Hessenberg, b00: float) -> CompletenessReport:
     return CompletenessReport(lhs, float(b00), gap, tail, bound, verdict)
 
 
-def subdiag_check(basis: PolyBasis, h: Hessenberg) -> float:
-    """Max deviation of h[k+1, k] from gamma_k / gamma_{k+1} on the certified block."""
-    gamma = basis.gamma
-    worst = 0.0
-    for k in range(min(h.certified, basis.degree - 1)):
-        worst = max(worst, abs(h.h[k + 1, k] - gamma[k] / gamma[k + 1]))
-    return worst
-
-
 def poly_zeros(basis: PolyBasis, n: int) -> np.ndarray:
     """Zeros of P_n via the companion matrix of P_n / gamma_n."""
     if not 0 <= n < basis.degree:

@@ -1,17 +1,16 @@
 """Shade-function recovery from moments.
 
-Complex moments convert to real monomial moments m[p, q], and back, by
-exact basis-change matrices: on each antidiagonal j + k = n the substitution
-x = (z + conj(z))/2, y = (z - conj(z))/(2i), or z = x + iy, z-bar = x - iy,
-is one (n+1) x (n+1) matrix of binomials times powers of 1/2 and i, built
-once per substitution and reused by every later call.  A box around the
-support is estimated from the even-moment growth, and the density is
-approximated by its L2 projection onto tensor Legendre polynomials on the
-box, pi * Lx m Ly^T, where the rows of Lx and Ly are the power-basis
-coefficients of the normalized Legendre polynomials.  A grid sample runs one
-Clenshaw pass along x on the grid's x values and one along y on its y
-values.  The projection is reported as is, Gibbs oscillations included;
-values outside [-0.1, 1.1] are only counted, never clipped.
+Complex moments convert to real monomial moments m[p, q] by exact
+basis-change matrices: on each antidiagonal j + k = n the substitution
+x = (z + conj(z))/2, y = (z - conj(z))/(2i) is one (n+1) x (n+1) matrix of
+binomials times powers of 1/2 and i, built once and reused by every later
+call.  A box around the support is estimated from the even-moment growth,
+and the density is approximated by its L2 projection onto tensor Legendre
+polynomials on the box, pi * Lx m Ly^T, where the rows of Lx and Ly are the
+power-basis coefficients of the normalized Legendre polynomials.  A grid
+sample runs one Clenshaw pass along x on the grid's x values and one along
+y on its y values.  The projection is reported as is, Gibbs oscillations
+included; values outside [-0.1, 1.1] are only counted, never clipped.
 """
 from __future__ import annotations
 
@@ -121,15 +120,6 @@ def real_moments(a, total_order: int | None = None) -> RealMoments:
             f"real moment ({p},{q}) has imaginary residue {mc[p, q].imag:.3e}"
         )
     return RealMoments(p_max, mc.real)
-
-
-def complex_moments(rm: RealMoments, order: int) -> np.ndarray:
-    """Inverse of real_moments; entries with j + k beyond the data are NaN."""
-    tri = _substitute(rm.m, rm.total_order, (1.0, 1j), (1.0, -1j))
-    a = np.full((order, order), np.nan + 0j)
-    k = min(order, rm.total_order + 1)
-    a[:k, :k] = tri[:k, :k]
-    return a
 
 
 def _axis_mu(j: int) -> float:

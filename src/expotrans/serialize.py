@@ -85,6 +85,8 @@ def matrix_from_obj(obj: dict) -> tuple[np.ndarray, np.ndarray]:
     arr, mask = _entries(obj, "matrix")
     if arr.ndim != 2 or arr.shape[0] != obj.get("order"):
         raise InputError("malformed matrix JSON: need one re and im row per order")
+    if arr.shape[1] != arr.shape[0]:
+        raise InputError("malformed matrix JSON: need order entries in every row")
     return arr, mask
 
 

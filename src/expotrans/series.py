@@ -126,7 +126,3 @@ def log_neg(f: BiSeries) -> BiSeries:
         w[j] = (j + 1) * a[j]
     return BiSeries(n, 0.0, a)
 
-
-def v1_column(f: BiSeries) -> np.ndarray:
-    """Coefficients of v^1: entry m multiplies u^(m+1) v."""
-    return f.tail[:, 0].copy()

@@ -91,8 +91,15 @@ class Shape:
     integral of g), `kernel_log(z, w, tol, budget)` (the Cauchy kernel for
     z, w outside the support), `to_obj()` and a `from_obj(obj)` classmethod.
     The defaults here serve plain shapes: shade 1 and no boundary
-    parametrization.
+    parametrization.  As a moment source (see `gallery`) a shape's data is
+    its moment matrix a.
     """
+
+    def data(self, order: int) -> MomentMatrix:
+        return moments(self, order)
+
+    def column(self, order: int) -> np.ndarray:
+        return moments(self, order).a[:, 0]
 
     def shade_at(self, z: complex) -> float:
         """Value of g at a point z inside the support."""
@@ -542,19 +549,6 @@ def moments(shape: Shape, order: int) -> MomentMatrix:
     if order < 1:
         raise InputError("moment order must be >= 1")
     return MomentMatrix(order, shape.moment_array(order))
-
-
-def cauchy_columns(shape: Shape, d: int, order: int) -> np.ndarray:
-    """Coefficient columns F_k, k = 0..d: entry [j, k] multiplies u^(j+1) in F_k(u).
-
-    F_k is the k-th moment column, the Cauchy-transform data entering the
-    residue form of a band certificate.
-    """
-    if d < 0:
-        raise InputError("need d >= 0")
-    if d >= order:
-        raise InputError("need d < order")
-    return moments(shape, order).a[:, : d + 1].copy()
 
 
 # ---------------------------------------------------------------------------

@@ -280,7 +280,8 @@ def test_count_below_range_is_usage_error(tmp_path, monkeypatch, capsys, argv):
 @pytest.mark.parametrize("doc", [
     {"order": 3, "re": [1.0, 0.5, 0.2], "im": [0, 0, 0]},  # a column document
     {"order": 2, "re": [[1, "x"], [0, 1]], "im": [[0, 0], [0, 0]]},
-], ids=["column-document", "non-numeric-entry"])
+    {"order": 2, "re": [[1, 0, 5], [0, 1, 7]], "im": [[0, 0, 0], [0, 0, 0]]},  # once cut to 2 x 2
+], ids=["column-document", "non-numeric-entry", "non-square"])
 def test_malformed_matrix_document_is_input_error(tmp_path, doc):
     path = str(tmp_path / "m.json")
     with open(path, "w") as fh:

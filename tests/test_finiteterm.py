@@ -1,4 +1,4 @@
-"""Certificate fitting, detection, the Cauchy route, and moment filling."""
+"""Certificate fitting, detection, and moment filling."""
 import numpy as np
 import pytest
 
@@ -7,7 +7,6 @@ from expotrans.exptransform import a_to_b
 from expotrans.finiteterm import (
     _propagate,
     band_profile,
-    certificate_from_cauchy,
     detect_order,
     fill_from_first_column,
     fit_certificate,
@@ -21,7 +20,7 @@ from expotrans.operators import (
     trifoil_operator,
 )
 from expotrans.orthopoly import hessenberg, orthonormalize
-from expotrans.shapes import Annulus, Disk, Ellipse, cauchy_columns, moments
+from expotrans.shapes import Annulus, Disk, moments
 
 
 def shape_b(shape, order):
@@ -92,26 +91,6 @@ def test_fit_certificate_validation():
         fit_certificate(b, 2, rows=0)
     short = fit_certificate(b, 3, rows=2)
     assert short.underdetermined
-
-
-def test_cauchy_route_matches_direct_fit():
-    for shape, d in ((Annulus(0, 0.5, 1.0), 0), (Ellipse(0, 1.5, 0.5), 2)):
-        order = 9
-        b = shape_b(shape, order + 1)
-        cert = fit_certificate(b, d, rows=order - 1)
-        cols = cauchy_columns(shape, d, order)
-        res = certificate_from_cauchy(cols, cert.q, order)
-        assert np.max(np.abs(res[: order - 1] - cert.row_residuals)) < 1e-12
-
-
-def test_cauchy_route_validation():
-    cols = np.zeros((4, 2), dtype=complex)
-    with pytest.raises(InputError):
-        certificate_from_cauchy(cols[:, 0], [1.0], 4)
-    with pytest.raises(InputError):
-        certificate_from_cauchy(cols, [1.0, 0.0, 0.0], 4)
-    with pytest.raises(InputError):
-        certificate_from_cauchy(cols, [1.0], 6)
 
 
 def test_fill_trifoil():

@@ -1,10 +1,26 @@
-"""Gallery address parsing and sizing."""
+"""Gallery address parsing and sizing, and the one interface every source answers."""
 import numpy as np
 import pytest
 
-from expotrans.errors import InputError
-from expotrans.gallery import OperatorFamily, b_for, names, resolve
-from expotrans.shapes import Annulus, Disk, Ellipse, Weighted
+from expotrans import serialize
+from expotrans.cli import _load_source
+from expotrans.errors import InputError, MathDomainError
+from expotrans.exptransform import ExpMoments, a_to_b, b_to_a
+from expotrans.gallery import OperatorFamily, a_for, b_for, names, resolve
+from expotrans.operators import b_from_operator
+from expotrans.shapes import (
+    SHAPE_TYPES,
+    Annulus,
+    Box,
+    Disk,
+    Ellipse,
+    Grid,
+    MomentMatrix,
+    Shape,
+    Sum,
+    Weighted,
+    moments,
+)
 
 
 def test_names_are_resolvable():
@@ -68,3 +84,74 @@ def test_b_for_both_routes():
     b_op = b_for("gallery:ellipse?u=2", 6).b
     assert abs(b_op[0, 0] - 3.0) < 1e-12
     assert np.max(np.abs(b_op - b_op.conj().T)) < 1e-12
+
+
+# one example of every shape class; a new class must join the table
+_SHAPES = {
+    "disk": Disk(0.2 + 0.1j, 0.9),
+    "annulus": Annulus(0.1j, 0.3, 0.8),
+    "ellipse": Ellipse(0.1, 0.9, 0.5, 0.4),
+    "weighted": Weighted(Disk(0j, 0.8), 0.5),
+    "sum": Sum((Disk(0.5, 0.3), Annulus(-0.5 + 0.1j, 0.1, 0.3))),
+    "grid": Grid(Box(-0.5, 0.5, -0.4, 0.4), np.array([[0, 0.5, 1], [0.2, 1, 0.3]])),
+}
+
+
+def _sources(tmp_path):
+    """(label, kind, what the ladder read, source) for every kind of source."""
+    assert set(_SHAPES) == set(SHAPE_TYPES)
+    rows = [(name, "shape", s, s) for name, s in _SHAPES.items()]
+    for name in names() + ["twodiag?A1=0.5&B1=0.5"]:  # the last raises MathDomainError
+        entry = resolve(name)
+        rows.append((name, "shape" if isinstance(entry, Shape) else "operator", entry, entry))
+    a = moments(Ellipse(0.1, 0.9, 0.5, 0.4), 8).a
+    docs = {"matrix": serialize.matrix_to_obj(a),
+            "column": {"order": 8, "re": a[:, 0].real.tolist(), "im": a[:, 0].imag.tolist()}}
+    for name, doc in docs.items():
+        with open(tmp_path / f"{name}.json", "w") as fh:
+            fh.write(serialize.dumps(doc))
+    for given in ("a", "b"):
+        rows.append((f"matrix --given {given}", given, docs["matrix"],
+                     _load_source(str(tmp_path / "matrix.json"), given)))
+    rows.append(("column", "column", docs["column"],
+                 _load_source(str(tmp_path / "column.json"), read_matrix=serialize.column_from_obj)))
+    return rows
+
+
+def _ladder(kind, src, order, what):
+    """b, a or the first column as the former per-kind branches made it;
+    for a file, src is its JSON document and kind says how it was read."""
+    if kind == "shape":
+        a = moments(src, order)
+        return a_to_b(a).b if what == "b" else a.a if what == "a" else a.a[:, 0]
+    if kind == "operator":
+        b = b_from_operator(src.sized_for(order), order)
+        return b.b if what == "b" else b_to_a(b).a if what == "a" else b.b[:, 0]
+    if what == "column":
+        col = serialize.column_from_obj(src)
+        if col.shape[0] < order:
+            raise InputError("column too short")
+        return col[:order]
+    arr, _ = serialize.matrix_from_obj(src)  # a column document is refused here
+    if arr.shape[0] < order:
+        raise InputError("matrix too small")
+    if kind == "b":
+        b = ExpMoments(order, arr[:order, :order])
+        return b.b if what == "b" else b_to_a(b).a
+    a = MomentMatrix(order, arr[:order, :order])
+    return a_to_b(a).b if what == "b" else a.a
+
+
+@pytest.mark.parametrize("order", [6, 10])  # the files hold order 8
+def test_every_source_answers_as_its_ladder(tmp_path, order):
+    answers = {"b": lambda s: b_for(s, order).b, "a": lambda s: a_for(s, order).a,
+               "column": lambda s: s.column(order)}
+    for label, kind, src, source in _sources(tmp_path):
+        for what, answer in answers.items():
+            try:
+                want = _ladder(kind, src, order, what)
+            except (InputError, MathDomainError) as exc:
+                with pytest.raises(type(exc)):
+                    answer(source)
+                continue
+            assert np.array_equal(answer(source), want), (label, what)

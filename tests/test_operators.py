@@ -134,7 +134,6 @@ def test_two_diagonal_seed_values():
     assert st.A[3] == 0.5
     assert st.C == 1.0
     assert st.sum_b_residual() < 1e-12
-    assert st.quotient_residual() < 1e-12
     assert st.telescope_residual() < 1e-12
 
 

@@ -16,7 +16,6 @@ from expotrans.orthopoly import (
     hessenberg,
     orthonormalize,
     poly_zeros,
-    subdiag_check,
 )
 from expotrans.shapes import Annulus, Disk, Weighted, moments
 
@@ -24,6 +23,15 @@ from expotrans.shapes import Annulus, Disk, Weighted, moments
 def ellipse_operator_b(n: int, u: complex = 2.0):
     op = toeplitz_ellipse(u, n + 4)
     return b_from_operator(op, n)
+
+
+def subdiag_check(basis, h) -> float:
+    """Max deviation of h[k+1, k] from gamma_k / gamma_{k+1} on the certified block."""
+    gamma = basis.gamma
+    worst = 0.0
+    for k in range(min(h.certified, basis.degree - 1)):
+        worst = max(worst, abs(h.h[k + 1, k] - gamma[k] / gamma[k + 1]))
+    return worst
 
 
 def gram_residual(basis, b) -> float:

@@ -23,7 +23,7 @@ from expotrans import gallery
 from expotrans.exptransform import a_to_b
 from expotrans.finiteterm import detect_order, fill_from_first_column
 from expotrans.operators import b_from_operator, ellipse_operator
-from expotrans.reconstruct import complex_moments, real_moments
+from expotrans.reconstruct import real_moments
 from expotrans.serialize import dumps, matrix_from_obj, matrix_to_obj
 from expotrans.shapes import Annulus, Disk, Ellipse, moments, rotate_moments, translate_moments
 
@@ -35,6 +35,21 @@ def _hermitian(order: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1.0, 1.0, (order, order)) + 1j * rng.uniform(-1.0, 1.0, (order, order))
     return 0.5 * (x + x.conj().T)
+
+
+def complex_moments(rm, order: int) -> np.ndarray:
+    """The inverse of real_moments, as the round trip's oracle: a[j, k] expands
+    z^j conj(z)^k = (x + iy)^j (x - iy)^k over m[p, q]; NaN beyond the data."""
+    top = rm.total_order
+    a = np.full((order, order), np.nan + 0j)
+    for j in range(min(order, top + 1)):
+        for k in range(min(order, top + 1 - j)):
+            # coefficients of y^0 .. y^(j+k), each beside x^(j+k-q)
+            c = np.convolve([math.comb(j, s) * 1j**s for s in range(j + 1)],
+                            [math.comb(k, s) * (-1j) ** s for s in range(k + 1)])
+            q = np.arange(j + k + 1)
+            a[j, k] = c @ rm.m[j + k - q, q]
+    return a
 
 
 def _triangle(order: int) -> np.ndarray:

@@ -18,7 +18,6 @@ from expotrans import reconstruct
 from expotrans.operators import b_from_operator, trifoil_operator
 from expotrans.reconstruct import (
     LegendreField,
-    complex_moments,
     legendre_fit,
     real_moments,
     reconstruct_from_certificate,
@@ -94,6 +93,16 @@ def _rebuilt_substitute(src, top, f, g):
     return out
 
 
+def complex_moments(rm, order: int) -> np.ndarray:
+    """The inverse of real_moments, z = x + iy, conj(z) = x - iy, as the round
+    trip's oracle; entries with j + k beyond the data are NaN."""
+    tri = _rebuilt_substitute(rm.m, rm.total_order, (1.0, 1j), (1.0, -1j))
+    a = np.full((order, order), np.nan + 0j)
+    k = min(order, rm.total_order + 1)
+    a[:k, :k] = tri[:k, :k]
+    return a
+
+
 def test_cached_substitution_matches_rebuilt_oracle(monkeypatch):
     # from an empty cache, growing (increasing top) and then reading a prefix
     # (decreasing top) must both give the rebuilt matrices' results bit for bit
@@ -104,7 +113,7 @@ def test_cached_substitution_matches_rebuilt_oracle(monkeypatch):
         want = _rebuilt_substitute(a, top, (0.5, 0.5), (-0.5j, 0.5j))
         assert np.array_equal(rm.m, want.real, equal_nan=True)
         back = _rebuilt_substitute(rm.m, top, (1.0, 1j), (1.0, -1j))
-        got = complex_moments(rm, top + 1)
+        got = reconstruct._substitute(rm.m, top, (1.0, 1j), (1.0, -1j))
         assert np.array_equal(got, back, equal_nan=True)
     assert len(reconstruct._SUBSTITUTION_MATRICES[(0.5, 0.5), (-0.5j, 0.5j)]) == 41
 

@@ -16,7 +16,7 @@ import pytest
 from expotrans.errors import InputError
 from expotrans.exptransform import a_to_b
 from expotrans.gallery import b_for
-from expotrans.series import BiSeries, exp_neg, log_neg, mul, v1_column
+from expotrans.series import BiSeries, exp_neg, log_neg, mul
 from expotrans.shapes import Ellipse, moments
 
 
@@ -265,19 +265,6 @@ def test_first_column_exact():
         a = random_series(rng, order)
         e = exp_neg(a)
         assert np.array_equal(e.tail[:, 0], -a.tail[:, 0])
-
-
-def test_v1_column_values():
-    assert np.max(np.abs(v1_column(BiSeries.one(4)))) == 0.0
-    disk = np.zeros((4, 4), dtype=complex)
-    disk[0, 0] = -1.0
-    col = v1_column(BiSeries(4, 1.0, disk))
-    assert np.array_equal(col, np.array([-1.0, 0.0, 0.0, 0.0], dtype=complex))
-    r, R = 0.5, 1.0
-    ann = np.diag([-(R**2 - r**2) * r ** (2 * j) for j in range(4)]).astype(complex)
-    col = v1_column(BiSeries(4, 1.0, ann))
-    assert abs(col[0] + (R**2 - r**2)) < 1e-15
-    assert np.max(np.abs(col[1:])) == 0.0
 
 
 def test_input_validation():

@@ -21,7 +21,6 @@ from expotrans.shapes import (
     Sum,
     Weighted,
     boundary_nodes,
-    cauchy_columns,
     cauchy_kernel_log,
     moments,
     rotate_moments,
@@ -181,17 +180,6 @@ def test_moment_matrices_hermitian():
     for s in shapes:
         a = moments(s, 6).a
         assert np.max(np.abs(a - a.conj().T)) < 1e-10
-
-
-def test_cauchy_columns():
-    cols = cauchy_columns(Disk(0.0, 1.0), 0, 5)
-    assert np.max(np.abs(cols[:, 0] - np.array([1, 0, 0, 0, 0]))) < 1e-14
-    a = moments(Annulus(0.0, 0.5, 1.0), 5).a
-    cols = cauchy_columns(Annulus(0.0, 0.5, 1.0), 1, 5)
-    assert np.max(np.abs(cols[:, 1] - a[:, 1])) < 1e-14
-    assert abs(cols[1, 1] - (1.0 - 1.0 / 16.0) / 2.0) < 1e-14
-    with pytest.raises(InputError):
-        cauchy_columns(Disk(0.0, 1.0), 5, 5)
 
 
 def test_geometry_helpers():
