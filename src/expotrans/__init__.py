@@ -7,85 +7,53 @@ orthonormalizing against b gives polynomials whose Hessenberg matrix may be
 banded; a band certificate propagates the first moment column over a full
 triangle; and a Legendre projection turns the recovered moments back into a
 picture of the density.
+
+Importing the package loads none of its modules (nor numpy): each public
+name below is imported from its home module on first use (PEP 562), so a
+process pays only for the modules it touches.
 """
-from .errors import ExpotransError, InputError, MathDomainError, PrecisionError
-from .exptransform import (
-    AnnulusProfile,
-    ExpMoments,
-    TDiskProfile,
-    a_to_b,
-    b_to_a,
-    boundary_root,
-    eval_E,
-    nevanlinna_density,
-    rot_diag_b,
-)
-from .finiteterm import (
-    BandCertificate,
-    BandProfile,
-    FilledMoments,
-    band_profile,
-    detect_order,
-    fill_from_first_column,
-    fit_certificate,
-)
-from .gallery import MatrixSource, OperatorFamily, a_for, b_for, resolve
-from .heleshaw import (
-    ExteriorMoments,
-    confocal_ellipse,
-    exterior_moments,
-    inject,
-    mother_body,
-    mother_body_moment,
-    squeeze,
-    zero_attraction,
-)
-from .operators import (
-    BandedOperator,
-    RecursionState,
-    b_from_operator,
-    commutator_defect,
-    ellipse_operator,
-    toeplitz_ellipse,
-    toeplitz_power,
-    trifoil_curve,
-    trifoil_operator,
-    two_diagonal,
-    two_diagonal_state,
-)
-from .orthopoly import (
-    CompletenessReport,
-    Hessenberg,
-    PolyBasis,
-    completeness_gap,
-    hessenberg,
-    orthonormalize,
-    poly_zeros,
-)
-from .reconstruct import (
-    GridFunction,
-    LegendreField,
-    RealMoments,
-    legendre_fit,
-    real_moments,
-    reconstruct_from_certificate,
-    support_box,
-)
-from .series import BiSeries, exp_neg, log_neg
-from .shapes import (
-    Annulus,
-    Box,
-    Disk,
-    Ellipse,
-    Grid,
-    MomentMatrix,
-    Shape,
-    Sum,
-    Weighted,
-    cauchy_kernel_log,
-    moments,
-)
+import sys as _sys
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# home module -> the public names it exports; each module is a public name too
+_EXPORTS = {
+    "errors": ("ExpotransError", "InputError", "MathDomainError", "PrecisionError"),
+    "exptransform": ("AnnulusProfile", "ExpMoments", "TDiskProfile", "a_to_b", "b_to_a",
+                     "boundary_root", "eval_E", "nevanlinna_density", "rot_diag_b"),
+    "finiteterm": ("BandCertificate", "BandProfile", "FilledMoments", "band_profile",
+                   "detect_order", "fill_from_first_column", "fit_certificate"),
+    "gallery": ("MatrixSource", "OperatorFamily", "a_for", "b_for", "resolve"),
+    "heleshaw": ("ExteriorMoments", "confocal_ellipse", "exterior_moments", "inject",
+                 "mother_body", "mother_body_moment", "squeeze", "zero_attraction"),
+    "operators": ("BandedOperator", "RecursionState", "b_from_operator", "commutator_defect",
+                  "ellipse_operator", "toeplitz_ellipse", "toeplitz_power", "trifoil_curve",
+                  "trifoil_operator", "two_diagonal", "two_diagonal_state"),
+    "orthopoly": ("CompletenessReport", "Hessenberg", "PolyBasis", "completeness_gap",
+                  "hessenberg", "orthonormalize", "poly_zeros"),
+    "reconstruct": ("GridFunction", "LegendreField", "RealMoments", "legendre_fit",
+                    "real_moments", "reconstruct_from_certificate", "support_box"),
+    "series": ("BiSeries", "exp_neg", "log_neg"),
+    "shapes": ("Annulus", "Box", "Disk", "Ellipse", "Grid", "MomentMatrix", "Shape", "Sum",
+               "Weighted", "cauchy_kernel_log", "moments"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in (module, *names)}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    try:
+        module = _HOME[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    __import__(f"{__name__}.{module}")  # the builtin import, which -X importtime reports
+    value = _sys.modules[f"{__name__}.{module}"]
+    if name != module:
+        value = getattr(value, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -12,19 +12,9 @@ import argparse
 import math
 import sys
 
-import numpy as np
-
+# what every subcommand needs; each cmd_* imports the modules of its own route
 from . import gallery, serialize
 from .errors import ExpotransError, InputError, MathDomainError, PrecisionError
-from .exptransform import a_to_b, b_to_a
-from .finiteterm import band_profile, detect_order, fill_from_first_column
-from .gallery import MatrixSource
-from .heleshaw import inject_trajectory, squeeze_trajectory
-from .operators import b_from_operator, commutator_defect, toeplitz_ellipse, trifoil_operator
-from .orthopoly import completeness_gap, hessenberg, orthonormalize
-from .reconstruct import reconstruct_from_certificate
-from .series import BiSeries, exp_neg, log_neg
-from .shapes import Annulus, moments
 
 
 def _load_source(path_or_addr: str, given: str = "a", read_matrix=None):
@@ -38,11 +28,11 @@ def _load_source(path_or_addr: str, given: str = "a", read_matrix=None):
         return serialize.shape_from_obj(obj)
     if isinstance(obj, dict) and "re" in obj:
         if read_matrix:
-            return MatrixSource(read_matrix(obj), given)
+            return gallery.MatrixSource(read_matrix(obj), given)
         arr, mask = serialize.matrix_from_obj(obj)
         if not mask.all():
             raise InputError(f"{path_or_addr} has uncertified (null) entries")
-        return MatrixSource(arr, given)
+        return gallery.MatrixSource(arr, given)
     raise InputError(f"{path_or_addr} is neither a shape nor a matrix document")
 
 
@@ -71,6 +61,8 @@ def cmd_moments(args) -> int:
 
 
 def cmd_transform(args) -> int:
+    from .exptransform import a_to_b, b_to_a
+
     source = _load_source(args.source, "b" if args.inverse else args.given)
     if args.inverse:
         out = b_to_a(gallery.b_for(source, args.order)).a
@@ -81,6 +73,9 @@ def cmd_transform(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
+    from .finiteterm import band_profile, detect_order
+    from .orthopoly import completeness_gap, hessenberg, orthonormalize
+
     source = _load_source(args.source, args.given)
     label = args.source
     b = _stage("moments", lambda: gallery.b_for(source, args.order))
@@ -117,6 +112,8 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_detect(args) -> int:
+    from .finiteterm import detect_order
+
     b = gallery.b_for(_load_source(args.source, args.given), args.order)
     cert = detect_order(b, args.dmax, args.tol)
     obj = {"certificate": serialize.certificate_to_obj(cert) if cert is not None else None}
@@ -125,6 +122,8 @@ def cmd_detect(args) -> int:
 
 
 def cmd_fill(args) -> int:
+    from .finiteterm import fill_from_first_column
+
     col = _load_source(args.column, read_matrix=serialize.column_from_obj).column(args.order)
     cert = serialize.certificate_from_obj(serialize.load_json(args.cert))
     filled = fill_from_first_column(col, cert.q, args.order)
@@ -133,6 +132,8 @@ def cmd_fill(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
+    from .reconstruct import reconstruct_from_certificate
+
     col = _load_source(args.column, read_matrix=serialize.column_from_obj).column(args.order)
     cert = serialize.certificate_from_obj(serialize.load_json(args.cert))
     if cert.residual > args.tol:
@@ -148,6 +149,10 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_evolve(args) -> int:
+    import numpy as np
+
+    from .heleshaw import inject_trajectory, squeeze_trajectory
+
     a = gallery.a_for(_load_source(args.source, args.given), args.order)
     col = a.a[:, 0].copy()
     ts = np.linspace(args.t0, args.t1, args.steps + 1)
@@ -170,6 +175,15 @@ def cmd_gallery(args) -> int:
 
 
 def _selftest_cases(seed: int):
+    import numpy as np
+
+    from .exptransform import a_to_b
+    from .finiteterm import detect_order
+    from .operators import b_from_operator, commutator_defect, toeplitz_ellipse, trifoil_operator
+    from .orthopoly import hessenberg, orthonormalize
+    from .series import BiSeries, exp_neg, log_neg
+    from .shapes import Annulus, moments
+
     rng = np.random.default_rng(seed)
 
     def roundtrip():

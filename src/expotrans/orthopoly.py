@@ -52,6 +52,23 @@ class CompletenessReport:
     verdict: str
 
 
+def _indefinite(value: float, bm: np.ndarray) -> bool:
+    """Whether a stalled pivot lies below -1e-9 ||b||_2.
+
+    max |b_jj| <= ||b||_2 <= ||b||_F brackets the threshold, so the SVD for
+    ||b||_2 runs only for a value between the bracket's ends; each end is
+    widened by 1e-8 relative, far beyond the SVD's rounding, so that the
+    bracket never decides otherwise than the SVD would.
+    """
+    if value >= 0:
+        return False
+    if value >= -1e-9 * max(float(np.abs(np.diagonal(bm)).max()) * (1 - 1e-8), 1e-30):
+        return False
+    if value < -1e-9 * max(float(np.linalg.norm(bm)) * (1 + 1e-8), 1e-30):
+        return True
+    return value < -1e-9 * max(float(np.linalg.norm(bm, 2)), 1e-30)
+
+
 def orthonormalize(b) -> PolyBasis:
     """Gram-Schmidt on monomials under the b inner product, with pivot stop.
 
@@ -63,13 +80,8 @@ def orthonormalize(b) -> PolyBasis:
     n = bm.shape[0]
     gram = bm.conj()  # gram[m, n] = <z^m, z^n> = b[n, m]
     b00 = gram[0, 0].real
-
-    def indefinite(value: float) -> bool:
-        # only a negative value can pass -1e-9 ||b||_2, so the SVD runs only then
-        return value < 0 and value < -1e-9 * max(float(np.linalg.norm(bm, 2)), 1e-30)
-
     if b00 <= 0:
-        if indefinite(b00):
+        if _indefinite(b00, bm):
             raise MathDomainError("b matrix is indefinite beyond tolerance")
         # nothing to normalize against: the degenerate degree-0 basis
         return PolyBasis(0, np.zeros((0, 0), dtype=complex), n, True)
@@ -79,7 +91,7 @@ def orthonormalize(b) -> PolyBasis:
     for k in range(n):
         pivot = gram[k, k].real - float(np.sum(np.abs(chol[k, :k]) ** 2))
         if pivot <= PIVOT_TOL * b00:
-            if indefinite(pivot):
+            if _indefinite(pivot, bm):
                 raise MathDomainError("b matrix is indefinite beyond tolerance")
             degree = k
             stopped = True

@@ -9,13 +9,16 @@ from __future__ import annotations
 
 import json
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import InputError
-from .finiteterm import BandCertificate, FilledMoments
-from .reconstruct import GridFunction
-from .shapes import Shape
+
+if TYPE_CHECKING:  # reading or writing a document loads no compute module
+    from .finiteterm import BandCertificate, FilledMoments
+    from .reconstruct import GridFunction
+    from .shapes import Shape
 
 
 def fmt(x: float) -> str:
@@ -43,6 +46,9 @@ def dumps(obj) -> str:
         return f"[{fmt(obj.real)},{fmt(obj.imag)}]"
     if isinstance(obj, dict):
         return "{" + ",".join(f"{json.dumps(str(k))}:{dumps(v)}" for k, v in obj.items()) + "}"
+    if isinstance(obj, list) and all(type(v) is float or v is None for v in obj):
+        # a matrix row from ndarray.tolist(): one join, no call per entry through dumps
+        return "[" + ",".join("null" if v is None else fmt(v) for v in obj) + "]"
     if isinstance(obj, (list, tuple, np.ndarray)):
         return "[" + ",".join(dumps(v) for v in obj) + "]"
     raise InputError(f"cannot serialize {type(obj).__name__}")
@@ -91,12 +97,17 @@ def matrix_from_obj(obj: dict) -> tuple[np.ndarray, np.ndarray]:
 
 
 def column_from_obj(obj: dict) -> np.ndarray:
-    """A column document, or the first column of a matrix document; no nulls."""
+    """A column document, or the first column of a (square) matrix document;
+    no nulls, and ``order`` entries either way."""
     col, mask = _entries(obj, "column")
     if col.ndim == 2 and col.shape[1]:
+        if col.shape[1] != col.shape[0]:
+            raise InputError("malformed column JSON: need order entries in every matrix row")
         col, mask = col[:, 0], mask[:, 0]
     if col.ndim != 1 or not mask.all():
         raise InputError("malformed column JSON: need one list of non-null re and im")
+    if col.shape[0] != obj.get("order"):
+        raise InputError("malformed column JSON: need order entries in re and im")
     return col
 
 
@@ -119,6 +130,8 @@ def certificate_to_obj(cert: BandCertificate) -> dict:
 
 def certificate_from_obj(obj: dict) -> BandCertificate:
     """A certificate document, or the certificate a detect or pipeline document holds."""
+    from .finiteterm import BandCertificate
+
     if isinstance(obj, dict) and "certificate" in obj:
         obj = obj["certificate"]
         if obj is None:
@@ -141,6 +154,8 @@ def certificate_from_obj(obj: dict) -> BandCertificate:
 
 def shape_from_obj(obj: dict) -> Shape:
     """A shape from a JSON document read from outside; every defect is an InputError."""
+    from .shapes import Shape
+
     if not isinstance(obj, dict) or "type" not in obj:
         raise InputError("shape JSON needs a 'type' field")
     try:

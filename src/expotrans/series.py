@@ -73,13 +73,14 @@ class BiSeries:
         return cls(tail.shape[0], 0.0, tail.copy())
 
 
-def _cross_row(xt: np.ndarray, y: np.ndarray, j: int) -> np.ndarray:
+def _cross_row(xt: np.ndarray, rev: np.ndarray, j: int, buf: np.ndarray) -> np.ndarray:
     # Entry c is sum_{p<j} sum_{q+r=c-1} xt[q,p] y[j-1-p,r], reading rows < j of
-    # x and y: G = xt[:, :j] @ y[j-1::-1] summed along q + r, row q of a padded
-    # (n, 2n) buffer shifted left by q when read back with row length 2n - 1.
+    # x and y, where rev holds y's rows in reverse (rev[n-1-i] = y[i]) so that
+    # y[j-1::-1] is the contiguous rev[n-j:]: G = xt[:, :j] @ rev[n-j:] lands in
+    # columns 1..n of the call's zero-padded (n, 2n) buf and is summed along
+    # q + r by reading row q shifted left by q with row length 2n - 1.
     n = xt.shape[0]
-    buf = np.zeros((n, 2 * n), dtype=complex)
-    buf[:, 1 : n + 1] = xt[:, :j] @ y[:j][::-1]
+    np.matmul(xt[:, :j], rev[n - j :], out=buf[:, 1 : n + 1])
     return buf.ravel()[: n * (2 * n - 1)].reshape(n, 2 * n - 1)[:, :n].sum(axis=0)
 
 
@@ -89,8 +90,9 @@ def mul(f: BiSeries, g: BiSeries) -> BiSeries:
         raise InputError(f"order mismatch: {f.order} vs {g.order}")
     n = f.order
     tail = f.const * g.tail + g.const * f.tail
+    rev, buf = np.ascontiguousarray(g.tail[::-1]), np.zeros((n, 2 * n), dtype=complex)
     for j in range(1, n):
-        tail[j] += _cross_row(f.tail.T, g.tail, j)
+        tail[j] += _cross_row(f.tail.T, rev, j, buf)
     return BiSeries(n, f.const * g.const, tail)
 
 
@@ -106,10 +108,11 @@ def exp_neg(f: BiSeries) -> BiSeries:
     n = f.order
     a = f.tail
     w = np.arange(1, n + 1)[:, None] * a  # rows of f_u: (p + 1) * a[p]
-    e = np.zeros((n, n), dtype=complex)
+    rev = np.zeros((n, n), dtype=complex)  # rev[n-1-j] = row j of E
+    buf = np.zeros((n, 2 * n), dtype=complex)
     for j in range(n):
-        e[j] = -a[j] - _cross_row(w.T, e, j) / (j + 1)
-    return BiSeries(n, 1.0, e)
+        rev[n - 1 - j] = -a[j] - _cross_row(w.T, rev, j, buf) / (j + 1)
+    return BiSeries(n, 1.0, rev[::-1].copy())
 
 
 def log_neg(f: BiSeries) -> BiSeries:
@@ -118,11 +121,12 @@ def log_neg(f: BiSeries) -> BiSeries:
         raise InputError("log_neg expects a series with constant term 1")
     n = f.order
     e = f.tail
+    rev, buf = np.ascontiguousarray(e[::-1]), np.zeros((n, 2 * n), dtype=complex)
     a = np.zeros((n, n), dtype=complex)
     w = np.zeros((n, n), dtype=complex)  # rows of a_u: (p + 1) * a[p]
     for j in range(n):
         # exp_neg's identity and cross sum, bit for bit, solved for the new row of a
-        a[j] = -e[j] - _cross_row(w.T, e, j) / (j + 1)
+        a[j] = -e[j] - _cross_row(w.T, rev, j, buf) / (j + 1)
         w[j] = (j + 1) * a[j]
     return BiSeries(n, 0.0, a)
 

@@ -298,6 +298,8 @@ _MATRIX_DOCS = {
     "re-im-mismatch": {"order": 2, "re": [[1, 0], [0, 1]], "im": [[0, 0]]},
     "null-in-column": {"order": 2, "re": [1, None], "im": [0, 0]},
     "top-level-list": [[1, 0], [0, 1]],
+    "non-square": {"order": 2, "re": [[1, 0, 5], [0, 1, 7]], "im": [[0, 0, 0], [0, 0, 0]]},
+    "order-not-length": {"order": 5, "re": [1.0, 0.5, 0.2], "im": [0, 0, 0]},
 }
 _CERT_DOCS = {
     "missing-key": {"d": 2, "q": [[0, 0], [0, 0], [1, 0]], "residual": 0},

@@ -8,8 +8,10 @@ h_{k+1,k} = sqrt(b_{k+1,k+1} / b_kk), and a completeness left side of
 import numpy as np
 import pytest
 
+from expotrans import orthopoly
 from expotrans.errors import InputError, MathDomainError
 from expotrans.exptransform import a_to_b
+from expotrans.gallery import b_for
 from expotrans.operators import b_from_operator, toeplitz_ellipse
 from expotrans.orthopoly import (
     completeness_gap,
@@ -160,3 +162,74 @@ def test_indefinite_rejected():
     b = -np.eye(4)
     with pytest.raises(MathDomainError):
         orthonormalize(b)
+
+
+def svd_indefinite(value: float, bm: np.ndarray) -> bool:
+    """The stalled-pivot rule with ||b||_2 from the SVD: the oracle for the bracket."""
+    return value < 0 and value < -1e-9 * max(float(np.linalg.norm(bm, 2)), 1e-30)
+
+
+@pytest.mark.parametrize("address, order", [
+    ("gallery:ellipse?u=2", 24), ("gallery:ellipse?u=2", 48), ("gallery:trifoil", 48),
+])
+def test_stalled_pivot_decided_without_the_svd(monkeypatch, address, order):
+    # these Cholesky runs stop on a tiny negative pivot, a rounding residue
+    b = b_for(address, order)
+    norm = np.linalg.norm
+    two_norms = []
+
+    def counting(x, ord=None, *args, **kwargs):
+        if ord == 2:
+            two_norms.append(x.shape)
+        return norm(x, ord, *args, **kwargs)
+
+    pivots = []
+    decide = orthopoly._indefinite
+    monkeypatch.setattr(orthopoly, "_indefinite", lambda v, bm: pivots.append(v) or decide(v, bm))
+    monkeypatch.setattr(np.linalg, "norm", counting)
+    basis = orthonormalize(b)
+    assert basis.stopped and len(pivots) == 1 and pivots[0] < 0
+    assert two_norms == []
+
+
+def _stalling_gram(rng, n: int, k: int) -> np.ndarray:
+    """b with a Cholesky that runs cleanly to step k, where the pivot is zero."""
+    c = np.tril(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    c[np.arange(n), np.arange(n)] = 1.0 + rng.random(n)
+    c[k, k] = 0.0
+    return (c @ c.conj().T).conj()  # gram = b.conj() = c c^*
+
+
+def test_pivot_bracket_decides_as_the_svd_rule(monkeypatch):
+    rng = np.random.default_rng(2024)
+    outcomes = {"raise": 0, "stop": 0}
+    for _ in range(200):
+        n = int(rng.integers(3, 13))
+        k = int(rng.integers(1, n))
+        bm = _stalling_gram(rng, n, k)
+        two, lo, hi = np.linalg.norm(bm, 2), np.abs(np.diag(bm)).max(), np.linalg.norm(bm)
+        assert lo <= two <= hi
+        # straddling -1e-9 ||b||_2 closely, at the bracket's ends, inside it, and far off
+        for factor in (0.0, 0.5, 1 - 1e-6, 1 - 1e-12, 1 + 1e-12, 1 + 1e-6, 2.0, 1e6):
+            value = -1e-9 * two * factor
+            assert orthopoly._indefinite(value, bm) == svd_indefinite(value, bm)
+        for end in (lo, hi, 0.5 * (lo + hi)):
+            for eps in (-1e-15, 0.0, 1e-15):
+                value = -1e-9 * end * (1 + eps)
+                assert orthopoly._indefinite(value, bm) == svd_indefinite(value, bm)
+        # the whole factorization, with the pivot at step k set to about
+        # -factor 1e-9 ||b||_2: the same stop degree or the same raise
+        for factor in (0.5, 0.999, 1.001, 2.0):
+            b = bm.copy()
+            b[k, k] -= 1e-9 * two * factor
+            got = []
+            for rule in (orthopoly._indefinite, svd_indefinite):
+                with monkeypatch.context() as patch:
+                    patch.setattr(orthopoly, "_indefinite", rule)
+                    try:
+                        got.append(orthonormalize(b).degree)
+                    except MathDomainError:
+                        got.append("raise")
+            assert got[0] == got[1]
+            outcomes["raise" if got[0] == "raise" else "stop"] += 1
+    assert outcomes["raise"] >= 200 and outcomes["stop"] >= 200

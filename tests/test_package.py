@@ -1,0 +1,84 @@
+"""The package namespace: lazy re-exports and per-subcommand imports."""
+import importlib
+import os
+import subprocess
+import sys
+import types
+
+import pytest
+
+import expotrans
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+# the public names of the eagerly importing package, modules included
+PUBLIC = [
+    "Annulus", "AnnulusProfile", "BandCertificate", "BandProfile", "BandedOperator", "BiSeries",
+    "Box", "CompletenessReport", "Disk", "Ellipse", "ExpMoments", "ExpotransError",
+    "ExteriorMoments", "FilledMoments", "Grid", "GridFunction", "Hessenberg", "InputError",
+    "LegendreField", "MathDomainError", "MatrixSource", "MomentMatrix", "OperatorFamily",
+    "PolyBasis", "PrecisionError", "RealMoments", "RecursionState", "Shape", "Sum",
+    "TDiskProfile", "Weighted", "a_for", "a_to_b", "b_for", "b_from_operator", "b_to_a",
+    "band_profile", "boundary_root", "cauchy_kernel_log", "commutator_defect",
+    "completeness_gap", "confocal_ellipse", "detect_order", "ellipse_operator", "errors",
+    "eval_E", "exp_neg", "exptransform", "exterior_moments", "fill_from_first_column",
+    "finiteterm", "fit_certificate", "gallery", "heleshaw", "hessenberg", "inject",
+    "legendre_fit", "log_neg", "moments", "mother_body", "mother_body_moment",
+    "nevanlinna_density", "operators", "orthonormalize", "orthopoly", "poly_zeros",
+    "real_moments", "reconstruct", "reconstruct_from_certificate", "resolve", "rot_diag_b",
+    "series", "shapes", "squeeze", "support_box", "toeplitz_ellipse", "toeplitz_power",
+    "trifoil_curve", "trifoil_operator", "two_diagonal", "two_diagonal_state",
+    "zero_attraction",
+]
+
+
+def fresh(*args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_import_loads_no_module_and_no_numpy():
+    r = fresh("-c", "import sys, expotrans; print(sorted(m for m in sys.modules"
+                    " if m == 'numpy' or m.startswith('expotrans.')))")
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
+
+
+def test_public_names_are_unchanged():
+    assert sorted(expotrans.__all__) == PUBLIC
+    assert set(PUBLIC) <= set(dir(expotrans))
+
+
+def test_each_name_is_its_home_modules_object():
+    for name in PUBLIC:
+        value = getattr(expotrans, name)
+        if isinstance(value, types.ModuleType):
+            assert value is importlib.import_module(f"expotrans.{name}")
+        else:
+            assert value is getattr(importlib.import_module(value.__module__), name), name
+        assert value is vars(expotrans)[name], name  # bound in the package on first use
+
+
+def test_star_import_and_unknown_name():
+    namespace = {}
+    exec("from expotrans import *", namespace)
+    assert {k for k in namespace if not k.startswith("__")} == set(PUBLIC)
+    assert namespace["exp_neg"] is expotrans.series.exp_neg
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        getattr(expotrans, "no_such_name")
+    with pytest.raises(ImportError):
+        exec("from expotrans import no_such_name", {})
+
+
+@pytest.mark.parametrize("argv, skipped", [
+    (["gallery"], ("orthopoly", "finiteterm", "reconstruct", "heleshaw")),
+    (["moments", "gallery:disk", "--order", "4"], ("orthopoly", "finiteterm", "reconstruct", "heleshaw")),
+    (["detect", "gallery:trifoil", "--order", "8"], ("orthopoly", "reconstruct", "heleshaw")),
+    (["evolve", "gallery:disk", "--law", "squeeze"], ("orthopoly", "finiteterm", "reconstruct")),
+], ids=["gallery", "moments", "detect", "evolve"])
+def test_subcommand_imports_only_its_route(argv, skipped):
+    r = fresh("-X", "importtime", "-m", "expotrans.cli", *argv)
+    assert r.returncode == 0, r.stderr
+    loaded = {line.rpartition("|")[2].strip() for line in r.stderr.splitlines() if "import time" in line}
+    assert {"expotrans.gallery", "expotrans.serialize"} <= loaded
+    assert not {f"expotrans.{m}" for m in skipped} & loaded

@@ -1,9 +1,11 @@
 """Round trips and byte determinism of the JSON/CSV writers."""
 import json
+import math
 
 import numpy as np
 import pytest
 
+from expotrans.cli import main
 from expotrans.errors import InputError
 from expotrans.finiteterm import BandCertificate, fill_from_first_column
 from expotrans.reconstruct import GridFunction
@@ -89,6 +91,65 @@ def test_column_round_trip():
         column_from_obj({"re": [1.0]})
     with pytest.raises(InputError):
         column_from_obj({"re": [1.0, 2.0], "im": [0.0]})
+    # the rules matrix_from_obj applies to a SOURCE: order is the length, a matrix is square
+    for doc in (
+        {"order": 2, "re": [[1, 0, 5], [0, 1, 7]], "im": [[0, 0, 0], [0, 0, 0]]},
+        {"order": 5, "re": [1.0, 0.5, 0.2], "im": [0, 0, 0]},
+        {"order": 3, "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]},
+        {"re": [1.0, 0.5], "im": [0, 0]},
+    ):
+        with pytest.raises(InputError, match="malformed column JSON"):
+            column_from_obj(doc)
+
+
+def oracle_dumps(obj) -> str:
+    """The recursive writer, one call per value: the byte oracle for `dumps`."""
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return fmt(obj)
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, complex):
+        return f"[{fmt(obj.real)},{fmt(obj.imag)}]"
+    if isinstance(obj, dict):
+        return "{" + ",".join(f"{json.dumps(str(k))}:{oracle_dumps(v)}" for k, v in obj.items()) + "}"
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return "[" + ",".join(oracle_dumps(v) for v in obj) + "]"
+    raise InputError(f"cannot serialize {type(obj).__name__}")
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 48, 64])
+def test_row_writer_matches_recursive_oracle(n):
+    rng = np.random.default_rng(n)
+    for _ in range(4):
+        # magnitudes from 1e-300 to 1e300, signed zeros, and null entries
+        scale = 10.0 ** rng.uniform(-300, 300, (n, n))
+        m = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) * scale
+        m.real[rng.random((n, n)) < 0.1] = -0.0
+        m.imag[rng.random((n, n)) < 0.1] = 0.0
+        m[rng.random((n, n)) < 0.05] = complex(-0.0, -0.0)
+        obj = matrix_to_obj(m, rng.random((n, n)) < 0.8)
+        assert dumps(obj) == oracle_dumps(obj)
+        assert dumps(matrix_to_obj(m)) == oracle_dumps(matrix_to_obj(m))
+    # rows mixing floats with other values still go through the recursion
+    mixed = [[1.5, None, 2], [0.25, True], [], [np.float64(0.5), -0.0], [[1.0, None]]]
+    assert dumps(mixed) == oracle_dumps(mixed)
+    with pytest.raises(InputError, match="non-finite"):
+        dumps([1.0, math.inf])
+
+
+def test_row_writer_matches_recursive_oracle_on_a_pipeline_document(capsys):
+    assert main(["pipeline", "gallery:trifoil", "--order", "48"]) == 0
+    out = capsys.readouterr().out
+    # 17 significant digits read back exactly, and an integral float reads back as the int it was written as
+    assert out == oracle_dumps(json.loads(out)) + "\n"
 
 
 def test_certificate_round_trip():

@@ -73,6 +73,41 @@ def loop_log_neg(e: np.ndarray) -> np.ndarray:
     return a
 
 
+def alloc_cross_row(xt: np.ndarray, y: np.ndarray, j: int) -> np.ndarray:
+    # The row kernel as it was with a fresh (n, 2n) buffer per row and y's rows
+    # re-sliced in reverse: the bit-identity oracle for the one-buffer kernel.
+    n = xt.shape[0]
+    buf = np.zeros((n, 2 * n), dtype=complex)
+    buf[:, 1 : n + 1] = xt[:, :j] @ y[:j][::-1]
+    return buf.ravel()[: n * (2 * n - 1)].reshape(n, 2 * n - 1)[:, :n].sum(axis=0)
+
+
+def alloc_exp_neg(a: np.ndarray) -> np.ndarray:
+    n = a.shape[0]
+    w = np.arange(1, n + 1)[:, None] * a
+    e = np.zeros((n, n), dtype=complex)
+    for j in range(n):
+        e[j] = -a[j] - alloc_cross_row(w.T, e, j) / (j + 1)
+    return e
+
+
+def alloc_log_neg(e: np.ndarray) -> np.ndarray:
+    n = e.shape[0]
+    a = np.zeros((n, n), dtype=complex)
+    w = np.zeros((n, n), dtype=complex)
+    for j in range(n):
+        a[j] = -e[j] - alloc_cross_row(w.T, e, j) / (j + 1)
+        w[j] = (j + 1) * a[j]
+    return a
+
+
+def alloc_mul(f: BiSeries, g: BiSeries) -> np.ndarray:
+    tail = f.const * g.tail + g.const * f.tail
+    for j in range(1, f.order):
+        tail[j] += alloc_cross_row(f.tail.T, g.tail, j)
+    return tail
+
+
 def normwise(got: np.ndarray, want: np.ndarray) -> float:
     return float(np.abs(got - want).max() / max(np.abs(want).max(), 1e-300))
 
@@ -188,6 +223,21 @@ def test_kernel_matches_loop_on_growing_moments(order):
     b = b_for("gallery:ellipse?u=2.5", order).b
     assert normwise(exp_neg(BiSeries.from_tail(b)).tail, loop_exp_neg(b)) <= 1e-13
     assert normwise(log_neg(BiSeries(order, 1.0, -b)).tail, loop_log_neg(-b)) <= 1e-13
+
+
+@pytest.mark.parametrize("order", (1, 2, 5, 12, 24, 48))
+def test_one_buffer_kernel_is_bit_identical_to_per_row_buffers(order):
+    rng = np.random.default_rng(order)
+    inputs = {
+        "offset ellipse moments": moments(Ellipse(0.2 + 0.1j, 0.6, 0.4, 0.3), order).a,
+        "growing b": b_for("gallery:ellipse?u=2.5", order).b,
+        "random": rng.standard_normal((order, order)) + 1j * rng.standard_normal((order, order)),
+    }
+    for name, m in inputs.items():
+        assert np.array_equal(exp_neg(BiSeries.from_tail(m)).tail, alloc_exp_neg(m)), name
+        assert np.array_equal(log_neg(BiSeries(order, 1.0, m)).tail, alloc_log_neg(m)), name
+        f, g = BiSeries(order, 0.5, m), BiSeries(order, 1.0, m[::-1].T.copy())
+        assert np.array_equal(mul(f, g).tail, alloc_mul(f, g)), name
 
 
 def test_round_trip_shares_one_cross_sum():
