@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import asdict
 
 # what every subcommand needs; each cmd_* imports the modules of its own route
 from . import gallery, serialize
@@ -92,19 +93,8 @@ def cmd_pipeline(args) -> int:
         "gamma": [float(g) for g in basis.gamma],
         "hessenberg": serialize.matrix_to_obj(h.h),
         "certified_block": h.certified,
-        "band": {
-            "upper_bandwidth": prof.upper_bandwidth,
-            "recursion_length": prof.recursion_length,
-            "toeplitz_deviation": float(prof.toeplitz_deviation),
-        },
-        "completeness": {
-            "lhs": float(report_c.lhs),
-            "rhs": float(report_c.rhs),
-            "gap": float(report_c.gap),
-            "tail": float(report_c.tail),
-            "bound": float(report_c.bound),
-            "verdict": report_c.verdict,
-        },
+        "band": asdict(prof),
+        "completeness": asdict(report_c),
         "certificate": serialize.certificate_to_obj(cert) if cert is not None else None,
     }
     _emit(serialize.dumps(report), args.out)
@@ -261,6 +251,13 @@ def _count(least: int):
     return count
 
 
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be >= 0 and finite, got {text}")
+    return value
+
+
 def _add_order(p, order: int, least: int = 1):
     p.add_argument("--order", type=_count(least), default=order, help="moment matrix order N")
 
@@ -313,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=text)
         _add_source(p, order=12, least=2)  # a certificate fit needs one row
         p.add_argument("--dmax", type=_count(0), default=6, help="largest certificate degree to try")
-        p.add_argument("--tol", type=float, default=1e-8, help="residual tolerance")
+        p.add_argument("--tol", type=_tolerance, default=1e-8, help="residual tolerance")
         p.set_defaults(fn=fn)
 
     p = sub.add_parser("fill", help="propagate a certificate over the moment triangle")
@@ -323,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reconstruct", help="density field from column + certificate")
     _add_column(p)
     p.add_argument("--grid", type=_count(1), default=64, help="samples per axis in the CSV")
-    p.add_argument("--tol", type=float, default=1e-6, help="residual tolerance")
+    p.add_argument("--tol", type=_tolerance, default=1e-6, help="residual tolerance")
     p.add_argument("--legendre-order", type=_count(0), default=10, dest="legendre_order")
     p.set_defaults(fn=cmd_reconstruct)
 

@@ -42,18 +42,12 @@ class BandCertificate:
     q: np.ndarray
     residual: float
     rows_used: int
-    row_residuals: np.ndarray | None = None
-
-    @property
-    def underdetermined(self) -> bool:
-        return self.rows_used < self.d + 1
 
 
 @dataclass
 class FilledMoments:
     """Moment matrix known only on the certified index set."""
 
-    order: int
     values: np.ndarray
     certified: np.ndarray
 
@@ -69,26 +63,22 @@ class BandProfile:
     toeplitz_deviation: float
 
 
-def fit_certificate(b, d: int, rows: int | None = None) -> BandCertificate:
-    """Least-squares certificate of order d over the leading rows.
+def fit_certificate(b, d: int) -> BandCertificate:
+    """Least-squares certificate of order d over every usable row (order - 1).
 
-    ``rows`` defaults to every usable row (order - 1).  Fewer rows than
-    d + 1 leaves the system underdetermined; that is permitted but flagged,
-    and a rank-deficient design matrix yields the minimal-norm solution.
+    A rank-deficient design matrix yields the minimal-norm solution.
     """
     bm = square_matrix(b, "b")
     n = bm.shape[0]
-    if d < 0 or d >= n:
-        raise InputError("need 0 <= d < order")
-    m = n - 1 if rows is None else rows
-    if not 1 <= m <= n - 1:
-        raise InputError("rows must lie in 1..order-1")
+    if not 0 <= d < n or n < 2:
+        raise InputError("need 0 <= d < order and order >= 2")
+    m = n - 1
     design = bm[:m, : d + 1]
     target = bm[1 : m + 1, 0]
     q = np.linalg.lstsq(design, target, rcond=None)[0]
     res = target - design @ q
     rms = float(np.sqrt(np.mean(np.abs(res) ** 2)))
-    return BandCertificate(d, q, rms, m, res)
+    return BandCertificate(d, q, rms, m)
 
 
 def detect_order(b, dmax: int, tol: float = 1e-8) -> BandCertificate | None:
@@ -160,7 +150,7 @@ def fill_from_first_column(col, q, order: int) -> FilledMoments:
             )
     jj, kk = np.indices((order, order))
     certified = (jj + kk + d < order) | (jj == 0) | (kk == 0)
-    return FilledMoments(order, np.where(certified, vals, np.nan + 0j), certified)
+    return FilledMoments(np.where(certified, vals, np.nan + 0j), certified)
 
 
 def _ellipse_gram(col: np.ndarray, q: np.ndarray) -> np.ndarray:

@@ -90,12 +90,15 @@ def mother_body(c: float, mass_total: float, x) -> np.ndarray:
 
 
 def mother_body_moment(c: float, mass_total: float, j: int) -> float:
-    """integral of x^j rho(x) dx over the focal segment (1024-node Gauss-Legendre;
-    the endpoint square-root singularity limits it to algebraic decay)."""
-    xg, wg = np.polynomial.legendre.leggauss(1024)
-    x = c * xg
-    w = c * wg
-    return float(np.sum(w * x**j * mother_body(c, mass_total, x)))
+    """integral of x^j rho(x) dx over the focal segment, in closed form.
+
+    It is 0 for odd j, and mass c^(2m) C_m / 4^m for j = 2m, where
+    C_m = (2m)! / (m! (m+1)!) is the Catalan number.
+    """
+    if c <= 0:
+        raise InputError("need c > 0")
+    m, odd = divmod(j, 2)
+    return 0.0 if odd else mass_total * c**j * (math.comb(j, m) / ((m + 1) * 4**m))
 
 
 def zero_attraction(zeros, c: float) -> float:

@@ -27,7 +27,6 @@ class PolyBasis:
 
     degree: int
     coeffs: np.ndarray
-    order: int
     stopped: bool
 
     @property
@@ -84,7 +83,7 @@ def orthonormalize(b) -> PolyBasis:
         if _indefinite(b00, bm):
             raise MathDomainError("b matrix is indefinite beyond tolerance")
         # nothing to normalize against: the degenerate degree-0 basis
-        return PolyBasis(0, np.zeros((0, 0), dtype=complex), n, True)
+        return PolyBasis(0, np.zeros((0, 0), dtype=complex), True)
     chol = np.zeros((n, n), dtype=complex)
     degree = n
     stopped = False
@@ -102,7 +101,7 @@ def orthonormalize(b) -> PolyBasis:
             chol[k + 1 :, k] = rest / chol[k, k]
     c = chol[:degree, :degree]
     coeffs = np.linalg.solve(c, np.eye(degree, dtype=complex)) if degree else np.zeros((0, 0), complex)
-    return PolyBasis(degree, coeffs, n, stopped)
+    return PolyBasis(degree, coeffs, stopped)
 
 
 def hessenberg(b, basis: PolyBasis) -> Hessenberg:

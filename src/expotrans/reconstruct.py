@@ -20,11 +20,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, MathDomainError
-from .finiteterm import BandCertificate, fill_from_first_column
+from .finiteterm import fill_from_first_column
 from .series import BiSeries, log_neg, square_matrix
 from .shapes import Box, translate_moments
 
-DEFAULT_PAD = 0.15
+# relative padding of the support box's half-extents
+BOX_PAD = 0.15
 
 
 @dataclass
@@ -128,14 +129,15 @@ def _axis_mu(j: int) -> float:
     return math.exp(math.lgamma(j + 0.5) - 0.5 * math.log(math.pi) - math.lgamma(j + 2))
 
 
-def support_box(a, pad: float = DEFAULT_PAD) -> Box:
+def support_box(a) -> Box:
     """Box around the support, from the centroid and even-moment growth.
 
     Each half-extent comes from the highest available even moment along its
     axis, (m[2j,0] / mu_j)^(1/(2j+2)); the estimate tends to the true
     half-extent from below for indicator-like densities, hence the padding
-    factor.  Elongated supports get elongated boxes, which is what keeps a
-    low-order Legendre projection from wasting resolution on empty space.
+    factor 1 + BOX_PAD.  Elongated supports get elongated boxes, which is
+    what keeps a low-order Legendre projection from wasting resolution on
+    empty space.
     """
     am = square_matrix(a, "a")
     a00 = am[0, 0].real
@@ -155,8 +157,8 @@ def support_box(a, pad: float = DEFAULT_PAD) -> Box:
             half_y = (my / _axis_mu(j)) ** (1.0 / (2 * j + 2))
     if half_x <= 0 or half_y <= 0:
         raise MathDomainError("no positive even moments; support unbounded?")
-    half_x *= 1.0 + pad
-    half_y *= 1.0 + pad
+    half_x *= 1.0 + BOX_PAD
+    half_y *= 1.0 + BOX_PAD
     cx, cy = center.real, center.imag
     return Box(cx - half_x, cx + half_x, cy - half_y, cy + half_y)
 
@@ -242,22 +244,14 @@ def legendre_fit(rm: RealMoments, box: Box, order: int) -> LegendreField:
     return LegendreField(box, order, coeffs)
 
 
-def reconstruct_from_certificate(
-    col,
-    cert,
-    order: int,
-    legendre_order: int,
-) -> tuple[LegendreField, dict]:
-    """Full pipeline: column + certificate -> b fill -> a -> projection.
+def reconstruct_from_certificate(col, cert, order: int, legendre_order: int) -> tuple[LegendreField, dict]:
+    """Full pipeline: first column of b + `BandCertificate` -> b fill -> a -> projection.
 
     The certified triangle of the fill must cover the requested Legendre
     order; the log-series step only ever reads entries inside the triangle,
     so the masked values are exact there.
     """
-    q = cert.q if isinstance(cert, BandCertificate) else np.asarray(cert, dtype=complex)
     col = np.asarray(col, dtype=complex)
-    if col.ndim == 2:
-        col = col[:, 0]
     if np.all(col == 0):
         # nothing to reconstruct; a support box cannot be located, so report
         # the zero field on a unit reference box
@@ -270,7 +264,7 @@ def reconstruct_from_certificate(
             "mass_from_field": 0.0,
             "covered_order": legendre_order,
         }
-    filled = fill_from_first_column(col, q, order)
+    filled = fill_from_first_column(col, cert.q, order)
     e_tail = -filled.masked_values()
     avals = log_neg(BiSeries(order, 1.0, e_tail)).tail
     avals = np.where(filled.certified, avals, np.nan + 0j)

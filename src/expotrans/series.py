@@ -60,14 +60,6 @@ class BiSeries:
             raise InputError("series tail contains non-finite entries")
 
     @classmethod
-    def zero(cls, order: int) -> "BiSeries":
-        return cls(order, 0.0, np.zeros((order, order), dtype=complex))
-
-    @classmethod
-    def one(cls, order: int) -> "BiSeries":
-        return cls(order, 1.0, np.zeros((order, order), dtype=complex))
-
-    @classmethod
     def from_tail(cls, tail) -> "BiSeries":
         tail = np.asarray(tail, dtype=complex)
         return cls(tail.shape[0], 0.0, tail.copy())

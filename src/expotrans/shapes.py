@@ -87,9 +87,10 @@ class Shape:
     """A shade function g with compact support; each subclass owns its rules.
 
     A subclass provides `bounding_circle()`, `contains(z)` (whether z lies
-    in the support, boundary included), `moment_array(order)`, `mass()` (the
-    integral of g), `kernel_log(z, w, tol, budget)` (the Cauchy kernel for
-    z, w outside the support), `to_obj()` and a `from_obj(obj)` classmethod.
+    in the support, boundary included), `moment_array(order)`,
+    `kernel_log(z, w, tol)` (the Cauchy kernel for z, w outside the support,
+    to relative tolerance tol where a rule approximates it), `to_obj()` and
+    a `from_obj(obj)` classmethod.
     The defaults here serve plain shapes: shade 1 and no boundary
     parametrization.  As a moment source (see `gallery`) a shape's data is
     its moment matrix a.
@@ -156,10 +157,7 @@ class Disk(Shape):
     def moment_array(self, order: int) -> np.ndarray:
         return translate_moments(_radial_diagonal(order, 0.0, self.R), self.center)
 
-    def mass(self) -> float:
-        return math.pi * self.R**2
-
-    def kernel_log(self, z: complex, w: complex, tol: float, budget: int) -> complex:
+    def kernel_log(self, z: complex, w: complex, tol: float) -> complex:
         x = 1.0 / ((z - self.center) * np.conj(w - self.center))
         return -cmath.log(1.0 - self.R**2 * x)
 
@@ -196,10 +194,7 @@ class Annulus(Shape):
     def moment_array(self, order: int) -> np.ndarray:
         return translate_moments(_radial_diagonal(order, self.r, self.R), self.center)
 
-    def mass(self) -> float:
-        return math.pi * (self.R**2 - self.r**2)
-
-    def kernel_log(self, z: complex, w: complex, tol: float, budget: int) -> complex:
+    def kernel_log(self, z: complex, w: complex, tol: float) -> complex:
         zc, wc = z - self.center, w - self.center
         z_hole, w_hole = abs(zc) < self.r, abs(wc) < self.r
         if z_hole != w_hole:
@@ -252,21 +247,19 @@ class Ellipse(Shape):
         a = rotate_moments(_ellipse_centered_moments(self.p, self.q, order), self.phi)
         return translate_moments(a, self.center)
 
-    def mass(self) -> float:
-        return math.pi * self.p * self.q
-
     def _sigma(self, z: complex) -> float:
         """ln((P + Q)/(p + q)), P and Q the semi-axes of the confocal ellipse through z."""
         u, c = self._local(z), math.sqrt(self.p**2 - self.q**2)
         big = 0.5 * (abs(u - c) + abs(u + c))
         return math.log((big + math.sqrt(big**2 - c**2)) / (self.p + self.q))
 
-    def kernel_log(self, z: complex, w: complex, tol: float, budget: int) -> complex:
+    def kernel_log(self, z: complex, w: complex, tol: float) -> complex:
         """Trapezoid rule on the contour form of `cauchy_kernel_log`.  The
         integrand continues analytically out to the confocal ellipse through
         z or w, so the n-node sum T_n errs by about exp(-sigma n) and the
         rule needs at least ln(1/tol)/sigma nodes; when that exceeds the
-        budget (tol < exp(-sigma budget)) it fails before any node is summed.
+        budget `quad_budget()` (tol < exp(-sigma budget)) it fails before
+        any node is summed.
 
         The nested doubling starts at the smallest n = 64 2^k with
         2 n sigma > ln(1/tol), so its first refinement sums the predicted
@@ -275,6 +268,7 @@ class Ellipse(Shape):
         estimates T_(n/2)'s error, and exp(-sigma n/2) carries it down to
         T_n's.  The delivered error is therefore about tol, not far below it.
         """
+        budget = quad_budget()
         sigma = min(self._sigma(z), self._sigma(w))
         if sigma <= 0 or tol < math.exp(-sigma * budget):
             raise PrecisionError(
@@ -334,11 +328,8 @@ class Weighted(Shape):
     def moment_array(self, order: int) -> np.ndarray:
         return self.t * self.base.moment_array(order)
 
-    def mass(self) -> float:
-        return self.t * self.base.mass()
-
-    def kernel_log(self, z: complex, w: complex, tol: float, budget: int) -> complex:
-        return self.t * self.base.kernel_log(z, w, tol, budget)
+    def kernel_log(self, z: complex, w: complex, tol: float) -> complex:
+        return self.t * self.base.kernel_log(z, w, tol)
 
     def to_obj(self) -> dict:
         return self._doc(t=self.t, base=self.base.to_obj())
@@ -380,11 +371,8 @@ class Sum(Shape):
     def moment_array(self, order: int) -> np.ndarray:
         return sum(p.moment_array(order) for p in self.parts)
 
-    def mass(self) -> float:
-        return sum(p.mass() for p in self.parts)
-
-    def kernel_log(self, z: complex, w: complex, tol: float, budget: int) -> complex:
-        return sum(p.kernel_log(z, w, tol, budget) for p in self.parts)
+    def kernel_log(self, z: complex, w: complex, tol: float) -> complex:
+        return sum(p.kernel_log(z, w, tol) for p in self.parts)
 
     def to_obj(self) -> dict:
         return self._doc(parts=[p.to_obj() for p in self.parts])
@@ -445,11 +433,7 @@ class Grid(Shape):
         a = (powers * w) @ powers.conj().T
         return 0.5 * (a + a.conj().T)
 
-    def mass(self) -> float:
-        dx, dy = self.cell
-        return float(self.values.sum() * dx * dy)
-
-    def kernel_log(self, z: complex, w: complex, tol: float, budget: int) -> complex:
+    def kernel_log(self, z: complex, w: complex, tol: float) -> complex:
         dx, dy = self.cell
         if min(self._cell_distance(z), self._cell_distance(w)) < 2.0 * math.hypot(dx, dy):
             raise MathDomainError(
@@ -573,10 +557,10 @@ def cauchy_kernel_log(shape: Shape, z: complex, w: complex) -> complex:
     delivered error is about tol.  A rule that needs more nodes than the
     quadrature budget raises PrecisionError.  Weights and unions act
     linearly; a grid is summed cell by cell.  Points inside or on the support
-    are rejected.
+    are rejected.  It returns ``shape.kernel_log(z, w, 1e-9)``; the ellipse
+    rule reads the budget itself.
     """
-    budget = quad_budget()
     z, w = complex(z), complex(w)
     if shape.contains(z) or shape.contains(w):
         raise MathDomainError("evaluation point lies inside or on the support")
-    return shape.kernel_log(z, w, 1e-9, budget)
+    return shape.kernel_log(z, w, 1e-9)

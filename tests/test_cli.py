@@ -83,6 +83,15 @@ def test_pipeline_ellipse_report():
     assert obj["degree"] == 10
 
 
+def test_pipeline_document_key_order(capsys):
+    assert main(["pipeline", "gallery:ellipse", "--order", "10"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert list(obj) == ["source", "order", "degree", "stalled", "gamma", "hessenberg",
+                         "certified_block", "band", "completeness", "certificate"]
+    assert list(obj["band"]) == ["upper_bandwidth", "recursion_length", "toeplitz_deviation"]
+    assert list(obj["completeness"]) == ["lhs", "rhs", "gap", "tail", "bound", "verdict"]
+
+
 def test_pipeline_deterministic():
     r1 = run("pipeline", "gallery:trifoil", "--order", "10")
     r2 = run("pipeline", "gallery:trifoil", "--order", "10")
@@ -262,6 +271,13 @@ def test_options_a_command_does_not_read_are_rejected(tmp_path):
     "detect gallery:trifoil --dmax -1",
     "detect gallery:ellipse --order 1",
     "pipeline gallery:disk --order 1",
+    # a --tol must be finite and >= 0: inf once let any degree through, and
+    # NaN or a negative value once gave a null certificate or skipped the check
+    "detect gallery:trifoil --order 10 --tol=inf",
+    "detect gallery:trifoil --order 10 --tol=nan",
+    "detect gallery:trifoil --order 10 --tol=-1",
+    "pipeline gallery:ellipse --tol=inf",
+    "reconstruct gallery:trifoil cert.json --tol=nan",
 ])
 def test_count_below_range_is_usage_error(tmp_path, monkeypatch, capsys, argv):
     with open(tmp_path / "cert.json", "w") as fh:

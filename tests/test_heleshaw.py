@@ -128,12 +128,25 @@ def test_mother_body_carries_ellipse_moments():
     e = confocal_ellipse(c, s)
     m = e.p * e.q
     a = moments(e, 6).a
-    # endpoint sqrt singularity limits Gauss-Legendre to algebraic decay
     assert abs(mother_body_moment(c, m, 0) - m) < 1e-9
     for j in (2, 4):
         assert abs(mother_body_moment(c, m, j) - a[j, 0].real) < 1e-8
     assert abs(mother_body_moment(c, m, 1)) < 1e-14
     assert abs(mother_body_moment(c, m, 3)) < 1e-14
+
+
+def test_mother_body_moment_closed_form():
+    # the Catalan closed form against the confocal ellipses' own a[j, 0],
+    # whose rounding (a few 1e-12 relative) is the floor here
+    for c in (0.5, 2.0):
+        for s in (0.3, 1.5):
+            e = confocal_ellipse(c, s)
+            a = moments(e, 13).a[:, 0].real
+            for j in range(13):
+                got = mother_body_moment(c, e.p * e.q, j)
+                assert abs(got - a[j]) <= 1e-10 * abs(a[j - j % 2]), (c, s, j)
+    with pytest.raises(InputError):
+        mother_body_moment(0.0, 1.0, 2)
 
 
 def test_zero_attraction():

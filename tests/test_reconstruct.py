@@ -12,7 +12,7 @@ import pytest
 
 from expotrans.errors import InputError, MathDomainError
 from expotrans.exptransform import a_to_b
-from expotrans.finiteterm import detect_order, fill_from_first_column
+from expotrans.finiteterm import BandCertificate, detect_order, fill_from_first_column
 from expotrans.gallery import b_for
 from expotrans import reconstruct
 from expotrans.operators import b_from_operator, trifoil_operator
@@ -187,10 +187,10 @@ def test_real_moments_exact_oracle():
 
 
 def test_support_box_disk():
-    box = support_box(moments(Disk(0.0, 1.0), 8), pad=0.1)
-    assert abs(box.x1 - 1.1) < 1e-10
-    assert abs(box.x0 + 1.1) < 1e-10
-    assert abs(box.y1 - 1.1) < 1e-10
+    box = support_box(moments(Disk(0.0, 1.0), 8))
+    assert abs(box.x1 - 1.15) < 1e-10
+    assert abs(box.x0 + 1.15) < 1e-10
+    assert abs(box.y1 - 1.15) < 1e-10
 
 
 def test_support_box_translated():
@@ -199,7 +199,7 @@ def test_support_box_translated():
 
 
 def test_support_box_elongated():
-    box = support_box(moments(Ellipse(0.0, 1.5, 0.5), 10), pad=0.15)
+    box = support_box(moments(Ellipse(0.0, 1.5, 0.5), 10))
     assert box.x1 > box.y1
     assert 1.45 < box.x1 < 1.75
     assert 0.5 < box.y1 < 0.8
@@ -339,7 +339,7 @@ def test_reconstruct_ellipse_family_at_order_48():
 
 
 def test_reconstruct_zero_column():
-    fld, diag = reconstruct_from_certificate(np.zeros(8), np.array([0.0, 1.0]), 8, 4)
+    fld, diag = reconstruct_from_certificate(np.zeros(8), BandCertificate(1, np.array([0.0, 1.0]), 0.0, 7), 8, 4)
     assert diag["mass_from_moments"] == 0.0
     assert diag["mass_from_field"] == 0.0
     assert fld(0.3, -0.2) == 0.0
