@@ -6,12 +6,13 @@ With u = 1/z and v = 1/conj(w), the transform of a shade function obeys
 
 which converts the moment matrix a into the positive-definite matrix b and
 back.  The first columns agree exactly.  The module also evaluates the
-transform E(z, w) = exp(-K(z, w)) at points outside the support, where K is
-the Cauchy kernel integral of `shapes.cauchy_kernel_log` (each shape class
-carries its own kernel: closed forms for disks and annuli, a trapezoid
-contour rule for ellipses), finds boundary crossings along rays as zeros of
-E(z, z) using the shapes' own membership test and shade value, and carries
-the closed forms for the rotationally invariant profiles.
+transform E(z, w) = exp(-K(z, w)) at batches of points outside the support,
+where K is the Cauchy kernel integral of `shapes.cauchy_kernel_log` (each
+shape class carries its own kernel: closed forms for disks and annuli, a
+trapezoid contour rule for ellipses whose points share each level's nodes),
+finds boundary crossings along rays as zeros of E(z, z), one batch of
+samples per round, using the shapes' own membership test and shade value,
+and carries the closed forms for the rotationally invariant profiles.
 """
 from __future__ import annotations
 
@@ -55,9 +56,21 @@ def b_to_a(b) -> shapes.MomentMatrix:
     return shapes.MomentMatrix(bm.shape[0], series.tail)
 
 
-def eval_E(shape: shapes.Shape, z: complex, w: complex) -> complex:
-    """E(z, w) for points z, w strictly outside the support."""
-    return complex(np.exp(-shapes.cauchy_kernel_log(shape, z, w)))
+def eval_E(shape: shapes.Shape, z, w):
+    """E(z, w) for points z, w strictly outside the support.
+
+    z and w are equal-length 1-D arrays of points and give the array of
+    E(z[i], w[i]), all from one `shapes.cauchy_kernel_log` call; a scalar
+    pair is a one-point batch and gives a complex.
+    """
+    e = np.exp(-shapes.cauchy_kernel_log(shape, z, w))
+    return complex(e) if np.ndim(e) == 0 else e
+
+
+# Inverse of the Vandermonde matrix of the sample offsets k = 1..5, highest
+# power first: it maps the five samples to the coefficients of the quartic
+# through them, the exact interpolant.
+_QUARTIC_FIT = np.linalg.inv(np.vander(np.arange(1.0, 6.0)))
 
 
 def boundary_root(
@@ -74,20 +87,25 @@ def boundary_root(
     continuation is singular at the foci, which may lie close to the
     boundary, so the zero is approached in rounds.  Each round bisects on
     membership in the support down to a width w (1 % of the bracket at
-    first), fits a quartic to F at hi + k w, k = 1..5, where hi is the
-    bisection's outer end, and takes the fit's root nearest the bisection
-    interval.  Then w shrinks threefold, until two successive roots agree to
-    tol/4: a round costs about 1/w contour nodes while its fit error falls
-    like w^5, so a small shrink keeps the accepting round from landing far
-    below the width it needed.  E is sampled only outside the support.
+    first), samples F at hi + k w, k = 1..5, where hi is the bisection's
+    outer end, with one `eval_E` call, interpolates the quartic through the
+    five samples, and takes its root nearest the bisection interval.  Then w
+    shrinks threefold, until two successive roots agree to tol/4: a round
+    costs about 1/w contour nodes while its fit error falls like w^5, so a
+    small shrink keeps the accepting round from landing far below the width
+    it needed.  E is sampled only outside the support.
 
-    The bracket must straddle the crossing: lower end inside the support,
-    upper end outside.
+    The direction must be finite and non-zero, and the bracket must be
+    finite and straddle the crossing: lower end inside the support, upper
+    end outside.
     """
     t_lo, t_hi = float(bracket[0]), float(bracket[1])
-    if not 0 < t_lo < t_hi:
-        raise InputError("bracket must satisfy 0 < t_lo < t_hi")
-    d = direction / abs(direction)
+    if not (0 < t_lo < t_hi and math.isfinite(t_hi)):
+        raise InputError("bracket must be finite and satisfy 0 < t_lo < t_hi")
+    size = abs(direction)
+    if not (0 < size and math.isfinite(size)):
+        raise InputError("direction must be finite and non-zero")
+    d = direction / size
 
     def outside(t: float) -> bool:
         return not shape.contains(t * d)
@@ -108,8 +126,8 @@ def boundary_root(
             else:
                 lo = mid
         power = 1.0 / shape.shade_at(lo * d)
-        vals = [eval_E(shape, (hi + k * width) * d, (hi + k * width) * d).real ** power for k in ks]
-        fit_roots = np.roots(np.polyfit(ks, vals, 4))
+        samples = (hi + ks * width) * d
+        fit_roots = np.roots(_QUARTIC_FIT @ eval_E(shape, samples, samples).real ** power)
         middle = 0.5 * (lo - hi) / width
         s = fit_roots[np.argmin(np.abs(fit_roots - middle))].real
         prev, root = root, hi + s * width

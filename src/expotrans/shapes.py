@@ -88,9 +88,10 @@ class Shape:
 
     A subclass provides `bounding_circle()`, `contains(z)` (whether z lies
     in the support, boundary included), `moment_array(order)`,
-    `kernel_log(z, w, tol)` (the Cauchy kernel for z, w outside the support,
-    to relative tolerance tol where a rule approximates it), `to_obj()` and
-    a `from_obj(obj)` classmethod.
+    `kernel_log(z, w, tol)` (the Cauchy kernels at the pairs of two
+    equal-length 1-D complex arrays of points outside the support, as an
+    array, to relative tolerance tol where a rule approximates them),
+    `to_obj()` and a `from_obj(obj)` classmethod.
     The defaults here serve plain shapes: shade 1 and no boundary
     parametrization.  As a moment source (see `gallery`) a shape's data is
     its moment matrix a.
@@ -157,9 +158,9 @@ class Disk(Shape):
     def moment_array(self, order: int) -> np.ndarray:
         return translate_moments(_radial_diagonal(order, 0.0, self.R), self.center)
 
-    def kernel_log(self, z: complex, w: complex, tol: float) -> complex:
+    def kernel_log(self, z: np.ndarray, w: np.ndarray, tol: float) -> np.ndarray:
         x = 1.0 / ((z - self.center) * np.conj(w - self.center))
-        return -cmath.log(1.0 - self.R**2 * x)
+        return -np.log(1.0 - self.R**2 * x)
 
     def to_obj(self) -> dict:
         return self._doc(center=[self.center.real, self.center.imag], R=self.R)
@@ -194,18 +195,19 @@ class Annulus(Shape):
     def moment_array(self, order: int) -> np.ndarray:
         return translate_moments(_radial_diagonal(order, self.r, self.R), self.center)
 
-    def kernel_log(self, z: complex, w: complex, tol: float) -> complex:
+    def kernel_log(self, z: np.ndarray, w: np.ndarray, tol: float) -> np.ndarray:
         zc, wc = z - self.center, w - self.center
-        z_hole, w_hole = abs(zc) < self.r, abs(wc) < self.r
-        if z_hole != w_hole:
-            # the integrand has no angle-independent term: rotation symmetry
-            return 0j
-        if z_hole:
-            y = zc * np.conj(wc)
-            return (2.0 * math.log(self.R / self.r)
-                    - cmath.log(1.0 - y / self.r**2) + cmath.log(1.0 - y / self.R**2))
-        x = 1.0 / (zc * np.conj(wc))
-        return -cmath.log(1.0 - self.R**2 * x) + cmath.log(1.0 - self.r**2 * x)
+        z_hole, w_hole = np.abs(zc) < self.r, np.abs(wc) < self.r
+        y = zc * np.conj(wc)
+        # one point in the hole and one outside: the integrand has no
+        # angle-independent term, by rotation symmetry
+        k = np.zeros(len(y), dtype=complex)
+        hole, out = z_hole & w_hole, ~(z_hole | w_hole)
+        k[hole] = (2.0 * math.log(self.R / self.r)
+                   - np.log(1.0 - y[hole] / self.r**2) + np.log(1.0 - y[hole] / self.R**2))
+        x = 1.0 / y[out]
+        k[out] = -np.log(1.0 - self.R**2 * x) + np.log(1.0 - self.r**2 * x)
+        return k
 
     def to_obj(self) -> dict:
         return self._doc(center=[self.center.real, self.center.imag], r=self.r, R=self.R)
@@ -253,48 +255,73 @@ class Ellipse(Shape):
         big = 0.5 * (abs(u - c) + abs(u + c))
         return math.log((big + math.sqrt(big**2 - c**2)) / (self.p + self.q))
 
-    def kernel_log(self, z: complex, w: complex, tol: float) -> complex:
+    def kernel_log(self, z: np.ndarray, w: np.ndarray, tol: float) -> np.ndarray:
         """Trapezoid rule on the contour form of `cauchy_kernel_log`.  The
         integrand continues analytically out to the confocal ellipse through
-        z or w, so the n-node sum T_n errs by about exp(-sigma n) and the
-        rule needs at least ln(1/tol)/sigma nodes; when that exceeds the
-        budget `quad_budget()` (tol < exp(-sigma budget)) it fails before
-        any node is summed.
+        z or w, so the n-node sum T_n errs by about exp(-sigma n) and a point
+        needs at least ln(1/tol)/sigma nodes; when that exceeds the budget
+        `quad_budget()` (tol < exp(-sigma budget)) for any point of the batch,
+        the rule fails before any node is built.
 
-        The nested doubling starts at the smallest n = 64 2^k with
+        Each point's nested doubling starts at the smallest n = 64 2^k with
         2 n sigma > ln(1/tol), so its first refinement sums the predicted
         count.  After refining to n it returns T_n once
-        |T_n - T_(n/2)| exp(-sigma n/2) <= tol max(1, |T_n|): the difference
-        estimates T_(n/2)'s error, and exp(-sigma n/2) carries it down to
-        T_n's.  The delivered error is therefore about tol, not far below it.
+        2 |T_n - T_(n/2)| exp(-sigma n/2) <= tol max(1, |T_n|): the difference
+        estimates T_(n/2)'s error and exp(-sigma n/2) carries it down to
+        T_n's.  That estimate runs short of the true error (by a median 1.2
+        to 1.6 times on offset, rotated ellipses), which the factor 2 covers:
+        the delivered error stays below about tol/2.  The points share
+        nodes: each level (n, shift) is built once per call and summed for
+        every point that reaches it, and each point's value is bit for bit
+        the one its own rule would give.
         """
         budget = quad_budget()
-        sigma = min(self._sigma(z), self._sigma(w))
-        if sigma <= 0 or tol < math.exp(-sigma * budget):
+        sigma = [min(self._sigma(zi), self._sigma(wi)) for zi, wi in zip(z, w)]
+        if min(sigma) <= 0 or tol < math.exp(-min(sigma) * budget):
             raise PrecisionError(
                 f"quadrature budget exceeded: the ellipse contour needs more than {budget} nodes"
             )
-        wbar, cbar = np.conj(w), np.conj(self.center - w)
+        wbar, cbar, zs = np.conj(w)[:, None], np.conj(self.center - w)[:, None], z[:, None]
 
-        def node_sum(n: int, shift: float) -> complex:
+        def node_sums(n: int, shift: float, idx: list) -> list:
             ((zeta, dzeta),) = boundary_nodes(self, n, shift)
-            return complex(np.sum(np.log((np.conj(zeta) - wbar) / cbar) * dzeta / (zeta - z)))
+            terms = np.conj(zeta) - wbar[idx]
+            terms /= cbar[idx]
+            terms = np.log(terms, out=terms) * dzeta
+            terms /= zeta - zs[idx]
+            return [complex(t) for t in terms.sum(axis=1)]
 
-        n = 64
-        while 2 * n * sigma <= math.log(1.0 / tol):
+        start = []
+        for s in sigma:
+            n = 64
+            while 2 * n * s <= math.log(1.0 / tol):
+                n *= 2
+            start.append(n)
+        total = [0j] * len(sigma)
+        out = np.empty(len(sigma), dtype=complex)
+        pending = list(range(len(sigma)))
+        n = min(start)
+        while pending:
+            first = [i for i in pending if start[i] == n]
+            if first:
+                for i, t in zip(first, node_sums(n, 0.0, first)):
+                    total[i] = t
+            refine = [i for i in pending if start[i] <= n]
+            if refine:
+                if 2 * n > budget:
+                    raise PrecisionError(
+                        f"quadrature budget exceeded: the ellipse contour needs more than {n} nodes"
+                    )
+                # refining n to 2n nodes: exp(-sigma n) is the docstring's exp(-sigma (2n)/2)
+                for i, t in zip(refine, node_sums(n, 0.5, refine)):
+                    coarse = total[i] / (1j * n)
+                    total[i] += t
+                    fine = total[i] / (1j * (2 * n))
+                    if 2.0 * abs(fine - coarse) * math.exp(-sigma[i] * n) <= tol * max(1.0, abs(fine)):
+                        out[i] = fine
+                        pending.remove(i)
             n *= 2
-        total = node_sum(n, 0.0)
-        while True:
-            if 2 * n > budget:
-                raise PrecisionError(
-                    f"quadrature budget exceeded: the ellipse contour needs more than {n} nodes"
-                )
-            coarse = total / (1j * n)
-            total += node_sum(n, 0.5)
-            n *= 2
-            fine = total / (1j * n)
-            if abs(fine - coarse) * math.exp(-sigma * n / 2) <= tol * max(1.0, abs(fine)):
-                return complex(fine)
+        return out
 
     def to_obj(self) -> dict:
         center = [self.center.real, self.center.imag]
@@ -328,7 +355,7 @@ class Weighted(Shape):
     def moment_array(self, order: int) -> np.ndarray:
         return self.t * self.base.moment_array(order)
 
-    def kernel_log(self, z: complex, w: complex, tol: float) -> complex:
+    def kernel_log(self, z: np.ndarray, w: np.ndarray, tol: float) -> np.ndarray:
         return self.t * self.base.kernel_log(z, w, tol)
 
     def to_obj(self) -> dict:
@@ -371,7 +398,7 @@ class Sum(Shape):
     def moment_array(self, order: int) -> np.ndarray:
         return sum(p.moment_array(order) for p in self.parts)
 
-    def kernel_log(self, z: complex, w: complex, tol: float) -> complex:
+    def kernel_log(self, z: np.ndarray, w: np.ndarray, tol: float) -> np.ndarray:
         return sum(p.kernel_log(z, w, tol) for p in self.parts)
 
     def to_obj(self) -> dict:
@@ -433,15 +460,15 @@ class Grid(Shape):
         a = (powers * w) @ powers.conj().T
         return 0.5 * (a + a.conj().T)
 
-    def kernel_log(self, z: complex, w: complex, tol: float) -> complex:
+    def kernel_log(self, z: np.ndarray, w: np.ndarray, tol: float) -> np.ndarray:
         dx, dy = self.cell
-        if min(self._cell_distance(z), self._cell_distance(w)) < 2.0 * math.hypot(dx, dy):
+        if min(self._cell_distance(p) for p in np.concatenate([z, w])) < 2.0 * math.hypot(dx, dy):
             raise MathDomainError(
                 "evaluation point is within two quadrature cells of the support"
             )
         zeta = self.centers().ravel()
         wgt = self.values.ravel() * (dx * dy / math.pi)
-        return complex(np.sum(wgt / ((zeta - z) * (np.conj(zeta) - np.conj(w)))))
+        return np.sum(wgt / ((zeta - z[:, None]) * (np.conj(zeta) - np.conj(w)[:, None])), axis=1)
 
     def to_obj(self) -> dict:
         values = [[float(v) for v in row] for row in self.values]
@@ -539,8 +566,13 @@ def moments(shape: Shape, order: int) -> MomentMatrix:
 # Cauchy kernel integral, shared by the exponential transform evaluator
 
 
-def cauchy_kernel_log(shape: Shape, z: complex, w: complex) -> complex:
+def cauchy_kernel_log(shape: Shape, z, w):
     """(1/pi) * integral of g(zeta) / ((zeta - z)(conj(zeta) - conj(w))) dA.
+
+    z and w are equal-length 1-D arrays of points, and the result is the
+    array of kernels at the pairs (z[i], w[i]); a scalar pair is a one-point
+    batch and gives a complex.  Every point must be finite and lie strictly
+    outside the support: one inside or on it rejects the whole batch.
 
     Disks and annuli use closed forms.  For an ellipse with centre c, Green's
     theorem turns the area integral into the contour integral
@@ -551,16 +583,25 @@ def cauchy_kernel_log(shape: Shape, z: complex, w: complex) -> complex:
     and w lies outside.  The integrand is analytic out to the confocal
     ellipse through z or w, at analyticity radius sigma, so the n-node
     trapezoid rule errs by about exp(-sigma n).  The rule starts at half the
-    predicted ln(1/tol)/sigma nodes (64 at least) and doubles until the
+    predicted ln(1/tol)/sigma nodes (64 at least) and doubles until twice the
     difference of two sums, scaled by exp(-sigma n/2) to the finer sum's
     error, is within tol = 1e-9 (relative to the sum, floor 1); the
-    delivered error is about tol.  A rule that needs more nodes than the
-    quadrature budget raises PrecisionError.  Weights and unions act
-    linearly; a grid is summed cell by cell.  Points inside or on the support
-    are rejected.  It returns ``shape.kernel_log(z, w, 1e-9)``; the ellipse
-    rule reads the budget itself.
+    delivered error is about tol/2.  The points of a batch share the nodes
+    of each level, and each point keeps its own start and stop.  A rule that
+    needs more nodes than the quadrature budget raises PrecisionError.
+    Weights and unions act linearly; a grid is summed cell by cell.  It
+    returns ``shape.kernel_log(z, w, 1e-9)``; the ellipse rule reads the
+    budget itself.
     """
-    z, w = complex(z), complex(w)
-    if shape.contains(z) or shape.contains(w):
+    scalar = np.ndim(z) == 0 and np.ndim(w) == 0
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    w = np.atleast_1d(np.asarray(w, dtype=complex))
+    if z.ndim != 1 or z.shape != w.shape or z.size == 0:
+        raise InputError("z and w must be equal-length, non-empty 1-D arrays of points")
+    points = z.tolist() + w.tolist()
+    if not all(map(cmath.isfinite, points)):
+        raise InputError("evaluation points must be finite")
+    if any(map(shape.contains, points)):
         raise MathDomainError("evaluation point lies inside or on the support")
-    return shape.kernel_log(z, w, 1e-9)
+    k = shape.kernel_log(z, w, 1e-9)
+    return complex(k[0]) if scalar else k

@@ -1,4 +1,4 @@
-"""a <-> b conversion and pointwise E evaluation against closed forms.
+"""a <-> b conversion and batched E evaluation against closed forms.
 
 The disk and annulus give E in closed form outside the support:
 
@@ -10,6 +10,8 @@ pin a_to_b, eval_E, and boundary_root independently of each other.  The
 evaluator uses the same closed forms for disks and annuli, so its ellipse
 contour rule and the ellipse moment rule are checked against the operator
 route instead: gallery:ellipse?u=2 is the ellipse with semiaxes 3 and 1.
+The batched ellipse rule is checked point by point against the single-point
+rule kept here, bit for bit.
 """
 import math
 
@@ -29,7 +31,7 @@ from expotrans.exptransform import (
 )
 from expotrans import shapes
 from expotrans.gallery import b_for
-from expotrans.shapes import Annulus, Disk, Ellipse, Sum, Weighted, moments
+from expotrans.shapes import Annulus, Box, Disk, Ellipse, Grid, Sum, Weighted, moments
 
 
 def random_hermitian(rng, n: int) -> np.ndarray:
@@ -179,9 +181,116 @@ def _confocal_sigma(e: Ellipse, z: complex) -> float:
 
 def test_eval_E_near_ellipse_fails_before_summing(monkeypatch):
     summed = _count_nodes(monkeypatch)
+    e = Ellipse(0.0, 1.5, 0.5)
     with pytest.raises(PrecisionError):
-        eval_E(Ellipse(0.0, 1.5, 0.5), 1.5 + 1e-7, 1.5 + 1e-7)
+        eval_E(e, 1.5 + 1e-7, 1.5 + 1e-7)
+    # one over-budget point fails the whole batch, before any level is built
+    batch = np.array([3.0, 1.5 + 1e-7, 2.0j])
+    with pytest.raises(PrecisionError):
+        eval_E(e, batch, batch)
     assert summed == []
+
+
+def _ellipse_kernel_oracle(e: Ellipse, z: complex, w: complex, tol: float) -> complex:
+    """The single-point contour rule: its own nodes for every level it sums."""
+    budget = shapes.quad_budget()
+    sigma = min(e._sigma(z), e._sigma(w))
+    if sigma <= 0 or tol < math.exp(-sigma * budget):
+        raise PrecisionError("quadrature budget exceeded")
+    wbar, cbar = np.conj(w), np.conj(e.center - w)
+
+    def node_sum(n: int, shift: float) -> complex:
+        ((zeta, dzeta),) = shapes.boundary_nodes(e, n, shift)
+        return complex(np.sum(np.log((np.conj(zeta) - wbar) / cbar) * dzeta / (zeta - z)))
+
+    n = 64
+    while 2 * n * sigma <= math.log(1.0 / tol):
+        n *= 2
+    total = node_sum(n, 0.0)
+    while True:
+        if 2 * n > budget:
+            raise PrecisionError("quadrature budget exceeded")
+        coarse = total / (1j * n)
+        total += node_sum(n, 0.5)
+        n *= 2
+        fine = total / (1j * n)
+        if 2 * abs(fine - coarse) * math.exp(-sigma * n / 2) <= tol * max(1.0, abs(fine)):
+            return complex(fine)
+
+
+def _start_level(e: Ellipse, z: complex, w: complex) -> int:
+    sigma, n = min(_confocal_sigma(e, z), _confocal_sigma(e, w)), 64
+    while 2 * n * sigma <= math.log(1e9):
+        n *= 2
+    return n
+
+
+def _near_rim(rng, e: Ellipse, lo: float = -3.0, hi: float = 0.5) -> complex:
+    """A seeded point at a gap of 10^lo to 10^hi outside the rim, along the normal."""
+    th = rng.uniform(0.0, 2.0 * math.pi)
+    rot = np.exp(1j * e.phi)
+    normal = rot * complex(e.q * math.cos(th), e.p * math.sin(th))
+    rim = e.center + rot * complex(e.p * math.cos(th), e.q * math.sin(th))
+    return rim + 10 ** rng.uniform(lo, hi) * normal / abs(normal)
+
+
+def test_batched_ellipse_kernel_is_the_single_point_rule():
+    # offset, rotated ellipses; each batch of seven mixes start levels, z = w
+    # and z != w; every point's value is bit for bit its own rule's
+    rng = np.random.default_rng(20)
+    levels = set()
+    for _ in range(25):
+        p = rng.uniform(0.8, 2.0)
+        e = Ellipse(complex(*rng.uniform(-0.5, 0.5, 2)), p, p * rng.uniform(0.2, 1.0), rng.uniform(0, math.pi))
+        z = np.array([_near_rim(rng, e) for _ in range(7)])
+        w = np.array([zi if k % 2 else _near_rim(rng, e) for k, zi in enumerate(z)])
+        got = shapes.cauchy_kernel_log(e, z, w)
+        starts = {_start_level(e, zi, wi) for zi, wi in zip(z, w)}
+        assert len(starts) > 1
+        levels |= starts
+        for zi, wi, k in zip(z, w, got):
+            assert k == _ellipse_kernel_oracle(e, complex(zi), complex(wi), 1e-9)
+    assert len(levels) >= 4
+
+
+def test_batched_kernel_of_other_shapes_is_pointwise():
+    # closed forms and cell sums over a batch equal their one-point values
+    rng = np.random.default_rng(21)
+    values = np.where(rng.random((6, 8)) < 0.3, 0.0, rng.random((6, 8)))
+    ann = Annulus(0.2j, 0.4, 1.0)
+    hole = 0.2j + 0.3 * np.exp(2j * math.pi * rng.random(3))
+    ring = 0.2j + rng.uniform(1.2, 3.0, 3) * np.exp(2j * math.pi * rng.random(3))
+    cases = [
+        (Disk(0.3 - 0.2j, 1.1), 2.5 * np.exp(2j * math.pi * rng.random(5)), 3.0 * np.exp(2j * math.pi * rng.random(5))),
+        # both in the hole, both outside, and one of each
+        (ann, np.concatenate([hole, ring, hole]), np.concatenate([hole[::-1], ring[::-1], ring])),
+        (Weighted(Ellipse(0.1j, 1.2, 0.5, -0.3), 0.35), np.array([1.5, 2.0j, -1.4 + 0.3j]), np.array([1.5, 2.5, 0.7j])),
+        (Sum((Disk(-2.0, 0.5), Weighted(ann, 0.6))), np.array([0.2j, 2.5, -3.0]), np.array([0.3 + 0.2j, 2.5, 3.0j])),
+        (Grid(Box(-1.0, 1.0, -0.5, 0.5), values), np.array([3.0, 2.5j, -4.0]), np.array([3.0, -3.0, 2.0 + 2.0j])),
+    ]
+    for shape, z, w in cases:
+        got = shapes.cauchy_kernel_log(shape, z, w)
+        assert got.shape == z.shape
+        assert list(got) == [shapes.cauchy_kernel_log(shape, zi, wi) for zi, wi in zip(z, w)]
+        assert list(eval_E(shape, z, w)) == [eval_E(shape, zi, wi) for zi, wi in zip(z, w)]
+
+
+def test_batch_inputs():
+    e = Ellipse(0.2 + 0.1j, 1.6, 0.7, 0.4)
+    # a scalar pair is a one-point batch and still gives a Python complex
+    assert type(eval_E(e, 3.0, 2.0j)) is complex
+    assert type(shapes.cauchy_kernel_log(Disk(0.0, 1.0), 2.0, 2.0)) is complex
+    assert eval_E(e, 3.0, 2.0j) == eval_E(e, np.array([3.0]), np.array([2.0j]))[0]
+    # one inside point rejects the whole batch
+    with pytest.raises(MathDomainError):
+        eval_E(e, np.array([3.0, 0.2 + 0.1j, 4.0]), np.array([3.0, 3.0, 4.0]))
+    with pytest.raises(MathDomainError):
+        eval_E(Disk(0.0, 1.0), np.array([2.0, 3.0]), np.array([2.0, 0.5]))
+    for z, w in ((np.array([3.0, 4.0]), np.array([3.0])), (np.ones((2, 2)) * 3, np.ones((2, 2)) * 3),
+                 (np.array([]), np.array([])), (np.array([3.0, np.nan]), np.array([3.0, 4.0])),
+                 (3.0, np.inf)):
+        with pytest.raises(InputError):
+            eval_E(e, z, w)
 
 
 def test_ellipse_contour_needs_the_predicted_nodes(monkeypatch):
@@ -281,40 +390,65 @@ def test_boundary_root_accuracy_sweep():
 def test_boundary_root_contour_cost(monkeypatch):
     # criterion 11's two ellipse rays: the rounds' widths shrink threefold, so
     # the accepting round needs at most a few times the nodes of the one before,
-    # and each kernel sums about the predicted ln(1/tol)/sigma nodes
-    summed = _count_nodes(monkeypatch)
+    # and each kernel sums about the predicted ln(1/tol)/sigma nodes.  A round
+    # is one batch of five samples, which share the levels they reach.
+    batches = []
+    kernel = Ellipse.kernel_log
+
+    def recording(self, z, w, tol):
+        batches.append((z, w))
+        return kernel(self, z, w, tol)
+
+    monkeypatch.setattr(Ellipse, "kernel_log", recording)
+    counted = _count_nodes(monkeypatch)
     e = Ellipse(0.0, 1.5, 0.5)
     boundary_root(e, 1.0, (1.0, 3.0))
     boundary_root(e, 1j, (0.2, 2.0))
-    assert sum(summed) <= 84_000
+    built = sum(counted)
+    assert batches and all(len(z) == 5 for z, _ in batches)
+    # the nodes each sample sums on its own
+    counted.clear()
+    for z, w in batches:
+        for zi, wi in zip(z, w):
+            _ellipse_kernel_oracle(e, complex(zi), complex(wi), 1e-9)
+    assert built <= 55_000
+    assert built < sum(counted) <= 84_000
 
 
 def test_ellipse_contour_meets_its_tol():
     # the geometric stop rule against the same rule at tol 1e-13, on offset,
-    # rotated ellipses at gaps 1e-3 to 10^0.5 outside the rim, for z = w and z != w
+    # rotated ellipses at gaps 1e-3 to 10^0.5 outside the rim, for z = w and
+    # z != w; its factor 2 keeps the error near tol/2, under 0.6 tol
     rng = np.random.default_rng(15)
-
-    def outside(e: Ellipse) -> complex:
-        th = rng.uniform(0.0, 2.0 * math.pi)
-        rot = np.exp(1j * e.phi)
-        normal = rot * complex(e.q * math.cos(th), e.p * math.sin(th))
-        rim = e.center + rot * complex(e.p * math.cos(th), e.q * math.sin(th))
-        return rim + 10 ** rng.uniform(-3.0, 0.5) * normal / abs(normal)
-
     worst = 0.0
     for k in range(60):
         p = rng.uniform(0.8, 2.0)
         e = Ellipse(complex(*rng.uniform(-0.5, 0.5, 2)), p, p * rng.uniform(0.2, 1.0), rng.uniform(0, math.pi))
-        z = outside(e)
-        w = z if k % 2 else outside(e)
-        want = e.kernel_log(z, w, 1e-13)
-        worst = max(worst, abs(e.kernel_log(z, w, 1e-9) - want) / max(1.0, abs(want)))
-    assert worst <= 1e-9
+        z = np.array([_near_rim(rng, e)])
+        w = z if k % 2 else np.array([_near_rim(rng, e)])
+        want = e.kernel_log(z, w, 1e-13)[0]
+        worst = max(worst, abs(e.kernel_log(z, w, 1e-9)[0] - want) / max(1.0, abs(want)))
+    assert worst <= 6e-10
 
 
 def test_boundary_root_no_crossing():
     with pytest.raises(MathDomainError):
         boundary_root(Disk(0.0, 1.0), 1.0 + 0.0j, (2.0, 4.0))
+
+
+@pytest.mark.parametrize("direction, bracket", [
+    (0.0, (0.5, 2.0)),
+    (0j, (0.5, 2.0)),
+    (complex(math.nan, 1.0), (0.5, 2.0)),
+    (math.inf, (0.5, 2.0)),
+    (complex(1.0, -math.inf), (0.5, 2.0)),
+    (1.0, (0.5, math.inf)),
+    (1.0, (math.nan, 2.0)),
+    (1.0, (0.5, math.nan)),
+])
+def test_boundary_root_rejects_bad_ray(direction, bracket):
+    with pytest.raises(InputError):
+        boundary_root(Disk(0.0, 1.0), direction, bracket)
 
 
 def test_nevanlinna_density_values():
