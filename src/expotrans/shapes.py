@@ -17,7 +17,9 @@ phase rotation of the centered moments.
 The Cauchy kernel integral behind the exponential transform has closed
 forms for disks and annuli and is a contour integral over the boundary for
 ellipses; `boundary_nodes` is the one boundary parametrization, shared with
-the exterior moments.
+the exterior moments.  The contour rule's principal logarithm is formed as
+log|x| + i arg x from numpy's real log, hypot and arctan2, since numpy's
+complex log (the C library's clog) dominated the rule's cost.
 """
 from __future__ import annotations
 
@@ -273,7 +275,10 @@ class Ellipse(Shape):
         the delivered error stays below about tol/2.  The points share
         nodes: each level (n, shift) is built once per call and summed for
         every point that reaches it, and each point's value is bit for bit
-        the one its own rule would give.
+        the one its own rule would give.  The node terms' logarithm is
+        `_principal_log`, log|x| + i arg x from real kernels: np.log on
+        complex input costs four times as much and was most of the rule's
+        time.
         """
         budget = quad_budget()
         sigma = [min(self._sigma(zi), self._sigma(wi)) for zi, wi in zip(z, w)]
@@ -287,7 +292,8 @@ class Ellipse(Shape):
             ((zeta, dzeta),) = boundary_nodes(self, n, shift)
             terms = np.conj(zeta) - wbar[idx]
             terms /= cbar[idx]
-            terms = np.log(terms, out=terms) * dzeta
+            _principal_log(terms)
+            terms *= dzeta
             terms /= zeta - zs[idx]
             return [complex(t) for t in terms.sum(axis=1)]
 
@@ -442,15 +448,17 @@ class Grid(Shape):
     def bounding_circle(self) -> tuple[complex, float]:
         return self.box.center, math.hypot(self.box.width, self.box.height) / 2
 
-    def _cell_distance(self, z: complex) -> float:
-        """Distance from z to the nearest positive cell's disk, negative inside."""
-        pos = self.values > 0
-        if not pos.any():
-            return math.inf
-        return np.abs(self.centers()[pos] - z).min() - 0.5 * math.hypot(*self.cell)
+    def _cell_distances(self, points) -> np.ndarray:
+        """Distance from each point to the nearest positive cell's disk,
+        negative inside; the positive cells' centres are built once."""
+        cells = self.centers()[self.values > 0]
+        if not cells.size:
+            return np.full(len(points), math.inf)
+        radius = 0.5 * math.hypot(*self.cell)
+        return np.array([np.abs(cells - p).min() - radius for p in points])
 
     def contains(self, z: complex) -> bool:
-        return self._cell_distance(z) <= 0
+        return self._cell_distances([z])[0] <= 0
 
     def moment_array(self, order: int) -> np.ndarray:
         z = self.centers().ravel()
@@ -462,7 +470,7 @@ class Grid(Shape):
 
     def kernel_log(self, z: np.ndarray, w: np.ndarray, tol: float) -> np.ndarray:
         dx, dy = self.cell
-        if min(self._cell_distance(p) for p in np.concatenate([z, w])) < 2.0 * math.hypot(dx, dy):
+        if self._cell_distances(np.concatenate([z, w])).min() < 2.0 * math.hypot(dx, dy):
             raise MathDomainError(
                 "evaluation point is within two quadrature cells of the support"
             )
@@ -505,6 +513,22 @@ def boundary_nodes(shape: Shape, n: int, shift: float = 0.0):
     gives the midpoints that refine an n-node trapezoid rule to 2n nodes.
     """
     return shape.boundary(2.0 * math.pi * (np.arange(n) + shift) / n)
+
+
+def _principal_log(x: np.ndarray) -> np.ndarray:
+    """Principal logarithm of a complex array, in place: log|x| + i arg x.
+
+    It is np.log's branch, with the sign of +-pi on the negative real axis
+    following the sign of a zero imaginary part, but it is formed from the
+    real kernels log, hypot and arctan2: for complex input numpy calls the C
+    library's clog, which costs about four times as much.  hypot neither
+    overflows nor underflows, and the result stays within about eps
+    max(1, |log x|) of np.log's.
+    """
+    arg = np.arctan2(x.imag, x.real)
+    np.log(np.hypot(x.real, x.imag), out=x.real)
+    x.imag = arg
+    return x
 
 
 def _ellipse_centered_moments(p: float, q: float, order: int) -> np.ndarray:
@@ -580,13 +604,14 @@ def cauchy_kernel_log(shape: Shape, z, w):
         (1/(2 pi i)) * contour integral of log((conj(zeta) - conj(w)) / (conj(c) - conj(w))) dzeta / (zeta - z),
 
     whose principal logarithm is single-valued because the support is convex
-    and w lies outside.  The integrand is analytic out to the confocal
-    ellipse through z or w, at analyticity radius sigma, so the n-node
-    trapezoid rule errs by about exp(-sigma n).  The rule starts at half the
-    predicted ln(1/tol)/sigma nodes (64 at least) and doubles until twice the
-    difference of two sums, scaled by exp(-sigma n/2) to the finer sum's
-    error, is within tol = 1e-9 (relative to the sum, floor 1); the
-    delivered error is about tol/2.  The points of a batch share the nodes
+    and w lies outside; it is formed as log|x| + i arg x from real kernels,
+    the same branch as numpy's complex log at a quarter of its cost.  The
+    integrand is analytic out to the confocal ellipse through z or w, at
+    analyticity radius sigma, so the n-node trapezoid rule errs by about
+    exp(-sigma n).  The rule starts at half the predicted ln(1/tol)/sigma
+    nodes (64 at least) and doubles until twice the difference of two sums,
+    scaled by exp(-sigma n/2) to the finer sum's error, is within tol = 1e-9
+    (relative to the sum, floor 1); the delivered error is about tol/2.  The points of a batch share the nodes
     of each level, and each point keeps its own start and stop.  A rule that
     needs more nodes than the quadrature budget raises PrecisionError.
     Weights and unions act linearly; a grid is summed cell by cell.  It

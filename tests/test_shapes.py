@@ -6,11 +6,13 @@ a40 = pq(p^2-q^2)^2/8, and translations expand by the binomial theorem;
 those hand results anchor everything else.
 """
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from expotrans import shapes
 from expotrans.errors import InputError, MathDomainError, PrecisionError
 from expotrans.shapes import (
     Annulus,
@@ -160,6 +162,68 @@ def test_grid_approximates_disk_loosely():
     a = moments(g, 3).a
     assert abs(a[0, 0] - 1.0) < 5e-3
     assert abs(a[1, 1] - 0.5) < 5e-3
+
+
+def test_grid_kernel_builds_the_cells_once(monkeypatch):
+    # the two-cell guard scans the positive cells built once per call; the
+    # distances, the guard's verdicts and the kernel values are bit for bit
+    # those of a scan that rebuilds the cells for every point
+    rng = np.random.default_rng(12)
+    values = np.where(rng.random((9, 13)) < 0.4, 0.0, rng.random((9, 13)))
+    g = Grid(Box(-1.0, 1.5, -0.7, 0.6), values)
+    radius, guard = 0.5 * math.hypot(*g.cell), 2.0 * math.hypot(*g.cell)
+
+    def scan(p):
+        return np.abs(g.centers()[g.values > 0] - p).min() - radius
+
+    c, r = g.bounding_circle()
+    z = c + r * rng.uniform(0.9, 2.5, 40) * np.exp(2j * math.pi * rng.random(40))
+    w = c + r * rng.uniform(0.9, 2.5, 40) * np.exp(2j * math.pi * rng.random(40))
+    assert list(g._cell_distances(z)) == [scan(p) for p in z]
+    zeta = g.centers().ravel()
+    wgt = g.values.ravel() * (g.cell[0] * g.cell[1] / math.pi)
+    rejected = 0
+    for zi, wi in zip(z, w):
+        if min(scan(zi), scan(wi)) < guard:
+            rejected += 1
+            with pytest.raises(MathDomainError):
+                g.kernel_log(np.array([zi]), np.array([wi]), 1e-9)
+        else:
+            want = np.sum(wgt / ((zeta - zi) * (np.conj(zeta) - np.conj(wi))))
+            assert g.kernel_log(np.array([zi]), np.array([wi]), 1e-9)[0] == want
+    assert 0 < rejected < len(z)
+    # the cells are built as often for a batch of eight points as for one
+    builds = []
+    centers = Grid.centers
+    monkeypatch.setattr(Grid, "centers", lambda self: builds.append(1) or centers(self))
+    far = c + 3.0 * r * np.exp(2j * math.pi * np.arange(8) / 8)
+    g.kernel_log(far[:1], far[:1], 1e-9)
+    once = len(builds)
+    builds.clear()
+    g.kernel_log(far, far[::-1], 1e-9)
+    assert len(builds) == once
+    assert Grid(g.box, np.zeros_like(values))._cell_distances(far).tolist() == [math.inf] * 8
+
+
+def test_principal_log_is_numpys_branch():
+    # log|x| + i arg x from real kernels against np.log (the C library's
+    # clog): seeded magnitudes 1e-300 to 1e300, and |x| within 1e-6 of 1,
+    # where log|x| cancels; on the real axis the signed zero of the
+    # imaginary part picks the same sign of pi (and of 0); no warnings
+    rng = np.random.default_rng(21)
+    n = 100_000
+    far = 10 ** rng.uniform(-300, 300, n) * np.exp(1j * rng.uniform(-math.pi, math.pi, n))
+    near = (1 + rng.uniform(-1e-6, 1e-6, n)) * np.exp(1j * rng.uniform(-math.pi, math.pi, n))
+    axis = np.array([complex(re, im) for re in (-2.0, -1e-300, -1e300, 1.0, 3.0, 1e300) for im in (0.0, -0.0)])
+    eps = np.finfo(float).eps
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (far, near, axis):
+            want = np.log(x)
+            got = shapes._principal_log(x.copy())
+            assert np.all(np.abs(got - want) <= 2 * eps * np.maximum(1.0, np.abs(want)))
+            assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
+        assert np.array_equal(shapes._principal_log(axis.copy()).imag, np.log(axis).imag)
 
 
 def test_mass_values():
