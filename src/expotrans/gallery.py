@@ -9,20 +9,25 @@ A source is a Shape, an OperatorFamily or a MatrixSource read from a file.
 Each answers ``data(order)`` with its native moments (a `MomentMatrix` a or
 an `ExpMoments` b) and ``column(order)`` with its native first column, which
 a and b share.  `b_for` and `a_for` are the one place that converts a <-> b.
+The numerical modules are imported where an entry is built or converted,
+so listing or misnaming an entry loads none of them.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 from urllib.parse import parse_qsl
 
-import numpy as np
-
 from .errors import InputError
-from .exptransform import ExpMoments, a_to_b, b_to_a
-from .operators import BandedOperator, b_from_operator, toeplitz_ellipse, toeplitz_power, two_diagonal
-from .shapes import Annulus, Disk, Ellipse, MomentMatrix, Shape, Weighted
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .exptransform import ExpMoments
+    from .operators import BandedOperator
+    from .shapes import MomentMatrix, Shape
 
 
 @dataclass(frozen=True)
@@ -41,6 +46,8 @@ class OperatorFamily:
 
     def data(self, order: int) -> ExpMoments:
         """b, the Krylov Gram of the model sized for ``order``."""
+        from .operators import b_from_operator
+
         return b_from_operator(self.sized_for(order), order)
 
     def column(self, order: int) -> np.ndarray:
@@ -59,6 +66,9 @@ class MatrixSource:
 
     def data(self, order: int) -> MomentMatrix | ExpMoments:
         """The leading order x order block."""
+        from .exptransform import ExpMoments
+        from .shapes import MomentMatrix
+
         if self.arr.ndim != 2:
             raise InputError("a column document holds no moment matrix")
         if self.arr.shape[0] < order:
@@ -87,42 +97,47 @@ def _params(query: str, allowed: dict[str, float]) -> dict[str, float]:
     return out
 
 
-def _power(p: dict[str, float]) -> OperatorFamily:
+def _power(m, p: dict[str, float]) -> OperatorFamily:
     d = int(p["d"])
     if d != p["d"] or d < 1:
         raise InputError("gallery power needs integer d >= 1")
     a, b = p["alpha"], p["beta"]
-    return OperatorFamily(f"power a={a:g} b={b:g} d={d}", lambda size: toeplitz_power(a, b, d, size), d, d + 1)
+    return OperatorFamily(f"power a={a:g} b={b:g} d={d}", lambda size: m.toeplitz_power(a, b, d, size), d, d + 1)
 
 
-# name -> (parameter defaults, builder), in listing order: shapes, then operator families
-_TABLE: dict[str, tuple[dict[str, float], Callable]] = {
-    "disk": ({"R": 1.0, "x": 0.0, "y": 0.0}, lambda p: Disk(complex(p["x"], p["y"]), p["R"])),
-    "annulus": ({"r": 0.5, "R": 1.0, "x": 0.0, "y": 0.0},
-                lambda p: Annulus(complex(p["x"], p["y"]), p["r"], p["R"])),
-    "ellipse-shape": ({"p": 1.5, "q": 0.5, "phi": 0.0, "x": 0.0, "y": 0.0},
-                      lambda p: Ellipse(complex(p["x"], p["y"]), p["p"], p["q"], p["phi"])),
-    "tdisk": ({"t": 0.5, "R": 1.0}, lambda p: Weighted(Disk(0j, p["R"]), p["t"])),
-    "ellipse": ({"u": 2.0}, lambda p: OperatorFamily(
-        f"ellipse u={p['u']:g}", lambda size: toeplitz_ellipse(p["u"], size), 0, 1)),
-    "trifoil": ({}, lambda p: OperatorFamily(
-        "trifoil", lambda size: toeplitz_power(1.0, 1.0, 1, size), 1, 2)),
-    "power": ({"alpha": 1.0, "beta": 1.0, "d": 1.0}, _power),
-    "twodiag": ({"A1": 1.0, "B1": 1.0}, lambda p: OperatorFamily(
-        f"twodiag A1={p['A1']:g} B1={p['B1']:g}", lambda size: two_diagonal(p["A1"], p["B1"], size), 0, 2)),
+# name -> (parameter defaults, home module, builder(module, parameters)), in
+# listing order: shapes, then operator families
+_TABLE: dict[str, tuple[dict[str, float], str, Callable]] = {
+    "disk": ({"R": 1.0, "x": 0.0, "y": 0.0}, "shapes", lambda m, p: m.Disk(complex(p["x"], p["y"]), p["R"])),
+    "annulus": ({"r": 0.5, "R": 1.0, "x": 0.0, "y": 0.0}, "shapes",
+                lambda m, p: m.Annulus(complex(p["x"], p["y"]), p["r"], p["R"])),
+    "ellipse-shape": ({"p": 1.5, "q": 0.5, "phi": 0.0, "x": 0.0, "y": 0.0}, "shapes",
+                      lambda m, p: m.Ellipse(complex(p["x"], p["y"]), p["p"], p["q"], p["phi"])),
+    "tdisk": ({"t": 0.5, "R": 1.0}, "shapes", lambda m, p: m.Weighted(m.Disk(0j, p["R"]), p["t"])),
+    "ellipse": ({"u": 2.0}, "operators", lambda m, p: OperatorFamily(
+        f"ellipse u={p['u']:g}", lambda size: m.toeplitz_ellipse(p["u"], size), 0, 1)),
+    "trifoil": ({}, "operators", lambda m, p: OperatorFamily(
+        "trifoil", lambda size: m.toeplitz_power(1.0, 1.0, 1, size), 1, 2)),
+    "power": ({"alpha": 1.0, "beta": 1.0, "d": 1.0}, "operators", _power),
+    "twodiag": ({"A1": 1.0, "B1": 1.0}, "operators", lambda m, p: OperatorFamily(
+        f"twodiag A1={p['A1']:g} B1={p['B1']:g}", lambda size: m.two_diagonal(p["A1"], p["B1"], size), 0, 2)),
 }
 
 
 def resolve(address: str) -> Shape | OperatorFamily:
-    """Parse "gallery:<name>?param=value" into a Shape or OperatorFamily."""
+    """Parse "gallery:<name>?param=value" into a Shape or OperatorFamily;
+    the entry's home module is imported once the address has parsed."""
     if address.startswith("gallery:"):
         address = address[len("gallery:"):]
     name, _, query = address.partition("?")
     name = name.strip().lower()
     if name not in _TABLE:
         raise InputError(f"unknown gallery entry {name!r}")
-    defaults, build = _TABLE[name]
-    return build(_params(query, defaults))
+    defaults, module, build = _TABLE[name]
+    params = _params(query, defaults)
+    home = f"{__package__}.{module}"
+    __import__(home)  # the builtin import, which -X importtime reports
+    return build(sys.modules[home], params)
 
 
 def names() -> list[str]:
@@ -132,10 +147,19 @@ def names() -> list[str]:
 def b_for(source: str | Shape | OperatorFamily | MatrixSource, order: int) -> ExpMoments:
     """b for a gallery address or a source: its data, through `a_to_b` when that is a."""
     data = (resolve(source) if isinstance(source, str) else source).data(order)
+    from .exptransform import a_to_b
+    from .shapes import MomentMatrix
+
     return a_to_b(data) if isinstance(data, MomentMatrix) else data
 
 
 def a_for(source: str | Shape | OperatorFamily | MatrixSource, order: int) -> MomentMatrix:
     """a for a gallery address or a source: its data, through `b_to_a` when that is b."""
     data = (resolve(source) if isinstance(source, str) else source).data(order)
-    return b_to_a(data) if isinstance(data, ExpMoments) else data
+    from .shapes import MomentMatrix
+
+    if isinstance(data, MomentMatrix):
+        return data
+    from .exptransform import b_to_a
+
+    return b_to_a(data)

@@ -17,13 +17,16 @@ phase rotation of the centered moments.
 The Cauchy kernel integral behind the exponential transform has closed
 forms for disks and annuli and is a contour integral over the boundary for
 ellipses; `boundary_nodes` is the one boundary parametrization, shared with
-the exterior moments.  The contour rule's principal logarithm is formed as
-log|x| + i arg x from numpy's real log, hypot and arctan2, since numpy's
-complex log (the C library's clog) dominated the rule's cost.
+the exterior moments, and it keeps the unit-circle node sets that the rules
+use again and again in read-only tables.  The contour rule's principal
+logarithm is formed as log|x| + i arg x from numpy's real log, hypot and
+arctan2, since numpy's complex log (the C library's clog) dominated the
+rule's cost.
 """
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -34,6 +37,8 @@ from .errors import InputError, MathDomainError, PrecisionError
 from .series import hermitian_matrix
 
 DEFAULT_QUAD_BUDGET = 4_194_304
+# unit-circle node sets kept for the process: power-of-two n up to this, shift 0 or 1/2
+TABLED_NODES = 2**14
 
 
 def quad_budget() -> int:
@@ -93,7 +98,11 @@ class Shape:
     `kernel_log(z, w, tol)` (the Cauchy kernels at the pairs of two
     equal-length 1-D complex arrays of points outside the support, as an
     array, to relative tolerance tol where a rule approximates them),
-    `to_obj()` and a `from_obj(obj)` classmethod.
+    `to_obj()` and a `from_obj(obj)` classmethod.  A shape with a boundary
+    parametrization provides `boundary(e)`: given unit-circle points
+    e = exp(i theta), it returns one (points, dz/dtheta) pair of arrays per
+    boundary component, outer first, and leaves e unchanged (it may be a
+    read-only shared table; see `boundary_nodes`).
     The defaults here serve plain shapes: shade 1 and no boundary
     parametrization.  As a moment source (see `gallery`) a shape's data is
     its moment matrix a.
@@ -109,7 +118,7 @@ class Shape:
         """Value of g at a point z inside the support."""
         return 1.0
 
-    def boundary(self, th: np.ndarray) -> list:
+    def boundary(self, e: np.ndarray) -> list:
         raise InputError(
             f"no boundary parametrization for {type(self).__name__}; "
             "exterior moments need a built-in shape"
@@ -153,8 +162,7 @@ class Disk(Shape):
     def contains(self, z: complex) -> bool:
         return abs(z - self.center) <= self.R
 
-    def boundary(self, th: np.ndarray) -> list:
-        e = np.exp(1j * th)
+    def boundary(self, e: np.ndarray) -> list:
         return [(self.center + self.R * e, 1j * self.R * e)]
 
     def moment_array(self, order: int) -> np.ndarray:
@@ -188,8 +196,7 @@ class Annulus(Shape):
     def contains(self, z: complex) -> bool:
         return self.r <= abs(z - self.center) <= self.R
 
-    def boundary(self, th: np.ndarray) -> list:
-        e = np.exp(1j * th)
+    def boundary(self, e: np.ndarray) -> list:
         outer = (self.center + self.R * e, 1j * self.R * e)
         # inner component is traversed clockwise as part of the boundary
         return [outer, (self.center + self.r * e, -1j * self.r * e)]
@@ -241,10 +248,10 @@ class Ellipse(Shape):
         u = self._local(z)
         return (u.real / self.p) ** 2 + (u.imag / self.q) ** 2 <= 1.0
 
-    def boundary(self, th: np.ndarray) -> list:
-        rot = np.exp(1j * self.phi)
-        z = self.center + rot * (self.p * np.cos(th) + 1j * self.q * np.sin(th))
-        dz = rot * (-self.p * np.sin(th) + 1j * self.q * np.cos(th))
+    def boundary(self, e: np.ndarray) -> list:
+        rot, cos, sin = np.exp(1j * self.phi), e.real, e.imag
+        z = self.center + rot * (self.p * cos + 1j * self.q * sin)
+        dz = rot * (-self.p * sin + 1j * self.q * cos)
         return [(z, dz)]
 
     def moment_array(self, order: int) -> np.ndarray:
@@ -511,8 +518,29 @@ def boundary_nodes(shape: Shape, n: int, shift: float = 0.0):
 
     Nodes sit at theta = 2 pi (k + shift) / n, k = 0..n-1, so shift = 1/2
     gives the midpoints that refine an n-node trapezoid rule to 2n nodes.
+    The shape's `boundary` gets the unit-circle points exp(i theta).  For
+    power-of-two n up to TABLED_NODES and shift 0 or 1/2, the sizes the
+    contour rule and the exterior moments use again and again, they come
+    from a read-only table built once per process: at most 30 tables,
+    about 1 MB.  Any other size is computed for the call and not kept.
     """
-    return shape.boundary(2.0 * math.pi * (np.arange(n) + shift) / n)
+    if 0 < n <= TABLED_NODES and n & (n - 1) == 0 and shift in (0.0, 0.5):
+        return shape.boundary(_unit_circle_table(n, float(shift)))
+    return shape.boundary(_unit_circle(n, shift))
+
+
+def _unit_circle(n: int, shift: float) -> np.ndarray:
+    """exp(i theta) at theta = 2 pi (k + shift) / n.  Its real and imaginary
+    parts are np.cos and np.sin of the same theta bit for bit, which the
+    tests check, so a shape may read cos and sin from it."""
+    return np.exp(1j * (2.0 * math.pi * (np.arange(n) + shift) / n))
+
+
+@functools.cache
+def _unit_circle_table(n: int, shift: float) -> np.ndarray:
+    e = _unit_circle(n, shift)
+    e.flags.writeable = False
+    return e
 
 
 def _principal_log(x: np.ndarray) -> np.ndarray:

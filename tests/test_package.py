@@ -70,15 +70,25 @@ def test_star_import_and_unknown_name():
         exec("from expotrans import no_such_name", {})
 
 
-@pytest.mark.parametrize("argv, skipped", [
-    (["gallery"], ("orthopoly", "finiteterm", "reconstruct", "heleshaw")),
-    (["moments", "gallery:disk", "--order", "4"], ("orthopoly", "finiteterm", "reconstruct", "heleshaw")),
-    (["detect", "gallery:trifoil", "--order", "8"], ("orthopoly", "reconstruct", "heleshaw")),
-    (["evolve", "gallery:disk", "--law", "squeeze"], ("orthopoly", "finiteterm", "reconstruct")),
-], ids=["gallery", "moments", "detect", "evolve"])
-def test_subcommand_imports_only_its_route(argv, skipped):
+# listing or misnaming a gallery entry loads none of the numerical modules,
+# and a shape's moments need no a <-> b conversion
+NUMERICAL = ("exptransform", "shapes", "series", "operators", "orthopoly", "finiteterm", "reconstruct",
+             "heleshaw")
+SHAPE_ONLY = ("exptransform", "operators", "orthopoly", "finiteterm", "reconstruct")
+
+
+@pytest.mark.parametrize("argv, code, skipped", [
+    (["gallery"], 0, NUMERICAL),
+    (["moments", "gallery:no-such-entry"], 2, NUMERICAL),
+    (["moments", "gallery:disk", "--order", "4"], 0, SHAPE_ONLY + ("heleshaw",)),
+    (["detect", "gallery:trifoil", "--order", "8"], 0, ("orthopoly", "reconstruct", "heleshaw")),
+    (["evolve", "gallery:disk", "--law", "squeeze"], 0, SHAPE_ONLY),
+], ids=["gallery", "unknown-entry", "moments", "detect", "evolve"])
+def test_subcommand_imports_only_its_route(argv, code, skipped):
     r = fresh("-X", "importtime", "-m", "expotrans.cli", *argv)
-    assert r.returncode == 0, r.stderr
+    assert r.returncode == code, r.stderr
     loaded = {line.rpartition("|")[2].strip() for line in r.stderr.splitlines() if "import time" in line}
     assert {"expotrans.gallery", "expotrans.serialize"} <= loaded
     assert not {f"expotrans.{m}" for m in skipped} & loaded
+    # the gallery's own import of an entry's module shows in -X importtime
+    assert "shapes" in skipped or "expotrans.shapes" in loaded

@@ -12,8 +12,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from expotrans import shapes
+from expotrans import heleshaw, shapes
 from expotrans.errors import InputError, MathDomainError, PrecisionError
+from expotrans.exptransform import boundary_root
 from expotrans.shapes import (
     Annulus,
     Box,
@@ -351,3 +352,114 @@ def test_rule_set_of_every_shape():
                 boundary_nodes(shape, 8)
     union = _rule_set_shapes()[4]
     assert union.shade_at(2.0 + 0.5j + 0.5) == 0.6 and union.shade_at(-2.0) == 1.0
+
+
+# ---------------------------------------------------------------------------
+# unit-circle node tables
+
+
+def _angle_nodes(shape, n, shift=0.0):
+    """The boundary nodes from the angles, as they were formed before the
+    unit-circle tables: np.exp(1j theta) for circles, np.cos and np.sin for
+    the ellipse.  Frozen here as the reference for bit-identity."""
+    th = 2.0 * math.pi * (np.arange(n) + shift) / n
+    if isinstance(shape, Ellipse):
+        rot = np.exp(1j * shape.phi)
+        z = shape.center + rot * (shape.p * np.cos(th) + 1j * shape.q * np.sin(th))
+        dz = rot * (-shape.p * np.sin(th) + 1j * shape.q * np.cos(th))
+        return [(z, dz)]
+    e = np.exp(1j * th)
+    outer = (shape.center + shape.R * e, 1j * shape.R * e)
+    if isinstance(shape, Disk):
+        return [outer]
+    return [outer, (shape.center + shape.r * e, -1j * shape.r * e)]
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=complex).tobytes()
+
+
+NODE_SHAPES = (Disk(0.3 - 0.2j, 1.1), Annulus(-0.1 + 0.25j, 0.4, 1.2), Ellipse(0.2 + 0.1j, 1.5, 0.6, 0.7))
+
+
+@pytest.mark.parametrize("n", [8, 47, 64, 1024, 4096, 2**15])
+@pytest.mark.parametrize("shift", [0.0, 0.5])
+def test_boundary_nodes_are_the_angle_formulas_bit_for_bit(n, shift):
+    # tabled (8, 64, 1024, 4096) and computed (47, 2^15) sizes alike; np.exp's
+    # real and imaginary parts must be np.cos's and np.sin's exactly
+    for shape in NODE_SHAPES:
+        got, want = boundary_nodes(shape, n, shift), _angle_nodes(shape, n, shift)
+        assert len(got) == len(want), shape
+        for (z, dz), (z0, dz0) in zip(got, want):
+            assert _bits(z) == _bits(z0) and _bits(dz) == _bits(dz0), (shape, n, shift)
+
+
+def test_unit_circle_tables_are_read_only_and_bounded():
+    for k in range(3, 21):
+        for shift in (0.0, 0.5):
+            boundary_nodes(NODE_SHAPES[0], 2**k, shift)
+    for n in (1, 3, 47, 95, 1023, 4097):
+        boundary_nodes(NODE_SHAPES[2], n, 0.25)
+        boundary_nodes(NODE_SHAPES[2], n)
+    # power-of-two n up to 2^14, shift 0 or 1/2: 30 tables at most, about 1 MB
+    assert shapes._unit_circle_table.cache_info().currsize <= 30
+    table = shapes._unit_circle_table(64, 0.5)
+    assert table is shapes._unit_circle_table(64, 0.5)
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0] = 0.0
+    with pytest.raises(ValueError):
+        table.real[0] = 0.0
+    assert _bits(table) == _bits(shapes._unit_circle(64, 0.5))
+
+
+def _ray_crossing(shape, d: complex) -> float:
+    """t > 0 with t d on the outer boundary of a centred ellipse or an offset disk."""
+    if isinstance(shape, Ellipse):
+        v = d * np.exp(-1j * shape.phi)
+        return 1.0 / math.hypot(v.real / shape.p, v.imag / shape.q)
+    c = shape.center * np.conj(d)  # the centre in the ray's frame
+    return c.real + math.sqrt(shape.R**2 - c.imag**2)
+
+
+def _trace_rays(seed: int, decks: int) -> list:
+    """Seeded rays in the benchmark's boundary-trace style: an offset disk, a
+    centred annulus and a rotated ellipse along (+-0.15 rad) either axis."""
+    rng = np.random.default_rng(seed)
+    rays = []
+    for _ in range(decks):
+        R = rng.uniform(0.95, 1.05)
+        disk = Disk(0.15 * math.sqrt(rng.random()) * np.exp(2j * math.pi * rng.random()), R)
+        rays.append((disk, np.exp(2j * math.pi * rng.random()), (0.5, 2.0)))
+        R = rng.uniform(0.95, 1.05)
+        rays.append((Annulus(0j, rng.uniform(0.38, 0.42) * R, R), np.exp(2j * math.pi * rng.random()), (0.8, 2.0)))
+        p = rng.uniform(1.45, 1.55)
+        e = Ellipse(0j, p, rng.uniform(0.48, 0.52) * p, rng.uniform(0, math.pi))
+        rays.append((e, np.exp(1j * (e.phi + rng.uniform(-0.15, 0.15))), (2.0 / 3.0, 2.0)))
+        rays.append((e, np.exp(1j * (e.phi + 0.5 * math.pi + rng.uniform(-0.15, 0.15))), (0.4, 4.0)))
+    return [(s, complex(d), (lo * _ray_crossing(s, d), hi * _ray_crossing(s, d))) for s, d, (lo, hi) in rays]
+
+
+def _node_results() -> bytes:
+    """Everything that reads the boundary nodes, as one byte string: roots on
+    criterion 11's four rays and on 400 seeded rays, kernel values, exterior
+    moments and the ellipse moment rule."""
+    e = Ellipse(0.0, 1.5, 0.5)
+    rays = [(Disk(0.0, 1.0), 1.0, (0.5, 2.0)), (Annulus(0.0, 0.5, 1.0), 1.0, (0.8, 2.0)),
+            (e, 1.0, (1.0, 3.0)), (e, 1j, (0.2, 2.0))] + _trace_rays(22, 100)
+    out = [boundary_root(shape, d, bracket) for shape, d, bracket in rays]
+    rotated = NODE_SHAPES[2]
+    z = rotated.center + np.array([1.7, 0.9j, -1.6 - 0.2j, 0.3 - 0.7j, 2.5 + 2.5j])
+    out += list(cauchy_kernel_log(rotated, z, z[::-1]))
+    for shape in (Disk(0.1j, 1.0), Annulus(0.05, 0.4, 1.0), Ellipse(0j, 1.5, 0.5, 0.3)):
+        out += list(heleshaw.exterior_moments(shape, 8).t)
+    for order in (12, 24, 48):
+        out += list(shapes._ellipse_centered_moments(1.5, 0.6, order).ravel())
+    return _bits(out)
+
+
+def test_node_tables_change_no_result_bit(monkeypatch):
+    got = _node_results()
+    monkeypatch.setattr(shapes, "boundary_nodes", _angle_nodes)
+    monkeypatch.setattr(heleshaw, "boundary_nodes", _angle_nodes)
+    assert got == _node_results()
