@@ -18,22 +18,16 @@ from . import gallery, serialize
 from .errors import ExpotransError, InputError, MathDomainError, PrecisionError
 
 
-def _load_source(path_or_addr: str, given: str = "a", read_matrix=None):
-    """A gallery address, a shape JSON file, or a matrix JSON file as a
-    `MatrixSource` holding ``given``, read by ``read_matrix`` or else as a
-    matrix with no null entry."""
+def _load_source(path_or_addr: str, given: str = "a"):
+    """A gallery address, a shape JSON file, or a matrix or column JSON file
+    as a `MatrixSource` holding ``given``."""
     if path_or_addr.startswith("gallery:"):
         return gallery.resolve(path_or_addr)
     obj = serialize.load_json(path_or_addr)
     if isinstance(obj, dict) and "type" in obj:
         return serialize.shape_from_obj(obj)
     if isinstance(obj, dict) and "re" in obj:
-        if read_matrix:
-            return gallery.MatrixSource(read_matrix(obj), given)
-        arr, mask = serialize.matrix_from_obj(obj)
-        if not mask.all():
-            raise InputError(f"{path_or_addr} has uncertified (null) entries")
-        return gallery.MatrixSource(arr, given)
+        return gallery.MatrixSource(serialize.matrix_from_obj(obj)[0], given)
     raise InputError(f"{path_or_addr} is neither a shape nor a matrix document")
 
 
@@ -114,17 +108,17 @@ def cmd_detect(args) -> int:
 def cmd_fill(args) -> int:
     from .finiteterm import fill_from_first_column
 
-    col = _load_source(args.column, read_matrix=serialize.column_from_obj).column(args.order)
+    col = _load_source(args.column).column(args.order)
     cert = serialize.certificate_from_obj(serialize.load_json(args.cert))
     filled = fill_from_first_column(col, cert.q, args.order)
-    _emit(serialize.dumps(serialize.filled_to_obj(filled)), args.out)
+    _emit(serialize.dumps(serialize.matrix_to_obj(filled.values, filled.certified)), args.out)
     return 0
 
 
 def cmd_reconstruct(args) -> int:
     from .reconstruct import reconstruct_from_certificate
 
-    col = _load_source(args.column, read_matrix=serialize.column_from_obj).column(args.order)
+    col = _load_source(args.column).column(args.order)
     cert = serialize.certificate_from_obj(serialize.load_json(args.cert))
     if cert.residual > args.tol:
         raise MathDomainError(

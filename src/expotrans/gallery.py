@@ -20,11 +20,11 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 from urllib.parse import parse_qsl
 
+import numpy as np
+
 from .errors import InputError
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from .exptransform import ExpMoments
     from .operators import BandedOperator
     from .shapes import MomentMatrix, Shape
@@ -59,7 +59,8 @@ class OperatorFamily:
 
 class MatrixSource:
     """A matrix read from a file, holding a or b as ``given`` says, or a
-    column read from a file (1-D), which serves only ``column``."""
+    column read from a file (1-D), with NaN for each null.  ``data`` needs a
+    matrix with no null, ``column`` a null-free first column."""
 
     def __init__(self, arr: np.ndarray, given: str = "a"):
         self.arr, self.given = arr, given
@@ -70,7 +71,9 @@ class MatrixSource:
         from .shapes import MomentMatrix
 
         if self.arr.ndim != 2:
-            raise InputError("a column document holds no moment matrix")
+            raise InputError("malformed matrix JSON: a column document holds no moment matrix")
+        if np.isnan(self.arr).any():
+            raise InputError("the matrix has uncertified (null) entries")
         if self.arr.shape[0] < order:
             raise InputError(f"matrix of order {self.arr.shape[0]} smaller than requested {order}")
         block = self.arr[:order, :order]
@@ -78,6 +81,8 @@ class MatrixSource:
 
     def column(self, order: int) -> np.ndarray:
         col = self.arr if self.arr.ndim == 1 else self.arr[:, 0]
+        if np.isnan(col).any():
+            raise InputError("the column has a null entry")
         if col.shape[0] < order:
             raise InputError(f"column of length {col.shape[0]} shorter than order {order}")
         return col[:order]

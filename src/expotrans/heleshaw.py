@@ -113,24 +113,19 @@ def zero_attraction(zeros, c: float) -> float:
     return float(np.hypot(dx, y).max())
 
 
+def _trajectory(col, t_grid, flow) -> list[tuple[float, int, complex]]:
+    """Rows (t, j, v) for each entry v of flow(col, t) on a time grid."""
+    col = np.asarray(col, dtype=complex)
+    return [(t, j, complex(v)) for t in np.asarray(t_grid, dtype=float).tolist()
+            for j, v in enumerate(flow(col, t))]
+
+
 def squeeze_trajectory(col, t_grid) -> list[tuple[float, int, complex]]:
     """Rows (t, j, a[j, 0](t)) for the squeeze flow on a time grid."""
-    col = np.asarray(col, dtype=complex)
-    rows = []
-    for t in np.asarray(t_grid, dtype=float):
-        decayed = squeeze(col, float(t))
-        for j, v in enumerate(decayed):
-            rows.append((float(t), j, complex(v)))
-    return rows
+    return _trajectory(col, t_grid, squeeze)
 
 
 def inject_trajectory(col, t_grid) -> list[tuple[float, int, complex]]:
     """Rows (t, j, a[j, 0](t)) for injection at unit rate from t_grid[0]."""
-    col = np.asarray(col, dtype=complex)
     ts = np.asarray(t_grid, dtype=float)
-    rows = []
-    for t in ts:
-        shifted = inject(col, float(t - ts[0])) if t != ts[0] else col
-        for j, v in enumerate(shifted):
-            rows.append((float(t), j, complex(v)))
-    return rows
+    return _trajectory(col, ts, lambda c, t: inject(c, float(t - ts[0])) if t != ts[0] else c)

@@ -53,43 +53,44 @@ def _covered_order(am: np.ndarray) -> int:
     return int(np.where(np.isfinite(am), n, jk).min(initial=n)) - 1
 
 
-# C_0..C_top of each substitution, built once and read-only; a longer
-# tuple is swapped in whole, so no reader ever sees one half-built
-_SUBSTITUTION_MATRICES: dict[tuple, tuple[np.ndarray, ...]] = {}
+# C_0..C_top, built once and read-only; a longer tuple is swapped in
+# whole, so no reader ever sees one half-built
+_SUBSTITUTION_MATRICES: tuple[np.ndarray, ...] = ()
 
 
-def _substitution_matrices(f, g, top: int) -> tuple[np.ndarray, ...]:
-    mats = _SUBSTITUTION_MATRICES.get((f, g), ())
+def _substitution_matrices(top: int) -> tuple[np.ndarray, ...]:
+    global _SUBSTITUTION_MATRICES
+    mats = _SUBSTITUTION_MATRICES
     if len(mats) <= top:
         grown = list(mats) or [np.ones((1, 1), dtype=complex)]
         for n in range(len(grown), top + 1):
             prev, c = grown[-1], np.zeros((n + 1, n + 1), dtype=complex)
-            c[:n, 1:] += g[0] * prev
-            c[:n, :n] += g[1] * prev
-            c[n, 1:] += f[0] * prev[n - 1]
-            c[n, :n] += f[1] * prev[n - 1]
+            c[:n, 1:] += -0.5j * prev  # y = (z - conj(z))/2i
+            c[:n, :n] += 0.5j * prev
+            c[n, 1:] += 0.5 * prev[n - 1]  # x = (z + conj(z))/2
+            c[n, :n] += 0.5 * prev[n - 1]
             grown.append(c)
         for c in grown:
             c.flags.writeable = False
-        mats = _SUBSTITUTION_MATRICES[(f, g)] = tuple(grown)
+        mats = _SUBSTITUTION_MATRICES = tuple(grown)
     return mats
 
 
-def _substitute(src: np.ndarray, top: int, f, g) -> np.ndarray:
-    """The linear substitution X, Y -> f0 X + f1 Y, g0 X + g1 Y on moments.
+def _substitute(src: np.ndarray, top: int) -> np.ndarray:
+    """Complex moments src[j, k] of z^j conj(z)^k to real moments out[p, q]
+    of x^p y^q, by x = (z + conj(z))/2, y = (z - conj(z))/2i.
 
     out[p, n - p] = sum_r C_n[p, r] src[r, n - r] for n <= top, NaN beyond,
-    where C_n[p, r] is the coefficient of X^r Y^(n-r) in
-    (f0 X + f1 Y)^p (g0 X + g1 Y)^(n-p).  C_n comes from C_(n-1) by
-    multiplying each row by the g form and the last row also by the f form.
-    For the factors 1/2 and i used here its entries are integers below 2^n
-    times a power of 1/2 and of i, so they are exact for n <= 53.  Each C_n
-    is built once per (f, g) and kept read-only for the life of the process:
-    sum (n+1)^2 complex entries, 0.86 MB per pair up to n = 53.
+    where C_n[p, r] is the coefficient of z^r conj(z)^(n-r) in x^p y^(n-p).
+    C_n comes from C_(n-1) by multiplying each row by y and the last row
+    also by x.  Its entries are integers below 2^n times a power of 1/2 and
+    of i, so they are exact for n <= 53.  Each C_n is built once and kept
+    read-only for the life of the process: sum (n+1)^2 complex entries,
+    0.86 MB up to n = 53.
     """
     out = np.full((top + 1, top + 1), np.nan + 0j)
     out[0, 0] = src[0, 0]
-    mats = _substitution_matrices(f, g, top)
+    mats = _substitution_matrices(top)
     for n in range(1, top + 1):
         r = np.arange(n + 1)
         out[r, n - r] = mats[n] @ src[r, n - r]
@@ -113,7 +114,7 @@ def real_moments(a, total_order: int | None = None) -> RealMoments:
         )
     r = np.arange(am.shape[0])
     scale = max(1.0, float(np.abs(am[np.add.outer(r, r) <= p_max]).max()))
-    mc = _substitute(am, p_max, (0.5, 0.5), (-0.5j, 0.5j))
+    mc = _substitute(am, p_max)
     residue = np.argwhere(np.abs(mc.imag) > 1e-10 * scale)
     if residue.size:
         p, q = residue[0]

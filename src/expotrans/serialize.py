@@ -3,7 +3,8 @@
 All floats are written with 17 significant digits, keys keep insertion
 order, and nothing time- or environment-dependent is emitted, so identical
 inputs produce byte-identical files.  Complex scalars are [re, im] pairs;
-matrices are {"order", "re", "im"} with null marking absent entries.
+matrices are {"order", "re", "im"} with null marking absent entries, and a
+column holds one list each of re and im.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import numpy as np
 from .errors import InputError
 
 if TYPE_CHECKING:  # reading or writing a document loads no compute module
-    from .finiteterm import BandCertificate, FilledMoments
+    from .finiteterm import BandCertificate
     from .reconstruct import GridFunction
     from .shapes import Shape
 
@@ -70,49 +71,25 @@ def matrix_to_obj(m: np.ndarray, certified: np.ndarray | None = None) -> dict:
     return {"order": m.shape[0], "re": re, "im": im}
 
 
-def _entries(obj, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """A document's re + i im as complex values, and a mask that is False where
-    an entry is null (NaN).  Any shape is returned; the callers check it."""
+def matrix_from_obj(obj: dict) -> tuple[np.ndarray, np.ndarray]:
+    """A square matrix document, or a column document (one list of ``order``
+    entries), as re + i im with NaN where an entry is null, and a mask that
+    is False there."""
     try:
         re = np.asarray(obj["re"], dtype=float)
         im = np.asarray(obj["im"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:  # ragged, string or nested entries
-        raise InputError(f"malformed {what} JSON: {exc}") from exc
+        raise InputError(f"malformed matrix JSON: {exc}") from exc
     if re.shape != im.shape:
-        raise InputError(f"malformed {what} JSON: re/im shapes differ")
+        raise InputError("malformed matrix JSON: re/im shapes differ")
     if np.isinf([re, im]).any():  # a literal such as 1e400
-        raise InputError(f"non-finite number in {what} JSON")
+        raise InputError("non-finite number in matrix JSON")
+    if re.ndim not in (1, 2) or re.shape[0] != obj.get("order"):
+        raise InputError("malformed matrix JSON: need one re and im row (or column entry) per order")
+    if re.ndim == 2 and re.shape[1] != re.shape[0]:
+        raise InputError("malformed matrix JSON: need order entries in every row")
     mask = ~(np.isnan(re) | np.isnan(im))
     return np.where(mask, re + 1j * im, np.nan), mask
-
-
-def matrix_from_obj(obj: dict) -> tuple[np.ndarray, np.ndarray]:
-    """Matrix plus certification mask (False where entries were null)."""
-    arr, mask = _entries(obj, "matrix")
-    if arr.ndim != 2 or arr.shape[0] != obj.get("order"):
-        raise InputError("malformed matrix JSON: need one re and im row per order")
-    if arr.shape[1] != arr.shape[0]:
-        raise InputError("malformed matrix JSON: need order entries in every row")
-    return arr, mask
-
-
-def column_from_obj(obj: dict) -> np.ndarray:
-    """A column document, or the first column of a (square) matrix document;
-    no nulls, and ``order`` entries either way."""
-    col, mask = _entries(obj, "column")
-    if col.ndim == 2 and col.shape[1]:
-        if col.shape[1] != col.shape[0]:
-            raise InputError("malformed column JSON: need order entries in every matrix row")
-        col, mask = col[:, 0], mask[:, 0]
-    if col.ndim != 1 or not mask.all():
-        raise InputError("malformed column JSON: need one list of non-null re and im")
-    if col.shape[0] != obj.get("order"):
-        raise InputError("malformed column JSON: need order entries in re and im")
-    return col
-
-
-def filled_to_obj(filled: FilledMoments) -> dict:
-    return matrix_to_obj(filled.values, filled.certified)
 
 
 # ---------------------------------------------------------------------------

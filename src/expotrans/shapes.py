@@ -629,18 +629,14 @@ def cauchy_kernel_log(shape: Shape, z, w):
     Disks and annuli use closed forms.  For an ellipse with centre c, Green's
     theorem turns the area integral into the contour integral
 
-        (1/(2 pi i)) * contour integral of log((conj(zeta) - conj(w)) / (conj(c) - conj(w))) dzeta / (zeta - z),
+        (1/(2 pi i)) * contour integral of
+            log((conj(zeta) - conj(w)) / (conj(c) - conj(w))) dzeta / (zeta - z),
 
     whose principal logarithm is single-valued because the support is convex
-    and w lies outside; it is formed as log|x| + i arg x from real kernels,
-    the same branch as numpy's complex log at a quarter of its cost.  The
-    integrand is analytic out to the confocal ellipse through z or w, at
-    analyticity radius sigma, so the n-node trapezoid rule errs by about
-    exp(-sigma n).  The rule starts at half the predicted ln(1/tol)/sigma
-    nodes (64 at least) and doubles until twice the difference of two sums,
-    scaled by exp(-sigma n/2) to the finer sum's error, is within tol = 1e-9
-    (relative to the sum, floor 1); the delivered error is about tol/2.  The points of a batch share the nodes
-    of each level, and each point keeps its own start and stop.  A rule that
+    and w lies outside.  `Ellipse.kernel_log` sums it by a doubling trapezoid
+    rule to within about tol/2 of the value (relative, floor 1) at
+    tol = 1e-9, and the points of a batch share each level's nodes; its
+    docstring states the rule's start level, stop test and factor 2.  A rule that
     needs more nodes than the quadrature budget raises PrecisionError.
     Weights and unions act linearly; a grid is summed cell by cell.  It
     returns ``shape.kernel_log(z, w, 1e-9)``; the ellipse rule reads the

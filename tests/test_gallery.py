@@ -1,9 +1,11 @@
 """Gallery address parsing and sizing, and the one interface every source answers."""
+import json
+
 import numpy as np
 import pytest
 
 from expotrans import serialize
-from expotrans.cli import _load_source
+from expotrans.cli import _load_source, main
 from expotrans.errors import InputError, MathDomainError
 from expotrans.exptransform import ExpMoments, a_to_b, b_to_a
 from expotrans.gallery import OperatorFamily, a_for, b_for, names, resolve
@@ -113,8 +115,7 @@ def _sources(tmp_path):
     for given in ("a", "b"):
         rows.append((f"matrix --given {given}", given, docs["matrix"],
                      _load_source(str(tmp_path / "matrix.json"), given)))
-    rows.append(("column", "column", docs["column"],
-                 _load_source(str(tmp_path / "column.json"), read_matrix=serialize.column_from_obj)))
+    rows.append(("column", "column", docs["column"], _load_source(str(tmp_path / "column.json"))))
     return rows
 
 
@@ -127,12 +128,14 @@ def _ladder(kind, src, order, what):
     if kind == "operator":
         b = b_from_operator(src.sized_for(order), order)
         return b.b if what == "b" else b_to_a(b).a if what == "a" else b.b[:, 0]
+    arr = np.asarray(src["re"], dtype=float) + 1j * np.asarray(src["im"], dtype=float)
     if what == "column":
-        col = serialize.column_from_obj(src)
+        col = arr if kind == "column" else arr[:, 0]
         if col.shape[0] < order:
             raise InputError("column too short")
         return col[:order]
-    arr, _ = serialize.matrix_from_obj(src)  # a column document is refused here
+    if kind == "column":
+        raise InputError("a column document holds no moment matrix")
     if arr.shape[0] < order:
         raise InputError("matrix too small")
     if kind == "b":
@@ -155,3 +158,44 @@ def test_every_source_answers_as_its_ladder(tmp_path, order):
                     answer(source)
                 continue
             assert np.array_equal(answer(source), want), (label, what)
+
+
+def _text(path):
+    with open(path) as fh:
+        return fh.read()
+
+
+def _read(path):
+    return serialize.matrix_from_obj(json.loads(_text(path)))[0]
+
+
+@pytest.mark.parametrize("kind", ["matrix", "column", "filled"])
+def test_one_reader_serves_column_and_source(tmp_path, monkeypatch, capsys, kind):
+    """A matrix file, a column file and fill's own output (nulls off column 0)
+    give COLUMN one first column; SOURCE reads only the null-free matrix."""
+    monkeypatch.chdir(tmp_path)
+    for argv in ("moments gallery:trifoil --order 10 --out matrix.json",
+                 "detect gallery:trifoil --order 10 --out cert.json",
+                 "fill gallery:trifoil cert.json --order 10 --out filled.json"):
+        assert main(argv.split()) == 0
+    a = _read("matrix.json")
+    with open("column.json", "w") as fh:
+        fh.write(serialize.dumps({"order": 10, "re": a[:, 0].real.tolist(), "im": a[:, 0].imag.tolist()}))
+    filled = _read("filled.json")
+    assert np.isnan(filled).any() and not np.isnan(filled[:, 0]).any()
+    source = _load_source(f"{kind}.json")
+    assert np.array_equal(source.column(10), resolve("gallery:trifoil").column(10))
+    assert main(f"fill {kind}.json cert.json --order 10 --out again.json".split()) == 0
+    assert _text("again.json") == _text("filled.json")
+    capsys.readouterr()
+    if kind == "matrix":
+        for command in ("moments", "transform"):  # a and b share the first column
+            assert main(f"{command} matrix.json --order 10".split()) == 0
+            printed = serialize.matrix_from_obj(json.loads(capsys.readouterr().out))[0]
+            assert np.array_equal(printed[:, 0], source.column(10))
+        return
+    with pytest.raises(InputError):
+        source.data(10)
+    for command in ("moments", "detect"):
+        assert main(f"{command} {kind}.json --order 10".split()) == 2
+        assert "input error" in capsys.readouterr().err

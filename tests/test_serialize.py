@@ -8,13 +8,12 @@ import pytest
 from expotrans.cli import main
 from expotrans.errors import InputError
 from expotrans.finiteterm import BandCertificate, fill_from_first_column
+from expotrans.gallery import MatrixSource
 from expotrans.reconstruct import GridFunction
 from expotrans.serialize import (
     certificate_from_obj,
     certificate_to_obj,
-    column_from_obj,
     dumps,
-    filled_to_obj,
     fmt,
     grid_to_csv,
     matrix_from_obj,
@@ -55,7 +54,7 @@ def test_matrix_round_trip():
 def test_masked_matrix_round_trip():
     col = np.array([1.0, 0.5, 0.25, 0.125], dtype=complex)
     filled = fill_from_first_column(col, np.array([0.5 + 0j]), 4)
-    arr, mask = matrix_from_obj(filled_to_obj(filled))
+    arr, mask = matrix_from_obj(matrix_to_obj(filled.values, filled.certified))
     assert np.array_equal(mask, filled.certified)
     assert np.array_equal(arr[mask], filled.values[mask])
     assert np.all(np.isnan(arr[~mask].real))
@@ -82,24 +81,24 @@ def test_overflowing_entry_is_input_error(text):
 
 def test_column_round_trip():
     col = np.array([1.0, 0.5 - 0.25j, 0.0])
-    back = column_from_obj({"order": 3, "re": [1.0, 0.5, 0.0], "im": [0.0, -0.25, 0.0]})
-    assert np.array_equal(back, col)
-    # a matrix object is accepted and read as its first column
+    back, mask = matrix_from_obj({"order": 3, "re": [1.0, 0.5, 0.0], "im": [0.0, -0.25, 0.0]})
+    assert np.array_equal(back, col) and mask.all()
+    # a matrix object is read whole, and a COLUMN takes its first column
     m = np.array([[1.0, 2.0], [3.0 + 1j, 4.0]])
-    assert np.array_equal(column_from_obj(matrix_to_obj(m)), m[:, 0])
+    assert np.array_equal(MatrixSource(matrix_from_obj(matrix_to_obj(m))[0]).column(2), m[:, 0])
     with pytest.raises(InputError):
-        column_from_obj({"re": [1.0]})
+        matrix_from_obj({"re": [1.0]})
     with pytest.raises(InputError):
-        column_from_obj({"re": [1.0, 2.0], "im": [0.0]})
-    # the rules matrix_from_obj applies to a SOURCE: order is the length, a matrix is square
+        matrix_from_obj({"re": [1.0, 2.0], "im": [0.0]})
+    # one rule for every document: order is the length, a matrix is square
     for doc in (
         {"order": 2, "re": [[1, 0, 5], [0, 1, 7]], "im": [[0, 0, 0], [0, 0, 0]]},
         {"order": 5, "re": [1.0, 0.5, 0.2], "im": [0, 0, 0]},
         {"order": 3, "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]},
         {"re": [1.0, 0.5], "im": [0, 0]},
     ):
-        with pytest.raises(InputError, match="malformed column JSON"):
-            column_from_obj(doc)
+        with pytest.raises(InputError, match="malformed matrix JSON"):
+            matrix_from_obj(doc)
 
 
 def oracle_dumps(obj) -> str:
