@@ -19,8 +19,8 @@ __version__ = "0.1.0"
 # home module -> the public names it exports; each module is a public name too
 _EXPORTS = {
     "errors": ("ExpotransError", "InputError", "MathDomainError", "PrecisionError"),
-    "exptransform": ("AnnulusProfile", "ExpMoments", "TDiskProfile", "a_to_b", "b_to_a",
-                     "boundary_root", "eval_E", "nevanlinna_density", "rot_diag_b"),
+    "exptransform": ("ExpMoments", "a_to_b", "b_to_a", "boundary_root", "eval_E",
+                     "nevanlinna_density", "rot_diag_b"),
     "finiteterm": ("BandCertificate", "BandProfile", "FilledMoments", "band_profile",
                    "detect_order", "fill_from_first_column", "fit_certificate"),
     "gallery": ("MatrixSource", "OperatorFamily", "a_for", "b_for", "resolve"),

@@ -56,13 +56,11 @@ def cmd_moments(args) -> int:
 
 
 def cmd_transform(args) -> int:
-    from .exptransform import a_to_b, b_to_a
-
     source = _load_source(args.source, "b" if args.inverse else args.given)
     if args.inverse:
-        out = b_to_a(gallery.b_for(source, args.order)).a
+        out = gallery.a_for(source, args.order).a
     else:
-        out = a_to_b(gallery.a_for(source, args.order)).b
+        out = gallery.b_for(source, args.order).b
     _emit(serialize.dumps(serialize.matrix_to_obj(out)), args.out)
     return 0
 
@@ -292,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_source(p)
     p.set_defaults(fn=cmd_moments)
 
-    p = sub.add_parser("transform", help="a -> b (or b -> a with --inverse)")
+    p = sub.add_parser("transform", help="the source's b, or its a with --inverse")
     _add_source(p)
     p.add_argument("--inverse", action="store_true")
     p.set_defaults(fn=cmd_transform)

@@ -12,13 +12,12 @@ shape class carries its own kernel: closed forms for disks and annuli, a
 trapezoid contour rule for ellipses whose points share each level's nodes),
 finds boundary crossings along rays as zeros of E(z, z), one batch of
 samples per round, using the shapes' own membership test and shade value,
-and carries the closed forms for the rotationally invariant profiles.
+and carries the closed form of the weighted unit disk's b diagonal.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -140,59 +139,31 @@ def boundary_root(
 
 
 # ---------------------------------------------------------------------------
-# rotationally invariant profiles
+# the weighted unit disk
 
 
-@dataclass(frozen=True)
-class TDiskProfile:
-    """Unit disk shaded with constant weight t in (0, 1]."""
+def rot_diag_b(t: float, k: int) -> float:
+    """Diagonal entry b[k, k] of the unit disk shaded with weight t in (0, 1].
 
-    t: float
-
-    def __post_init__(self):
-        if not 0 < self.t <= 1:
-            raise InputError("tdisk weight must lie in (0, 1]")
-
-
-@dataclass(frozen=True)
-class AnnulusProfile:
-    r: float
-    R: float
-
-    def __post_init__(self):
-        if not 0 < self.r < self.R:
-            raise InputError("annulus profile needs 0 < r < R")
-
-
-RotProfile = Union[TDiskProfile, AnnulusProfile]
-
-
-def rot_diag_b(profile: RotProfile, k: int) -> float:
-    """Diagonal entry b[k, k] of a rotationally invariant profile.
-
-    For the weighted disk the off-diagonal entries vanish and
+    The off-diagonal entries vanish and
 
         b[k, k] = t (1-t) (2-t) ... (k-t) / (k+1)!
-
-    while the annulus gives b[k, k] = (R^2 - r^2) r^(2k).
     """
+    if not 0 < t <= 1:
+        raise InputError("tdisk weight must lie in (0, 1]")
     if k < 0:
         raise InputError("need k >= 0")
-    if isinstance(profile, TDiskProfile):
-        num = profile.t
-        for i in range(1, k + 1):
-            num *= i - profile.t
-        return num / math.factorial(k + 1)
-    if isinstance(profile, AnnulusProfile):
-        return (profile.R**2 - profile.r**2) * profile.r ** (2 * k)
-    raise InputError(f"unknown profile {type(profile).__name__}")
+    num = t
+    for i in range(1, k + 1):
+        num *= i - t
+    return num / math.factorial(k + 1)
 
 
 def nevanlinna_density(t: float, x) -> np.ndarray:
     """Density (sin(pi t)/pi) (1/x - 1)^t on (0, 1).
 
-    Its power moments reproduce the weighted-disk diagonal:
-    integral of x^k against the density equals rot_diag_b(TDiskProfile(t), k).
+    Its power moments reproduce the weighted unit disk's b diagonal: the
+    integral of x^k against the density equals rot_diag_b(t, k).
     """
     if not 0 < t < 1:
         raise MathDomainError("density defined for 0 < t < 1")

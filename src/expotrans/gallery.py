@@ -121,8 +121,7 @@ _TABLE: dict[str, tuple[dict[str, float], str, Callable]] = {
     "tdisk": ({"t": 0.5, "R": 1.0}, "shapes", lambda m, p: m.Weighted(m.Disk(0j, p["R"]), p["t"])),
     "ellipse": ({"u": 2.0}, "operators", lambda m, p: OperatorFamily(
         f"ellipse u={p['u']:g}", lambda size: m.toeplitz_ellipse(p["u"], size), 0, 1)),
-    "trifoil": ({}, "operators", lambda m, p: OperatorFamily(
-        "trifoil", lambda size: m.toeplitz_power(1.0, 1.0, 1, size), 1, 2)),
+    "trifoil": ({}, "operators", lambda m, p: OperatorFamily("trifoil", m.trifoil_operator, 1, 2)),
     "power": ({"alpha": 1.0, "beta": 1.0, "d": 1.0}, "operators", _power),
     "twodiag": ({"A1": 1.0, "B1": 1.0}, "operators", lambda m, p: OperatorFamily(
         f"twodiag A1={p['A1']:g} B1={p['B1']:g}", lambda size: m.two_diagonal(p["A1"], p["B1"], size), 0, 2)),

@@ -28,11 +28,10 @@ class BandedOperator:
     xi_norm: float
 
     def __post_init__(self):
+        self.diagonals = {off: np.asarray(vals, dtype=complex) for off, vals in self.diagonals.items()}
         for off, vals in self.diagonals.items():
-            vals = np.asarray(vals, dtype=complex)
             if vals.shape != (self.size - abs(off),):
                 raise InputError(f"diagonal {off} has wrong length")
-            self.diagonals[off] = vals
         if not 0 <= self.xi_index < self.size:
             raise InputError("xi_index outside the matrix")
 

@@ -120,9 +120,7 @@ def hessenberg(b, basis: PolyBasis) -> Hessenberg:
     lmat = basis.coeffs
     certified = d if d < n else n - 1
     shifted = np.zeros((d, d), dtype=complex)  # shifted[m, nn] = b[nn, m+1]
-    for m in range(d):
-        if m + 1 < n:
-            shifted[m] = bm[:d, m + 1]
+    shifted[: n - 1] = bm[:d, 1 : d + 1].T
     h = np.zeros((d, d), dtype=complex)
     for k in range(d):
         y = lmat[k, : k + 1] @ shifted[: k + 1]  # y[nn] = sum_m L[k,m] b[nn, m+1]
@@ -166,13 +164,13 @@ def completeness_gap(h: Hessenberg, b00: float) -> CompletenessReport:
     return CompletenessReport(lhs, float(b00), gap, tail, bound, verdict)
 
 
-def poly_zeros(basis: PolyBasis, n: int) -> np.ndarray:
-    """Zeros of P_n via the companion matrix of P_n / gamma_n."""
-    if not 0 <= n < basis.degree:
-        raise InputError(f"polynomial index {n} outside basis degree {basis.degree}")
-    if n == 0:
-        return np.zeros(0, dtype=complex)
-    monic = basis.coeffs[n, :n] / basis.coeffs[n, n]
-    comp = np.eye(n, k=-1, dtype=complex)
-    comp[:, -1] = -monic
-    return np.linalg.eigvals(comp)
+def poly_zeros(h: Hessenberg, n: int) -> np.ndarray:
+    """Zeros of P_n: the eigenvalues of the leading n x n block of h.
+
+    z P_k = sum_(j <= k+1) h[j, k] P_j, so that block is multiplication by
+    z compressed to the span of P_0 .. P_(n-1), and its characteristic
+    polynomial is P_n / gamma_n.  n runs to the certified block.
+    """
+    if not 0 <= n <= h.certified:
+        raise InputError(f"polynomial index {n} outside certified block {h.certified}")
+    return np.linalg.eigvals(h.h[:n, :n])

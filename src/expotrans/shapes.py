@@ -323,7 +323,7 @@ class Ellipse(Shape):
             if refine:
                 if 2 * n > budget:
                     raise PrecisionError(
-                        f"quadrature budget exceeded: the ellipse contour needs more than {n} nodes"
+                        f"quadrature budget exceeded: the ellipse contour needs more than {budget} nodes"
                     )
                 # refining n to 2n nodes: exp(-sigma n) is the docstring's exp(-sigma (2n)/2)
                 for i, t in zip(refine, node_sums(n, 0.5, refine)):

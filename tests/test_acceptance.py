@@ -284,10 +284,10 @@ def test_criterion_09_mother_body():
 
 def test_criterion_10_zero_attraction():
     b = b_for("gallery:ellipse?u=2", 13)
-    basis = orthonormalize(b)
+    h = hessenberg(b, orthonormalize(b))
     c_focal = 2.0 * math.sqrt(2.0)  # foci of the symbol curve 2e^it + e^-it
-    d12 = zero_attraction(poly_zeros(basis, 12), c_focal)
-    d6 = zero_attraction(poly_zeros(basis, 6), c_focal)
+    d12 = zero_attraction(poly_zeros(h, 12), c_focal)
+    d6 = zero_attraction(poly_zeros(h, 6), c_focal)
     assert d12 < 0.2
     # qualitative decrease; both values sit at the rounding floor, so a
     # strict comparison would flip on noise

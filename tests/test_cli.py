@@ -10,7 +10,9 @@ import sys
 import numpy as np
 import pytest
 
+from expotrans import serialize
 from expotrans.cli import build_parser, main
+from expotrans.gallery import b_for
 
 # the tree under test, ahead of any installed copy
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -71,6 +73,25 @@ def test_transform_round_trip(tmp_path):
         orig = json.load(fh)
     err = np.abs(np.array(back["re"]) - np.array(orig["re"])).max()
     assert err < 1e-10
+
+
+def test_transform_prints_the_sources_own_matrix(tmp_path, monkeypatch, capsys):
+    # a source that holds the matrix asked for is printed as it is; only the
+    # other matrix goes through the conversion.  At order 48 the offset
+    # disk's a fails a_to_b's Hermitian check, so an a -> b -> a round trip
+    # exits 2 where `moments` prints the a.
+    monkeypatch.chdir(tmp_path)
+    disk = "gallery:disk?x=0.4&R=1.1"
+    assert _out(capsys, f"transform {disk} --inverse --order 48") == _out(capsys, f"moments {disk} --order 48")
+    want = serialize.dumps(serialize.matrix_to_obj(b_for("gallery:trifoil", 10).b)) + "\n"
+    assert _out(capsys, "transform gallery:trifoil --order 10") == want
+    b_doc = _out(capsys, "transform gallery:ellipse-shape --order 8")
+    with open("b.json", "w") as fh:
+        fh.write(b_doc)
+    assert _out(capsys, "transform b.json --given b --order 8") == b_doc
+    block = serialize.matrix_from_obj(serialize.load_json("b.json"))[0][:4, :4]
+    want = serialize.dumps(serialize.matrix_to_obj(block)) + "\n"
+    assert _out(capsys, "transform b.json --given b --order 4") == want
 
 
 def test_pipeline_ellipse_report():

@@ -5,7 +5,8 @@ The disk and annulus give E in closed form outside the support:
     disk R at c:      E(z, w) = 1 - R^2 / ((z - c)(conj(w) - conj(c)))
     annulus r < R:    E(z, w) = (1 - R^2/(z conj(w))) / (1 - r^2/(z conj(w)))
 
-and the rotationally invariant b-diagonals have product formulas.  Those
+and the b-diagonals of the weighted unit disk and of the annulus have
+product formulas, the annulus's (R^2 - r^2) r^(2k) written out here.  Those
 pin a_to_b, eval_E, and boundary_root independently of each other.  The
 evaluator uses the same closed forms for disks and annuli, so its ellipse
 contour rule and the ellipse moment rule are checked against the operator
@@ -22,8 +23,6 @@ import pytest
 
 from expotrans.errors import InputError, MathDomainError, PrecisionError
 from expotrans.exptransform import (
-    AnnulusProfile,
-    TDiskProfile,
     a_to_b,
     b_to_a,
     boundary_root,
@@ -64,20 +63,16 @@ def test_tdisk_b_diagonal():
     assert abs(b[1, 1] - 0.125) < 1e-14
     assert abs(b[2, 2] - 1.0 / 16.0) < 1e-14
     for k in range(8):
-        assert abs(b[k, k] - rot_diag_b(TDiskProfile(t), k)) < 1e-14
+        assert abs(b[k, k] - rot_diag_b(t, k)) < 1e-14
 
 
 def test_rot_diag_b_values():
-    assert rot_diag_b(TDiskProfile(1.0), 0) == 1.0
-    assert rot_diag_b(TDiskProfile(1.0), 3) == 0.0
-    assert abs(rot_diag_b(TDiskProfile(0.5), 2) - 1.0 / 16.0) < 1e-15
-    assert abs(rot_diag_b(AnnulusProfile(0.5, 1.0), 3) - 3.0 / 256.0) < 1e-15
-    with pytest.raises(InputError):
-        rot_diag_b(TDiskProfile(0.5), -1)
-    with pytest.raises(InputError):
-        TDiskProfile(1.5)
-    with pytest.raises(InputError):
-        AnnulusProfile(1.0, 0.5)
+    assert rot_diag_b(1.0, 0) == 1.0
+    assert rot_diag_b(1.0, 3) == 0.0
+    assert abs(rot_diag_b(0.5, 2) - 1.0 / 16.0) < 1e-15
+    for t, k in ((0.5, -1), (1.5, 0), (0.0, 2)):
+        with pytest.raises(InputError):
+            rot_diag_b(t, k)
 
 
 def test_round_trip_random():
@@ -191,6 +186,17 @@ def test_eval_E_near_ellipse_fails_before_summing(monkeypatch):
     with pytest.raises(PrecisionError):
         eval_E(e, batch, batch)
     assert summed == []
+
+
+def test_contour_refinement_names_the_budget(monkeypatch):
+    # ln(1e9)/sigma = 129.07 passes the up-front check at budget 130, and the
+    # rule starts at 128 nodes; refining to 256 exceeds the budget, and the
+    # message names the budget, not the 128 nodes summed so far
+    summed = _count_nodes(monkeypatch)
+    monkeypatch.setenv("EXPOTRANS_QUAD_BUDGET", "130")
+    with pytest.raises(PrecisionError, match="needs more than 130 nodes"):
+        shapes.cauchy_kernel_log(Ellipse(0j, 1.5, 0.5), 1.6, 1.6)
+    assert summed == [128]
 
 
 def _real_kernel_log(x: np.ndarray) -> np.ndarray:
@@ -460,8 +466,10 @@ def test_ellipse_contour_meets_its_tol():
 
 
 def test_boundary_root_no_crossing():
-    with pytest.raises(MathDomainError):
+    with pytest.raises(MathDomainError, match="no boundary crossing"):
         boundary_root(Disk(0.0, 1.0), 1.0 + 0.0j, (2.0, 4.0))
+    with pytest.raises(MathDomainError, match="upper end lies inside"):
+        boundary_root(Disk(0.0, 1.0), 1.0 + 0.0j, (0.2, 0.9))
 
 
 @pytest.mark.parametrize("direction, bracket", [
@@ -502,7 +510,7 @@ def test_nevanlinna_moments_match_diagonal():
     for t in (0.3, 0.5, 0.8):
         assert abs(beta_moment(t, 0) - t) < 1e-14
         for k in range(9):
-            assert abs(beta_moment(t, k) - rot_diag_b(TDiskProfile(t), k)) < 1e-14
+            assert abs(beta_moment(t, k) - rot_diag_b(t, k)) < 1e-14
     assert abs(beta_moment(0.5, 1) - 1.0 / 8.0) < 1e-15
     # and the pointwise density matches the same measure by quadrature at
     # t = 1/2, where x = sin^2(theta) removes both endpoint singularities

@@ -11,6 +11,7 @@ import pytest
 
 from expotrans.errors import InputError, MathDomainError
 from expotrans.operators import (
+    BandedOperator,
     commutator_defect,
     b_from_operator,
     toeplitz_ellipse,
@@ -106,8 +107,31 @@ def test_power_model_validation():
         toeplitz_power(1.0, 2.0, 1, 20)
     with pytest.raises(InputError):
         toeplitz_power(1.0, 1.0, 0, 20)
+    with pytest.raises(InputError, match="size too small"):
+        toeplitz_power(1.0, 1.0, 2, 3)
     op = toeplitz_power(1.0, 1.0, 3, 40)
     assert op.xi_index == 3
+
+
+@pytest.mark.parametrize("diagonals, xi_index, message", [
+    ({0: [1, 2]}, 0, "diagonal 0 has wrong length"),
+    ({-1: [1, 2, 3]}, 0, "diagonal -1 has wrong length"),
+    ({0: [1, 2, 3]}, 3, "xi_index outside"),
+    ({0: [1, 2, 3]}, -1, "xi_index outside"),
+])
+def test_banded_operator_validation(diagonals, xi_index, message):
+    with pytest.raises(InputError, match=message):
+        BandedOperator(3, diagonals, xi_index, 1.0)
+
+
+def test_banded_operator_leaves_the_callers_dict_alone():
+    d = {0: [1, 2, 3], -1: [4, 5]}
+    op = BandedOperator(3, d, 0, 1.0)
+    assert d == {0: [1, 2, 3], -1: [4, 5]}
+    assert type(d[0]) is list and type(d[-1]) is list
+    assert op.diagonals is not d
+    assert all(v.dtype == complex for v in op.diagonals.values())
+    assert np.array_equal(op.matrix(), [[1, 0, 0], [4, 2, 0], [0, 5, 3]])
 
 
 def test_trifoil_curve_values():

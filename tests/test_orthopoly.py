@@ -138,16 +138,17 @@ def test_subdiag_identity_random_psd():
 
 def test_poly_zeros():
     b = a_to_b(moments(Annulus(0.3 + 0.0j, 0.5, 1.0), 6))
-    basis = orthonormalize(b)
+    h = hessenberg(b, orthonormalize(b))
     # P_n has an n-fold zero at the center, and an n-fold root only holds
-    # its position to (coefficient noise)^(1/n)
+    # its position to (entry noise)^(1/n)
     for n, tol in ((1, 1e-10), (3, 1e-4), (5, 2e-3)):
-        zs = poly_zeros(basis, n)
+        zs = poly_zeros(h, n)
         assert zs.shape == (n,)
         assert np.max(np.abs(zs - 0.3)) < tol
-    assert poly_zeros(basis, 0).shape == (0,)
-    with pytest.raises(InputError):
-        poly_zeros(basis, 17)
+    assert poly_zeros(h, 0).shape == (0,)
+    for n in (-1, 6, 17):  # the certified block of order 6 is 5
+        with pytest.raises(InputError):
+            poly_zeros(h, n)
 
 
 def test_degenerate_zero_matrix():

@@ -13,12 +13,12 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 
 # the public names of the eagerly importing package, modules included
 PUBLIC = [
-    "Annulus", "AnnulusProfile", "BandCertificate", "BandProfile", "BandedOperator", "BiSeries",
+    "Annulus", "BandCertificate", "BandProfile", "BandedOperator", "BiSeries",
     "Box", "CompletenessReport", "Disk", "Ellipse", "ExpMoments", "ExpotransError",
     "ExteriorMoments", "FilledMoments", "Grid", "GridFunction", "Hessenberg", "InputError",
     "LegendreField", "MathDomainError", "MatrixSource", "MomentMatrix", "OperatorFamily",
     "PolyBasis", "PrecisionError", "RealMoments", "RecursionState", "Shape", "Sum",
-    "TDiskProfile", "Weighted", "a_for", "a_to_b", "b_for", "b_from_operator", "b_to_a",
+    "Weighted", "a_for", "a_to_b", "b_for", "b_from_operator", "b_to_a",
     "band_profile", "boundary_root", "cauchy_kernel_log", "commutator_defect",
     "completeness_gap", "confocal_ellipse", "detect_order", "ellipse_operator", "errors",
     "eval_E", "exp_neg", "exptransform", "exterior_moments", "fill_from_first_column",

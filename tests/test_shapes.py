@@ -270,6 +270,13 @@ def test_shape_validation():
         Weighted(Disk(0.0, 1.0), 1.5)
     with pytest.raises(InputError):
         Grid(Box(0.0, 1.0, 0.0, 1.0), np.array([[0.5, 2.0]]))
+    for values in (np.array([0.5, 0.2]), np.zeros((2, 2, 2)), np.zeros((0, 3))):
+        with pytest.raises(InputError, match="non-empty 2-D"):
+            Grid(Box(0.0, 1.0, 0.0, 1.0), values)
+    with pytest.raises(InputError, match="non-finite"):
+        Grid(Box(0.0, 1.0, 0.0, 1.0), np.array([[0.5, np.nan]]))
+    with pytest.raises(InputError, match="at least one part"):
+        Sum(())
 
 
 def test_quad_budget_env(monkeypatch):
