@@ -33,9 +33,9 @@ _EXPORTS = {
                   "hessenberg", "orthonormalize", "poly_zeros"),
     "reconstruct": ("GridFunction", "LegendreField", "RealMoments", "legendre_fit",
                     "real_moments", "reconstruct_from_certificate", "support_box"),
-    "series": ("BiSeries", "exp_neg", "log_neg"),
-    "shapes": ("Annulus", "Box", "Disk", "Ellipse", "Grid", "MomentMatrix", "Shape", "Sum",
-               "Weighted", "cauchy_kernel_log", "moments"),
+    "series": ("BiSeries", "MomentMatrix", "exp_neg", "log_neg"),
+    "shapes": ("Annulus", "Box", "Disk", "Ellipse", "Grid", "Shape", "Sum", "Weighted",
+               "cauchy_kernel_log", "moments"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in (module, *names)}
 

@@ -330,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_gallery)
 
     p = sub.add_parser("selftest", help="fast internal consistency battery")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count(0), default=0)
     p.set_defaults(fn=cmd_selftest)
     return ap
 

@@ -13,17 +13,24 @@ trapezoid contour rule for ellipses whose points share each level's nodes),
 finds boundary crossings along rays as zeros of E(z, z), one batch of
 samples per round, using the shapes' own membership test and shade value,
 and carries the closed form of the weighted unit disk's b diagonal.
+a <-> b needs only `series`, and E is evaluated through the `shapes` module
+that its shape argument comes from, so converting an operator model's b or
+a matrix file loads no shape module.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import shapes
 from .errors import InputError, MathDomainError, PrecisionError
-from .series import BiSeries, exp_neg, hermitian_matrix, log_neg, square_matrix
+from .series import BiSeries, MomentMatrix, exp_neg, hermitian_matrix, log_neg, square_matrix
+
+if TYPE_CHECKING:
+    from .shapes import Shape
 
 
 @dataclass
@@ -48,20 +55,23 @@ def a_to_b(a) -> ExpMoments:
     return ExpMoments(am.shape[0], -series.tail)
 
 
-def b_to_a(b) -> shapes.MomentMatrix:
+def b_to_a(b) -> MomentMatrix:
     """Inverse of a_to_b via -log(1 - B)."""
     bm = square_matrix(b, "b")
     series = log_neg(BiSeries(bm.shape[0], 1.0, -bm))
-    return shapes.MomentMatrix(bm.shape[0], series.tail)
+    return MomentMatrix(bm.shape[0], series.tail)
 
 
-def eval_E(shape: shapes.Shape, z, w):
+def eval_E(shape: Shape, z, w):
     """E(z, w) for points z, w strictly outside the support.
 
     z and w are equal-length 1-D arrays of points and give the array of
     E(z[i], w[i]), all from one `shapes.cauchy_kernel_log` call; a scalar
     pair is a one-point batch and gives a complex.
     """
+    # `shape` is a `shapes` object, so that module is loaded: reading it from
+    # sys.modules costs no import per call, and a <-> b loads no shape module
+    shapes = sys.modules[f"{__package__}.shapes"]
     e = np.exp(-shapes.cauchy_kernel_log(shape, z, w))
     return complex(e) if np.ndim(e) == 0 else e
 
@@ -73,7 +83,7 @@ _QUARTIC_FIT = np.linalg.inv(np.vander(np.arange(1.0, 6.0)))
 
 
 def boundary_root(
-    shape: shapes.Shape,
+    shape: Shape,
     direction: complex,
     bracket: tuple[float, float],
     tol: float = 1e-5,

@@ -9,8 +9,11 @@ A source is a Shape, an OperatorFamily or a MatrixSource read from a file.
 Each answers ``data(order)`` with its native moments (a `MomentMatrix` a or
 an `ExpMoments` b) and ``column(order)`` with its native first column, which
 a and b share.  `b_for` and `a_for` are the one place that converts a <-> b.
-The numerical modules are imported where an entry is built or converted,
-so listing or misnaming an entry loads none of them.
+The numerical modules, numpy among them, are imported where an entry is
+built, a file's matrix is read or a <-> b is converted, so listing or
+misnaming an entry loads none of them.  The conversion needs only
+`series` and `exptransform`: an operator family or a matrix file loads no
+shape module.
 """
 from __future__ import annotations
 
@@ -20,14 +23,15 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 from urllib.parse import parse_qsl
 
-import numpy as np
-
 from .errors import InputError
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .exptransform import ExpMoments
     from .operators import BandedOperator
-    from .shapes import MomentMatrix, Shape
+    from .series import MomentMatrix
+    from .shapes import Shape
 
 
 @dataclass(frozen=True)
@@ -67,8 +71,10 @@ class MatrixSource:
 
     def data(self, order: int) -> MomentMatrix | ExpMoments:
         """The leading order x order block."""
+        import numpy as np
+
         from .exptransform import ExpMoments
-        from .shapes import MomentMatrix
+        from .series import MomentMatrix
 
         if self.arr.ndim != 2:
             raise InputError("malformed matrix JSON: a column document holds no moment matrix")
@@ -80,6 +86,8 @@ class MatrixSource:
         return ExpMoments(order, block) if self.given == "b" else MomentMatrix(order, block)
 
     def column(self, order: int) -> np.ndarray:
+        import numpy as np
+
         col = self.arr if self.arr.ndim == 1 else self.arr[:, 0]
         if np.isnan(col).any():
             raise InputError("the column has a null entry")
@@ -152,7 +160,7 @@ def b_for(source: str | Shape | OperatorFamily | MatrixSource, order: int) -> Ex
     """b for a gallery address or a source: its data, through `a_to_b` when that is a."""
     data = (resolve(source) if isinstance(source, str) else source).data(order)
     from .exptransform import a_to_b
-    from .shapes import MomentMatrix
+    from .series import MomentMatrix
 
     return a_to_b(data) if isinstance(data, MomentMatrix) else data
 
@@ -160,7 +168,7 @@ def b_for(source: str | Shape | OperatorFamily | MatrixSource, order: int) -> Ex
 def a_for(source: str | Shape | OperatorFamily | MatrixSource, order: int) -> MomentMatrix:
     """a for a gallery address or a source: its data, through `b_to_a` when that is b."""
     data = (resolve(source) if isinstance(source, str) else source).data(order)
-    from .shapes import MomentMatrix
+    from .series import MomentMatrix
 
     if isinstance(data, MomentMatrix):
         return data

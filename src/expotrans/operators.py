@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -169,6 +168,8 @@ def two_diagonal_state(a1: float, b1: float, count: int) -> RecursionState:
     10,000 terms, with A_{3k+1} = A_1 and B_{3k+1} = 1 throughout; that
     pattern is observed, not proved.
     """
+    from fractions import Fraction
+
     if not (a1 > 0 and b1 > 0):
         raise MathDomainError("starting values must be positive")
     if count < 4:

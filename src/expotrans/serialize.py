@@ -4,19 +4,22 @@ All floats are written with 17 significant digits, keys keep insertion
 order, and nothing time- or environment-dependent is emitted, so identical
 inputs produce byte-identical files.  Complex scalars are [re, im] pairs;
 matrices are {"order", "re", "im"} with null marking absent entries, and a
-column holds one list each of re and im.
+column holds one list each of re and im.  numpy is imported where an
+array is built or read, so writing a document of plain Python values, such
+as the gallery's listing, loads none of it.
 """
 from __future__ import annotations
 
 import json
 import math
+import sys
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 from .errors import InputError
 
 if TYPE_CHECKING:  # reading or writing a document loads no compute module
+    import numpy as np
+
     from .finiteterm import BandCertificate
     from .reconstruct import GridFunction
     from .shapes import Shape
@@ -37,9 +40,9 @@ def dumps(obj) -> str:
         return "true"
     if obj is False:
         return "false"
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, int):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, float):
         return fmt(obj)
     if isinstance(obj, str):
         return json.dumps(obj)
@@ -50,8 +53,16 @@ def dumps(obj) -> str:
     if isinstance(obj, list) and all(type(v) is float or v is None for v in obj):
         # a matrix row from ndarray.tolist(): one join, no call per entry through dumps
         return "[" + ",".join("null" if v is None else fmt(v) for v in obj) + "]"
-    if isinstance(obj, (list, tuple, np.ndarray)):
+    if isinstance(obj, (list, tuple)):
         return "[" + ",".join(dumps(v) for v in obj) + "]"
+    numpy = sys.modules.get("numpy")  # a numpy object exists only once numpy is loaded
+    if numpy is not None:
+        if isinstance(obj, numpy.integer):
+            return str(int(obj))
+        if isinstance(obj, numpy.floating):
+            return fmt(obj)
+        if isinstance(obj, numpy.ndarray):
+            return "[" + ",".join(dumps(v) for v in obj) + "]"
     raise InputError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -65,6 +76,8 @@ def write_text(path: str, text: str):
 
 
 def matrix_to_obj(m: np.ndarray, certified: np.ndarray | None = None) -> dict:
+    import numpy as np
+
     m = np.asarray(m, dtype=complex)
     mask = np.ones(m.shape, dtype=bool) if certified is None else np.asarray(certified)
     re, im = (np.where(mask, part, None).tolist() for part in (m.real, m.imag))
@@ -75,6 +88,8 @@ def matrix_from_obj(obj: dict) -> tuple[np.ndarray, np.ndarray]:
     """A square matrix document, or a column document (one list of ``order``
     entries), as re + i im with NaN where an entry is null, and a mask that
     is False there."""
+    import numpy as np
+
     try:
         re = np.asarray(obj["re"], dtype=float)
         im = np.asarray(obj["im"], dtype=float)
@@ -97,6 +112,8 @@ def matrix_from_obj(obj: dict) -> tuple[np.ndarray, np.ndarray]:
 
 
 def certificate_to_obj(cert: BandCertificate) -> dict:
+    import numpy as np
+
     return {
         "d": cert.d,
         "q": [[float(v.real), float(v.imag)] for v in np.asarray(cert.q, dtype=complex)],
@@ -107,6 +124,8 @@ def certificate_to_obj(cert: BandCertificate) -> dict:
 
 def certificate_from_obj(obj: dict) -> BandCertificate:
     """A certificate document, or the certificate a detect or pipeline document holds."""
+    import numpy as np
+
     from .finiteterm import BandCertificate
 
     if isinstance(obj, dict) and "certificate" in obj:

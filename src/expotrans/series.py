@@ -8,8 +8,10 @@ exponential and logarithm finite triangular recursions rather than limits.
 ``mul``, ``exp_neg`` and ``log_neg`` build each tail row j from the rows
 before it with one matrix product (order x j times j x order) followed by
 sums along its antidiagonals: order**4 / 2 multiply-adds per call.
-The module also holds the two input checks every matrix entry point shares:
-coercion to a square complex array and the Hermitian test.
+The module also holds the two input checks every matrix entry point shares,
+coercion to a square complex array and the Hermitian test, and the moment
+matrix a that the series' tail carries (`MomentMatrix`), so that a <-> b
+needs no shape module.
 """
 from __future__ import annotations
 
@@ -38,6 +40,17 @@ def hermitian_matrix(m, order: int, what: str) -> np.ndarray:
     if np.abs(m - m.conj().T).max() > 1e-9 * scale:
         raise InputError(f"{what} is not Hermitian")
     return 0.5 * (m + m.conj().T)
+
+
+@dataclass
+class MomentMatrix:
+    """Complex moments a[j, k] up to order N in each index; Hermitian."""
+
+    order: int
+    a: np.ndarray
+
+    def __post_init__(self):
+        self.a = hermitian_matrix(self.a, self.order, "moment matrix")
 
 
 @dataclass

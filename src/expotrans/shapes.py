@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, MathDomainError, PrecisionError
-from .series import hermitian_matrix
+from .series import MomentMatrix
 
 DEFAULT_QUAD_BUDGET = 4_194_304
 # unit-circle node sets kept for the process: power-of-two n up to this, shift 0 or 1/2
@@ -498,17 +498,6 @@ class Grid(Shape):
 SHAPE_TYPES = {cls.__name__.lower(): cls for cls in (Disk, Annulus, Ellipse, Weighted, Sum, Grid)}
 
 
-@dataclass
-class MomentMatrix:
-    """Complex moments a[j, k] up to order N in each index; Hermitian."""
-
-    order: int
-    a: np.ndarray
-
-    def __post_init__(self):
-        self.a = hermitian_matrix(self.a, self.order, "moment matrix")
-
-
 # ---------------------------------------------------------------------------
 # quadrature core
 
@@ -608,10 +597,22 @@ def rotate_moments(a: np.ndarray, phi: float) -> np.ndarray:
 
 
 def moments(shape: Shape, order: int) -> MomentMatrix:
-    """Moment matrix a[j, k] for j, k < order."""
+    """Moment matrix a[j, k] for j, k < order.
+
+    Moments that leave the float range, such as those of a shape far from
+    the origin at a high order, raise PrecisionError: Python's c**k raises
+    OverflowError and numpy's products overflow to inf.
+    """
     if order < 1:
         raise InputError("moment order must be >= 1")
-    return MomentMatrix(order, shape.moment_array(order))
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = shape.moment_array(order)
+    except OverflowError:
+        a = None
+    if a is None or not np.isfinite(a).all():
+        raise PrecisionError(f"moments of order {order} overflow the float range")
+    return MomentMatrix(order, a)
 
 
 # ---------------------------------------------------------------------------

@@ -251,6 +251,19 @@ def test_exit_code_budget(tmp_path):
     assert "precision error" in r.stderr
 
 
+@pytest.mark.parametrize("x", ["1e5", "1e7"])
+def test_moments_past_the_float_range_are_precision_errors(tmp_path, monkeypatch, capsys, x):
+    # at x = 1e7 Python's c**k overflowed (a traceback, exit 1); at 1e5 the
+    # matrix held inf, refused later as a non-finite number or series tail
+    monkeypatch.chdir(tmp_path)
+    address = f"gallery:disk?x={x}&R=1"
+    _out(capsys, f"gallery {address} --out disk.json")
+    for argv in (f"moments {address}", "moments disk.json", f"transform {address}"):
+        assert main(f"{argv} --order 48".split()) == 4
+        err = capsys.readouterr().err
+        assert "precision error: moments of order 48" in err and "Traceback" not in err
+
+
 def test_selftest():
     r = run("selftest")
     assert r.returncode == 0
@@ -299,6 +312,8 @@ def test_options_a_command_does_not_read_are_rejected(tmp_path):
     "detect gallery:trifoil --order 10 --tol=-1",
     "pipeline gallery:ellipse --tol=inf",
     "reconstruct gallery:trifoil cert.json --tol=nan",
+    # a negative seed once reached numpy's generator and died with its traceback
+    "selftest --seed -1",
 ])
 def test_count_below_range_is_usage_error(tmp_path, monkeypatch, capsys, argv):
     with open(tmp_path / "cert.json", "w") as fh:

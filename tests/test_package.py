@@ -1,5 +1,6 @@
 """The package namespace: lazy re-exports and per-subcommand imports."""
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -32,9 +33,10 @@ PUBLIC = [
 ]
 
 
-def fresh(*args: str) -> subprocess.CompletedProcess:
+def fresh(*args: str, cwd=None) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120,
+                          cwd=cwd)
 
 
 def test_import_loads_no_module_and_no_numpy():
@@ -70,25 +72,41 @@ def test_star_import_and_unknown_name():
         exec("from expotrans import no_such_name", {})
 
 
-# listing or misnaming a gallery entry loads none of the numerical modules,
-# and a shape's moments need no a <-> b conversion
-NUMERICAL = ("exptransform", "shapes", "series", "operators", "orthopoly", "finiteterm", "reconstruct",
-             "heleshaw")
-SHAPE_ONLY = ("exptransform", "operators", "orthopoly", "finiteterm", "reconstruct")
+# listing or misnaming a gallery entry, or a usage error, loads none of the
+# numerical modules nor numpy; a shape's moments need no a <-> b conversion;
+# an operator family's or a matrix file's a <-> b needs no shape module; and
+# only the two-diagonal family's exact recursion loads fractions
+NUMERICAL = ("numpy", "expotrans.exptransform", "expotrans.shapes", "expotrans.series",
+             "expotrans.operators", "expotrans.orthopoly", "expotrans.finiteterm",
+             "expotrans.reconstruct", "expotrans.heleshaw")
+SHAPE_ONLY = ("expotrans.exptransform", "expotrans.operators", "expotrans.orthopoly",
+              "expotrans.finiteterm", "expotrans.reconstruct")
+NO_SHAPES = ("expotrans.shapes", "expotrans.reconstruct", "expotrans.heleshaw")
+CERT = {"d": 2, "q": [[0, 0], [0, 0], [1, 0]], "residual": 0, "rows_used": 8}
+B_FILE = {"order": 2, "re": [[1, 0], [0, 0.5]], "im": [[0, 0], [0, 0]]}
 
 
-@pytest.mark.parametrize("argv, code, skipped", [
-    (["gallery"], 0, NUMERICAL),
-    (["moments", "gallery:no-such-entry"], 2, NUMERICAL),
-    (["moments", "gallery:disk", "--order", "4"], 0, SHAPE_ONLY + ("heleshaw",)),
-    (["detect", "gallery:trifoil", "--order", "8"], 0, ("orthopoly", "reconstruct", "heleshaw")),
-    (["evolve", "gallery:disk", "--law", "squeeze"], 0, SHAPE_ONLY),
-], ids=["gallery", "unknown-entry", "moments", "detect", "evolve"])
-def test_subcommand_imports_only_its_route(argv, code, skipped):
-    r = fresh("-X", "importtime", "-m", "expotrans.cli", *argv)
+@pytest.mark.parametrize("argv, code, skipped, home", [
+    (["gallery"], 0, NUMERICAL, None),
+    (["moments", "gallery:no-such-entry"], 2, NUMERICAL, None),
+    (["moments", "--order", "0"], 2, NUMERICAL, None),
+    (["moments", "gallery:disk", "--order", "4"], 0, SHAPE_ONLY + ("expotrans.heleshaw",), "shapes"),
+    (["detect", "gallery:trifoil", "--order", "8"], 0, NO_SHAPES + ("expotrans.orthopoly",), "operators"),
+    (["evolve", "gallery:disk", "--law", "squeeze"], 0, SHAPE_ONLY, "shapes"),
+    (["pipeline", "gallery:ellipse", "--order", "12"], 0, NO_SHAPES, "operators"),
+    (["fill", "gallery:trifoil", "cert.json", "--order", "10"], 0, NO_SHAPES, "operators"),
+    (["transform", "b.json", "--inverse", "--given", "b", "--order", "2"], 0, NO_SHAPES, None),
+    (["detect", "gallery:twodiag", "--order", "8"], 0, NO_SHAPES, "operators"),
+], ids=["gallery", "unknown-entry", "usage-error", "moments", "detect", "evolve", "pipeline", "fill",
+        "transform-b-file", "twodiag"])
+def test_subcommand_imports_only_its_route(tmp_path, argv, code, skipped, home):
+    (tmp_path / "cert.json").write_text(json.dumps(CERT))
+    (tmp_path / "b.json").write_text(json.dumps(B_FILE))
+    r = fresh("-X", "importtime", "-m", "expotrans.cli", *argv, cwd=tmp_path)
     assert r.returncode == code, r.stderr
     loaded = {line.rpartition("|")[2].strip() for line in r.stderr.splitlines() if "import time" in line}
     assert {"expotrans.gallery", "expotrans.serialize"} <= loaded
-    assert not {f"expotrans.{m}" for m in skipped} & loaded
-    # the gallery's own import of an entry's module shows in -X importtime
-    assert "shapes" in skipped or "expotrans.shapes" in loaded
+    assert not set(skipped) & loaded
+    assert ("fractions" in loaded) == ("gallery:twodiag" in argv)
+    # the gallery's own import of an entry's home module shows in -X importtime
+    assert home is None or f"expotrans.{home}" in loaded

@@ -135,6 +135,19 @@ def test_translate_moments_bit_identical_to_loop():
             assert np.array_equal(translate_moments(a, c), _translate_by_loop(a, c))
 
 
+@pytest.mark.parametrize("x", [1e5, 1e7])
+def test_moments_past_the_float_range(x):
+    # 1e7**47 overflows Python's c**k; at 1e5 the products overflow to inf
+    disk = Disk(complex(x, 0.0), 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning on the way either
+        with pytest.raises(PrecisionError, match="order 48"):
+            moments(disk, 48)
+        with pytest.raises(PrecisionError, match="order 48"):
+            moments(Sum((disk, Disk(0j, 0.5))), 48)
+        assert np.isfinite(moments(disk, 8).a).all()
+
+
 def test_sum_additivity():
     d1 = Disk(-2.0, 0.5)
     d2 = Disk(2.0, 0.75)
