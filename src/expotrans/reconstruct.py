@@ -14,6 +14,7 @@ included; values outside [-0.1, 1.1] are only counted, never clipped.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -53,27 +54,19 @@ def _covered_order(am: np.ndarray) -> int:
     return int(np.where(np.isfinite(am), n, jk).min(initial=n)) - 1
 
 
-# C_0..C_top, built once and read-only; a longer tuple is swapped in
-# whole, so no reader ever sees one half-built
-_SUBSTITUTION_MATRICES: tuple[np.ndarray, ...] = ()
-
-
-def _substitution_matrices(top: int) -> tuple[np.ndarray, ...]:
-    global _SUBSTITUTION_MATRICES
-    mats = _SUBSTITUTION_MATRICES
-    if len(mats) <= top:
-        grown = list(mats) or [np.ones((1, 1), dtype=complex)]
-        for n in range(len(grown), top + 1):
-            prev, c = grown[-1], np.zeros((n + 1, n + 1), dtype=complex)
-            c[:n, 1:] += -0.5j * prev  # y = (z - conj(z))/2i
-            c[:n, :n] += 0.5j * prev
-            c[n, 1:] += 0.5 * prev[n - 1]  # x = (z + conj(z))/2
-            c[n, :n] += 0.5 * prev[n - 1]
-            grown.append(c)
-        for c in grown:
-            c.flags.writeable = False
-        mats = _SUBSTITUTION_MATRICES = tuple(grown)
-    return mats
+@functools.cache
+def _substitution_matrix(n: int) -> np.ndarray:
+    """C_n (see `_substitute`), built from C_(n-1) once per process, read-only."""
+    if n == 0:
+        c = np.ones((1, 1), dtype=complex)
+    else:
+        prev, c = _substitution_matrix(n - 1), np.zeros((n + 1, n + 1), dtype=complex)
+        c[:n, 1:] += -0.5j * prev  # y = (z - conj(z))/2i
+        c[:n, :n] += 0.5j * prev
+        c[n, 1:] += 0.5 * prev[n - 1]  # x = (z + conj(z))/2
+        c[n, :n] += 0.5 * prev[n - 1]
+    c.flags.writeable = False
+    return c
 
 
 def _substitute(src: np.ndarray, top: int) -> np.ndarray:
@@ -90,10 +83,9 @@ def _substitute(src: np.ndarray, top: int) -> np.ndarray:
     """
     out = np.full((top + 1, top + 1), np.nan + 0j)
     out[0, 0] = src[0, 0]
-    mats = _substitution_matrices(top)
-    for n in range(1, top + 1):
+    for n in range(1, top + 1):  # increasing n: each C_n is built from a cached C_(n-1)
         r = np.arange(n + 1)
-        out[r, n - r] = mats[n] @ src[r, n - r]
+        out[r, n - r] = _substitution_matrix(n) @ src[r, n - r]
     return out
 
 

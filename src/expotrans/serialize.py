@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from typing import TYPE_CHECKING
 
 from .errors import InputError
@@ -34,6 +33,7 @@ def fmt(x: float) -> str:
 
 
 def dumps(obj) -> str:
+    """Plain Python values only; numpy's float64 and complex128 are a float and a complex."""
     if obj is None:
         return "null"
     if obj is True:
@@ -55,14 +55,6 @@ def dumps(obj) -> str:
         return "[" + ",".join("null" if v is None else fmt(v) for v in obj) + "]"
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(dumps(v) for v in obj) + "]"
-    numpy = sys.modules.get("numpy")  # a numpy object exists only once numpy is loaded
-    if numpy is not None:
-        if isinstance(obj, numpy.integer):
-            return str(int(obj))
-        if isinstance(obj, numpy.floating):
-            return fmt(obj)
-        if isinstance(obj, numpy.ndarray):
-            return "[" + ",".join(dumps(v) for v in obj) + "]"
     raise InputError(f"cannot serialize {type(obj).__name__}")
 
 

@@ -83,7 +83,9 @@ def _cross_row(xt: np.ndarray, rev: np.ndarray, j: int, buf: np.ndarray) -> np.n
     # x and y, where rev holds y's rows in reverse (rev[n-1-i] = y[i]) so that
     # y[j-1::-1] is the contiguous rev[n-j:]: G = xt[:, :j] @ rev[n-j:] lands in
     # columns 1..n of the call's zero-padded (n, 2n) buf and is summed along
-    # q + r by reading row q shifted left by q with row length 2n - 1.
+    # q + r by reading row q shifted left by q with row length 2n - 1.  Callers
+    # silence overflow and invalid-value warnings: matmul may overflow inside a
+    # finite row's products, and `BiSeries` refuses a non-finite result.
     n = xt.shape[0]
     np.matmul(xt[:, :j], rev[n - j :], out=buf[:, 1 : n + 1])
     return buf.ravel()[: n * (2 * n - 1)].reshape(n, 2 * n - 1)[:, :n].sum(axis=0)
@@ -96,8 +98,9 @@ def mul(f: BiSeries, g: BiSeries) -> BiSeries:
     n = f.order
     tail = f.const * g.tail + g.const * f.tail
     rev, buf = np.ascontiguousarray(g.tail[::-1]), np.zeros((n, 2 * n), dtype=complex)
-    for j in range(1, n):
-        tail[j] += _cross_row(f.tail.T, rev, j, buf)
+    with np.errstate(over="ignore", invalid="ignore"):  # see _cross_row
+        for j in range(1, n):
+            tail[j] += _cross_row(f.tail.T, rev, j, buf)
     return BiSeries(n, f.const * g.const, tail)
 
 
@@ -115,8 +118,9 @@ def exp_neg(f: BiSeries) -> BiSeries:
     w = np.arange(1, n + 1)[:, None] * a  # rows of f_u: (p + 1) * a[p]
     rev = np.zeros((n, n), dtype=complex)  # rev[n-1-j] = row j of E
     buf = np.zeros((n, 2 * n), dtype=complex)
-    for j in range(n):
-        rev[n - 1 - j] = -a[j] - _cross_row(w.T, rev, j, buf) / (j + 1)
+    with np.errstate(over="ignore", invalid="ignore"):  # see _cross_row
+        for j in range(n):
+            rev[n - 1 - j] = -a[j] - _cross_row(w.T, rev, j, buf) / (j + 1)
     return BiSeries(n, 1.0, rev[::-1].copy())
 
 
@@ -129,9 +133,10 @@ def log_neg(f: BiSeries) -> BiSeries:
     rev, buf = np.ascontiguousarray(e[::-1]), np.zeros((n, 2 * n), dtype=complex)
     a = np.zeros((n, n), dtype=complex)
     w = np.zeros((n, n), dtype=complex)  # rows of a_u: (p + 1) * a[p]
-    for j in range(n):
-        # exp_neg's identity and cross sum, bit for bit, solved for the new row of a
-        a[j] = -e[j] - _cross_row(w.T, rev, j, buf) / (j + 1)
-        w[j] = (j + 1) * a[j]
+    with np.errstate(over="ignore", invalid="ignore"):  # see _cross_row
+        for j in range(n):
+            # exp_neg's identity and cross sum, bit for bit, solved for the new row of a
+            a[j] = -e[j] - _cross_row(w.T, rev, j, buf) / (j + 1)
+            w[j] = (j + 1) * a[j]
     return BiSeries(n, 0.0, a)
 

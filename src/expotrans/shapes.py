@@ -39,6 +39,7 @@ from .series import MomentMatrix
 DEFAULT_QUAD_BUDGET = 4_194_304
 # unit-circle node sets kept for the process: power-of-two n up to this, shift 0 or 1/2
 TABLED_NODES = 2**14
+KERNEL_TOL = 1e-9  # the Cauchy kernel's ellipse contour rule: relative tolerance, floor 1
 
 
 def quad_budget() -> int:
@@ -95,9 +96,9 @@ class Shape:
 
     A subclass provides `bounding_circle()`, `contains(z)` (whether z lies
     in the support, boundary included), `moment_array(order)`,
-    `kernel_log(z, w, tol)` (the Cauchy kernels at the pairs of two
+    `kernel_log(z, w)` (the Cauchy kernels at the pairs of two
     equal-length 1-D complex arrays of points outside the support, as an
-    array, to relative tolerance tol where a rule approximates them),
+    array, to relative tolerance KERNEL_TOL where a rule approximates them),
     `to_obj()` and a `from_obj(obj)` classmethod.  A shape with a boundary
     parametrization provides `boundary(e)`: given unit-circle points
     e = exp(i theta), it returns one (points, dz/dtheta) pair of arrays per
@@ -168,7 +169,7 @@ class Disk(Shape):
     def moment_array(self, order: int) -> np.ndarray:
         return translate_moments(_radial_diagonal(order, 0.0, self.R), self.center)
 
-    def kernel_log(self, z: np.ndarray, w: np.ndarray, tol: float) -> np.ndarray:
+    def kernel_log(self, z: np.ndarray, w: np.ndarray) -> np.ndarray:
         x = 1.0 / ((z - self.center) * np.conj(w - self.center))
         return -np.log(1.0 - self.R**2 * x)
 
@@ -204,7 +205,7 @@ class Annulus(Shape):
     def moment_array(self, order: int) -> np.ndarray:
         return translate_moments(_radial_diagonal(order, self.r, self.R), self.center)
 
-    def kernel_log(self, z: np.ndarray, w: np.ndarray, tol: float) -> np.ndarray:
+    def kernel_log(self, z: np.ndarray, w: np.ndarray) -> np.ndarray:
         zc, wc = z - self.center, w - self.center
         z_hole, w_hole = np.abs(zc) < self.r, np.abs(wc) < self.r
         y = zc * np.conj(wc)
@@ -264,13 +265,13 @@ class Ellipse(Shape):
         big = 0.5 * (abs(u - c) + abs(u + c))
         return math.log((big + math.sqrt(big**2 - c**2)) / (self.p + self.q))
 
-    def kernel_log(self, z: np.ndarray, w: np.ndarray, tol: float) -> np.ndarray:
-        """Trapezoid rule on the contour form of `cauchy_kernel_log`.  The
-        integrand continues analytically out to the confocal ellipse through
-        z or w, so the n-node sum T_n errs by about exp(-sigma n) and a point
-        needs at least ln(1/tol)/sigma nodes; when that exceeds the budget
-        `quad_budget()` (tol < exp(-sigma budget)) for any point of the batch,
-        the rule fails before any node is built.
+    def kernel_log(self, z: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """Trapezoid rule on the contour form of `cauchy_kernel_log`, to
+        tol = KERNEL_TOL.  The integrand continues analytically out to the
+        confocal ellipse through z or w, so the n-node sum T_n errs by about
+        exp(-sigma n) and a point needs at least ln(1/tol)/sigma nodes; when
+        that exceeds the budget `quad_budget()` (tol < exp(-sigma budget)) for
+        any point of the batch, the rule fails before any node is built.
 
         Each point's nested doubling starts at the smallest n = 64 2^k with
         2 n sigma > ln(1/tol), so its first refinement sums the predicted
@@ -287,7 +288,7 @@ class Ellipse(Shape):
         complex input costs four times as much and was most of the rule's
         time.
         """
-        budget = quad_budget()
+        budget, tol = quad_budget(), KERNEL_TOL
         sigma = [min(self._sigma(zi), self._sigma(wi)) for zi, wi in zip(z, w)]
         if min(sigma) <= 0 or tol < math.exp(-min(sigma) * budget):
             raise PrecisionError(
@@ -368,8 +369,8 @@ class Weighted(Shape):
     def moment_array(self, order: int) -> np.ndarray:
         return self.t * self.base.moment_array(order)
 
-    def kernel_log(self, z: np.ndarray, w: np.ndarray, tol: float) -> np.ndarray:
-        return self.t * self.base.kernel_log(z, w, tol)
+    def kernel_log(self, z: np.ndarray, w: np.ndarray) -> np.ndarray:
+        return self.t * self.base.kernel_log(z, w)
 
     def to_obj(self) -> dict:
         return self._doc(t=self.t, base=self.base.to_obj())
@@ -411,8 +412,8 @@ class Sum(Shape):
     def moment_array(self, order: int) -> np.ndarray:
         return sum(p.moment_array(order) for p in self.parts)
 
-    def kernel_log(self, z: np.ndarray, w: np.ndarray, tol: float) -> np.ndarray:
-        return sum(p.kernel_log(z, w, tol) for p in self.parts)
+    def kernel_log(self, z: np.ndarray, w: np.ndarray) -> np.ndarray:
+        return sum(p.kernel_log(z, w) for p in self.parts)
 
     def to_obj(self) -> dict:
         return self._doc(parts=[p.to_obj() for p in self.parts])
@@ -467,22 +468,23 @@ class Grid(Shape):
     def contains(self, z: complex) -> bool:
         return self._cell_distances([z])[0] <= 0
 
-    def moment_array(self, order: int) -> np.ndarray:
-        z = self.centers().ravel()
+    def _point_masses(self) -> tuple[np.ndarray, np.ndarray]:
+        """The cells as point masses: their centres and weights g dx dy / pi, flat."""
         dx, dy = self.cell
-        w = self.values.ravel() * (dx * dy / math.pi)
+        return self.centers().ravel(), self.values.ravel() * (dx * dy / math.pi)
+
+    def moment_array(self, order: int) -> np.ndarray:
+        z, w = self._point_masses()
         powers = z[None, :] ** np.arange(order)[:, None]
         a = (powers * w) @ powers.conj().T
         return 0.5 * (a + a.conj().T)
 
-    def kernel_log(self, z: np.ndarray, w: np.ndarray, tol: float) -> np.ndarray:
-        dx, dy = self.cell
-        if self._cell_distances(np.concatenate([z, w])).min() < 2.0 * math.hypot(dx, dy):
+    def kernel_log(self, z: np.ndarray, w: np.ndarray) -> np.ndarray:
+        if self._cell_distances(np.concatenate([z, w])).min() < 2.0 * math.hypot(*self.cell):
             raise MathDomainError(
                 "evaluation point is within two quadrature cells of the support"
             )
-        zeta = self.centers().ravel()
-        wgt = self.values.ravel() * (dx * dy / math.pi)
+        zeta, wgt = self._point_masses()
         return np.sum(wgt / ((zeta - z[:, None]) * (np.conj(zeta) - np.conj(w)[:, None])), axis=1)
 
     def to_obj(self) -> dict:
@@ -636,12 +638,12 @@ def cauchy_kernel_log(shape: Shape, z, w):
     whose principal logarithm is single-valued because the support is convex
     and w lies outside.  `Ellipse.kernel_log` sums it by a doubling trapezoid
     rule to within about tol/2 of the value (relative, floor 1) at
-    tol = 1e-9, and the points of a batch share each level's nodes; its
+    tol = KERNEL_TOL, and the points of a batch share each level's nodes; its
     docstring states the rule's start level, stop test and factor 2.  A rule that
     needs more nodes than the quadrature budget raises PrecisionError.
     Weights and unions act linearly; a grid is summed cell by cell.  It
-    returns ``shape.kernel_log(z, w, 1e-9)``; the ellipse rule reads the
-    budget itself.
+    returns ``shape.kernel_log(z, w)``; the ellipse rule reads the
+    tolerance and the budget itself.
     """
     scalar = np.ndim(z) == 0 and np.ndim(w) == 0
     z = np.atleast_1d(np.asarray(z, dtype=complex))
@@ -653,5 +655,5 @@ def cauchy_kernel_log(shape: Shape, z, w):
         raise InputError("evaluation points must be finite")
     if any(map(shape.contains, points)):
         raise MathDomainError("evaluation point lies inside or on the support")
-    k = shape.kernel_log(z, w, 1e-9)
+    k = shape.kernel_log(z, w)
     return complex(k[0]) if scalar else k

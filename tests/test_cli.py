@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from expotrans import serialize
+from expotrans import exptransform, finiteterm, serialize
 from expotrans.cli import build_parser, main
 from expotrans.gallery import b_for
 
@@ -232,6 +232,55 @@ def test_evolve_suction_stops():
     assert "domain error" in r.stderr
 
 
+def test_evolve_reads_a_column(tmp_path, monkeypatch, capsys):
+    # a and b share their first column, and evolve reads only that, with no
+    # a <-> b conversion: a column file, fill's own output (nulls off column
+    # 0) and a b file give the CSV of the gallery source
+    monkeypatch.chdir(tmp_path)
+    a = json.loads(_out(capsys, "moments gallery:trifoil --order 10"))
+    with open("col.json", "w") as fh:
+        json.dump({"order": 10, "re": [r[0] for r in a["re"]], "im": [r[0] for r in a["im"]]}, fh)
+    _out(capsys, "detect gallery:trifoil --order 10 --out cert.json")
+    _out(capsys, "fill gallery:trifoil cert.json --order 10 --out filled.json")
+    _out(capsys, "transform gallery:trifoil --order 10 --out b.json")
+    for name in ("a_to_b", "b_to_a"):
+        monkeypatch.setattr(exptransform, name, lambda *args: pytest.fail("evolve converted a <-> b"))
+    want = _out(capsys, "evolve gallery:trifoil --order 10 --law squeeze")
+    for column in ("col.json", "filled.json", "b.json"):
+        assert _out(capsys, f"evolve {column} --order 10 --law squeeze") == want, column
+
+
+def test_far_disk_transform_is_quiet():
+    # matmul overflows in the series' intermediate products while b's
+    # entries, R^2 c^j conj(c)^k up to 1e282, stay in range: exit 0, no warning
+    r = run("transform", "gallery:disk?x=1e3&R=1", "--order", "48")
+    assert r.returncode == 0 and r.stderr == ""
+    obj = json.loads(r.stdout)
+    b = np.array(obj["re"]) + 1j * np.array(obj["im"])
+    c = np.array([1e3**j for j in range(48)], dtype=complex)
+    want = np.outer(c, c.conj())
+    assert np.max(np.abs(b - want) / np.abs(want)) <= 1e-12
+
+
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("given, want", [
+    ({}, ["1", "1", "1"]),
+    ({"OPENBLAS_NUM_THREADS": "2"}, ["2", "1", "1"]),
+], ids=["unset", "user-setting"])
+def test_cli_pins_blas_threads_unless_set(given, want):
+    # a fresh process: main sets each variable the user left unset to 1
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    env.update(given)
+    code = ("import os; from expotrans.cli import main; main(['gallery']); "
+            f"print(*map(os.environ.get, {_BLAS_VARS!r}))")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[-1].split() == want
+
+
 def test_exit_code_bad_input(tmp_path):
     assert run("moments", "gallery:heptagon").returncode == 2
     bad = str(tmp_path / "bad.json")
@@ -271,6 +320,16 @@ def test_selftest():
     assert "selftest: 5 passed, 0 failed" in r.stdout
 
 
+def test_selftest_failure_names_the_bound_it_checks(monkeypatch, capsys):
+    # with no degree-2 certificate, the trifoil case fails against the same
+    # bound it checks on success
+    monkeypatch.setattr(finiteterm, "detect_order", lambda *args: None)
+    assert main(["selftest"]) == 4
+    out = capsys.readouterr().out
+    assert "FAIL - trifoil certificate (inf > 1e-08)\n" in out
+    assert "selftest: 4 passed, 1 failed" in out
+
+
 def test_matrix_file_smaller_than_order(tmp_path):
     path = str(tmp_path / "a4.json")
     with open(path, "w") as fh:
@@ -283,6 +342,9 @@ def test_matrix_file_smaller_than_order(tmp_path):
 
 def test_options_a_command_does_not_read_are_rejected(tmp_path):
     assert run("gallery", "--order", "3").returncode == 2
+    # evolve reads a column, which a and b share
+    r = run("evolve", "gallery:disk", "--law", "squeeze", "--given", "b")
+    assert r.returncode == 2 and "unrecognized arguments: --given" in r.stderr
     out = str(tmp_path / "selftest.txt")
     assert run("selftest", "--out", out).returncode == 2
     assert not os.path.exists(out)

@@ -429,9 +429,9 @@ def test_boundary_root_contour_cost(monkeypatch):
     batches = []
     kernel = Ellipse.kernel_log
 
-    def recording(self, z, w, tol):
+    def recording(self, z, w):
         batches.append((z, w))
-        return kernel(self, z, w, tol)
+        return kernel(self, z, w)
 
     monkeypatch.setattr(Ellipse, "kernel_log", recording)
     counted = _count_nodes(monkeypatch)
@@ -450,9 +450,11 @@ def test_boundary_root_contour_cost(monkeypatch):
 
 
 def test_ellipse_contour_meets_its_tol():
-    # the geometric stop rule against the same rule at tol 1e-13, on offset,
-    # rotated ellipses at gaps 1e-3 to 10^0.5 outside the rim, for z = w and
-    # z != w; its factor 2 keeps the error near tol/2, under 0.6 tol
+    # the geometric stop rule against the same rule at tol 1e-13 (the
+    # single-point oracle, which the batched rule matches bit for bit at
+    # KERNEL_TOL), on offset, rotated ellipses at gaps 1e-3 to 10^0.5 outside
+    # the rim, for z = w and z != w; its factor 2 keeps the error near tol/2,
+    # under 0.6 tol
     rng = np.random.default_rng(15)
     worst = 0.0
     for k in range(60):
@@ -460,8 +462,8 @@ def test_ellipse_contour_meets_its_tol():
         e = Ellipse(complex(*rng.uniform(-0.5, 0.5, 2)), p, p * rng.uniform(0.2, 1.0), rng.uniform(0, math.pi))
         z = np.array([_near_rim(rng, e)])
         w = z if k % 2 else np.array([_near_rim(rng, e)])
-        want = e.kernel_log(z, w, 1e-13)[0]
-        worst = max(worst, abs(e.kernel_log(z, w, 1e-9)[0] - want) / max(1.0, abs(want)))
+        want = _ellipse_kernel_oracle(e, complex(z[0]), complex(w[0]), 1e-13)
+        worst = max(worst, abs(e.kernel_log(z, w)[0] - want) / max(1.0, abs(want)))
     assert worst <= 6e-10
 
 

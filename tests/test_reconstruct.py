@@ -103,21 +103,22 @@ def complex_moments(rm, order: int) -> np.ndarray:
     return a
 
 
-def test_cached_substitution_matches_rebuilt_oracle(monkeypatch):
+def test_cached_substitution_matches_rebuilt_oracle():
     # from an empty cache, growing (increasing top) and then reading a prefix
     # (decreasing top) must both give the rebuilt matrices' results bit for bit
-    monkeypatch.setattr(reconstruct, "_SUBSTITUTION_MATRICES", ())
+    reconstruct._substitution_matrix.cache_clear()
     a = moments(Ellipse(0.3 + 0.1j, 1.2, 0.7, 0.5), 41).a
     for top in (0, 1, 2, 5, 17, 18, 40, 23, 6, 2, 0):
         rm = real_moments(a, total_order=top)
         want = _rebuilt_substitute(a, top, (0.5, 0.5), (-0.5j, 0.5j))
         assert np.array_equal(rm.m, want.real, equal_nan=True)
-    assert len(reconstruct._SUBSTITUTION_MATRICES) == 41
+    assert reconstruct._substitution_matrix.cache_info().currsize == 41
 
 
 def test_cached_substitution_is_read_only():
     real_moments(moments(Disk(0.2, 1.0), 8))
-    for c in reconstruct._SUBSTITUTION_MATRICES:
+    assert reconstruct._substitution_matrix.cache_info().currsize >= 8
+    for c in map(reconstruct._substitution_matrix, range(8)):
         with pytest.raises(ValueError):
             c[0, 0] = 2.0
 

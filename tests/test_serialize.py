@@ -34,6 +34,12 @@ def test_fmt_and_dumps():
         dumps(float("nan"))
     with pytest.raises(InputError):
         dumps(object())
+    # numpy's float64 is a float and complex128 a complex; any other numpy
+    # scalar or array is refused
+    assert dumps([np.float64(0.5), np.complex128(1j)]) == "[0.5,[0,1]]"
+    for obj in (np.int64(1), np.zeros(2)):
+        with pytest.raises(InputError, match="cannot serialize"):
+            dumps(obj)
 
 
 def test_dumps_deterministic():

@@ -330,3 +330,9 @@ def test_input_validation():
         BiSeries(2, 0.0, np.array([[np.nan, 0.0], [0.0, 0.0]]))
     with pytest.raises(InputError):
         BiSeries(0, 0.0, np.zeros((0, 0)))
+    # the row loops run with overflow warnings off; a result that leaves the
+    # float range is still refused, as an InputError and not as a warning
+    big = BiSeries.from_tail(np.full((4, 4), 1e300))
+    for call in (lambda: exp_neg(big), lambda: log_neg(BiSeries(4, 1.0, big.tail)), lambda: mul(big, big)):
+        with pytest.raises(InputError, match="non-finite"):
+            call()

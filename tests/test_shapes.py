@@ -201,20 +201,20 @@ def test_grid_kernel_builds_the_cells_once(monkeypatch):
         if min(scan(zi), scan(wi)) < guard:
             rejected += 1
             with pytest.raises(MathDomainError):
-                g.kernel_log(np.array([zi]), np.array([wi]), 1e-9)
+                g.kernel_log(np.array([zi]), np.array([wi]))
         else:
             want = np.sum(wgt / ((zeta - zi) * (np.conj(zeta) - np.conj(wi))))
-            assert g.kernel_log(np.array([zi]), np.array([wi]), 1e-9)[0] == want
+            assert g.kernel_log(np.array([zi]), np.array([wi]))[0] == want
     assert 0 < rejected < len(z)
     # the cells are built as often for a batch of eight points as for one
     builds = []
     centers = Grid.centers
     monkeypatch.setattr(Grid, "centers", lambda self: builds.append(1) or centers(self))
     far = c + 3.0 * r * np.exp(2j * math.pi * np.arange(8) / 8)
-    g.kernel_log(far[:1], far[:1], 1e-9)
+    g.kernel_log(far[:1], far[:1])
     once = len(builds)
     builds.clear()
-    g.kernel_log(far, far[::-1], 1e-9)
+    g.kernel_log(far, far[::-1])
     assert len(builds) == once
     assert Grid(g.box, np.zeros_like(values))._cell_distances(far).tolist() == [math.inf] * 8
 
