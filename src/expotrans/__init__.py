@@ -19,8 +19,7 @@ __version__ = "0.1.0"
 # home module -> the public names it exports; each module is a public name too
 _EXPORTS = {
     "errors": ("ExpotransError", "InputError", "MathDomainError", "PrecisionError"),
-    "exptransform": ("ExpMoments", "a_to_b", "b_to_a", "boundary_root", "eval_E",
-                     "nevanlinna_density", "rot_diag_b"),
+    "exptransform": ("boundary_root", "eval_E", "nevanlinna_density", "rot_diag_b"),
     "finiteterm": ("BandCertificate", "BandProfile", "FilledMoments", "band_profile",
                    "detect_order", "fill_from_first_column", "fit_certificate"),
     "gallery": ("MatrixSource", "OperatorFamily", "a_for", "b_for", "resolve"),
@@ -33,7 +32,7 @@ _EXPORTS = {
                   "hessenberg", "orthonormalize", "poly_zeros"),
     "reconstruct": ("GridFunction", "LegendreField", "RealMoments", "legendre_fit",
                     "real_moments", "reconstruct_from_certificate", "support_box"),
-    "series": ("BiSeries", "MomentMatrix", "exp_neg", "log_neg"),
+    "series": ("BiSeries", "ExpMoments", "MomentMatrix", "a_to_b", "b_to_a", "exp_neg", "log_neg"),
     "shapes": ("Annulus", "Box", "Disk", "Ellipse", "Grid", "Shape", "Sum", "Weighted",
                "cauchy_kernel_log", "moments"),
 }

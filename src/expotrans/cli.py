@@ -33,10 +33,11 @@ def _load_source(path_or_addr: str, given: str = "a"):
 
 
 def _emit(text: str, out: str | None):
+    text = text if text.endswith("\n") else text + "\n"
     if out:
         serialize.write_text(out, text)
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
 
 
 def _stage(name: str, fn):
@@ -57,7 +58,7 @@ def cmd_moments(args) -> int:
 
 
 def cmd_transform(args) -> int:
-    source = _load_source(args.source, "b" if args.inverse else args.given)
+    source = _load_source(args.source, args.given or ("b" if args.inverse else "a"))
     if args.inverse:
         out = gallery.a_for(source, args.order).a
     else:
@@ -159,11 +160,10 @@ def cmd_gallery(args) -> int:
 def _selftest_cases(seed: int):
     import numpy as np
 
-    from .exptransform import a_to_b
     from .finiteterm import detect_order
     from .operators import b_from_operator, commutator_defect, toeplitz_ellipse, trifoil_operator
     from .orthopoly import hessenberg, orthonormalize
-    from .series import BiSeries, exp_neg, log_neg
+    from .series import BiSeries, a_to_b, exp_neg, log_neg
     from .shapes import Annulus, moments
 
     rng = np.random.default_rng(seed)
@@ -293,6 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("transform", help="the source's b, or its a with --inverse")
     _add_source(p)
     p.add_argument("--inverse", action="store_true")
+    p.set_defaults(given=None)  # a matrix file is read as b under --inverse, else as a
     p.set_defaults(fn=cmd_transform)
 
     for name, fn, text in (

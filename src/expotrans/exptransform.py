@@ -1,77 +1,33 @@
-"""The exponential transform and its moment identity.
+"""The exponential transform E(z, w) = exp(-K(z, w)) of a shape.
 
-With u = 1/z and v = 1/conj(w), the transform of a shade function obeys
-
-    exp(-sum a[j,k] u^(j+1) v^(k+1)) = 1 - sum b[j,k] u^(j+1) v^(k+1),
-
-which converts the moment matrix a into the positive-definite matrix b and
-back.  The first columns agree exactly.  The module also evaluates the
-transform E(z, w) = exp(-K(z, w)) at batches of points outside the support,
-where K is the Cauchy kernel integral of `shapes.cauchy_kernel_log` (each
-shape class carries its own kernel: closed forms for disks and annuli, a
-trapezoid contour rule for ellipses whose points share each level's nodes),
-finds boundary crossings along rays as zeros of E(z, z), one batch of
-samples per round, using the shapes' own membership test and shade value,
-and carries the closed form of the weighted unit disk's b diagonal.
-a <-> b needs only `series`, and E is evaluated through the `shapes` module
-that its shape argument comes from, so converting an operator model's b or
-a matrix file loads no shape module.
+K is the Cauchy kernel integral of `shapes.cauchy_kernel_log` (each shape
+class carries its own kernel: closed forms for disks and annuli, a
+trapezoid contour rule for ellipses whose points share each level's nodes).
+The module evaluates E at batches of points outside the support, finds
+boundary crossings along rays as zeros of E(z, z), one batch of samples per
+round, using the shapes' own membership test and shade value, and carries
+the closed form of the weighted unit disk's b diagonal.  The moment
+identity that turns a into b lives in `series`.
 """
 from __future__ import annotations
 
 import math
-import sys
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import shapes
 from .errors import InputError, MathDomainError, PrecisionError
-from .series import BiSeries, MomentMatrix, exp_neg, hermitian_matrix, log_neg, square_matrix
-
-if TYPE_CHECKING:
-    from .shapes import Shape
+# perfbench's workloads, defect probes and tracer call a <-> b by these names
+from .series import a_to_b, b_to_a
 
 
-@dataclass
-class ExpMoments:
-    """Exponential-transform moments b[j, k], checked Hermitian.
-
-    Positive definiteness is checked where b is factored, in
-    `orthopoly.orthonormalize`.
-    """
-
-    order: int
-    b: np.ndarray
-
-    def __post_init__(self):
-        self.b = hermitian_matrix(self.b, self.order, "b matrix")
-
-
-def a_to_b(a) -> ExpMoments:
-    """Moments to exponential-transform moments via exp(-A) = 1 - B."""
-    am = square_matrix(a, "a")
-    series = exp_neg(BiSeries.from_tail(am))
-    return ExpMoments(am.shape[0], -series.tail)
-
-
-def b_to_a(b) -> MomentMatrix:
-    """Inverse of a_to_b via -log(1 - B)."""
-    bm = square_matrix(b, "b")
-    series = log_neg(BiSeries(bm.shape[0], 1.0, -bm))
-    return MomentMatrix(bm.shape[0], series.tail)
-
-
-def eval_E(shape: Shape, z, w):
+def eval_E(shape: shapes.Shape, z, w):
     """E(z, w) for points z, w strictly outside the support.
 
     z and w are equal-length 1-D arrays of points and give the array of
     E(z[i], w[i]), all from one `shapes.cauchy_kernel_log` call; a scalar
     pair is a one-point batch and gives a complex.
     """
-    # `shape` is a `shapes` object, so that module is loaded: reading it from
-    # sys.modules costs no import per call, and a <-> b loads no shape module
-    shapes = sys.modules[f"{__package__}.shapes"]
     e = np.exp(-shapes.cauchy_kernel_log(shape, z, w))
     return complex(e) if np.ndim(e) == 0 else e
 
@@ -83,7 +39,7 @@ _QUARTIC_FIT = np.linalg.inv(np.vander(np.arange(1.0, 6.0)))
 
 
 def boundary_root(
-    shape: Shape,
+    shape: shapes.Shape,
     direction: complex,
     bracket: tuple[float, float],
     tol: float = 1e-5,

@@ -11,9 +11,8 @@ an `ExpMoments` b) and ``column(order)`` with its native first column, which
 a and b share.  `b_for` and `a_for` are the one place that converts a <-> b.
 The numerical modules, numpy among them, are imported where an entry is
 built, a file's matrix is read or a <-> b is converted, so listing or
-misnaming an entry loads none of them.  The conversion needs only
-`series` and `exptransform`: an operator family or a matrix file loads no
-shape module.
+misnaming an entry loads none of them.  The conversion lives in `series`,
+so an operator family or a matrix file loads no shape module.
 """
 from __future__ import annotations
 
@@ -28,9 +27,8 @@ from .errors import InputError
 if TYPE_CHECKING:
     import numpy as np
 
-    from .exptransform import ExpMoments
     from .operators import BandedOperator
-    from .series import MomentMatrix
+    from .series import ExpMoments, MomentMatrix
     from .shapes import Shape
 
 
@@ -73,8 +71,7 @@ class MatrixSource:
         """The leading order x order block."""
         import numpy as np
 
-        from .exptransform import ExpMoments
-        from .series import MomentMatrix
+        from .series import ExpMoments, MomentMatrix
 
         if self.arr.ndim != 2:
             raise InputError("malformed matrix JSON: a column document holds no moment matrix")
@@ -159,8 +156,7 @@ def names() -> list[str]:
 def b_for(source: str | Shape | OperatorFamily | MatrixSource, order: int) -> ExpMoments:
     """b for a gallery address or a source: its data, through `a_to_b` when that is a."""
     data = (resolve(source) if isinstance(source, str) else source).data(order)
-    from .exptransform import a_to_b
-    from .series import MomentMatrix
+    from .series import MomentMatrix, a_to_b
 
     return a_to_b(data) if isinstance(data, MomentMatrix) else data
 
@@ -168,10 +164,6 @@ def b_for(source: str | Shape | OperatorFamily | MatrixSource, order: int) -> Ex
 def a_for(source: str | Shape | OperatorFamily | MatrixSource, order: int) -> MomentMatrix:
     """a for a gallery address or a source: its data, through `b_to_a` when that is b."""
     data = (resolve(source) if isinstance(source, str) else source).data(order)
-    from .series import MomentMatrix
+    from .series import MomentMatrix, b_to_a
 
-    if isinstance(data, MomentMatrix):
-        return data
-    from .exptransform import b_to_a
-
-    return b_to_a(data)
+    return data if isinstance(data, MomentMatrix) else b_to_a(data)

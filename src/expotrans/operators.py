@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, MathDomainError
-from .exptransform import ExpMoments
+from .series import ExpMoments
 
 
 @dataclass
@@ -186,8 +186,6 @@ def two_diagonal_state(a1: float, b1: float, count: int) -> RecursionState:
         if b[n] <= 0:
             raise MathDomainError(f"B_{n} became nonpositive")
         a[n + 2] = a[n] * b[n] / b[n - 1]
-        if a[n + 2] <= 0:
-            raise MathDomainError(f"A_{n + 2} became nonpositive")
     c = (a[3] + a[1]) / (1 + 1 / a[2])
     af = np.array([float(x) for x in a])
     af[0] = math.nan

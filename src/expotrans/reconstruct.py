@@ -148,8 +148,6 @@ def support_box(a) -> Box:
             half_x = (mx / _axis_mu(j)) ** (1.0 / (2 * j + 2))
         if np.isfinite(my) and my > 0:
             half_y = (my / _axis_mu(j)) ** (1.0 / (2 * j + 2))
-    if half_x <= 0 or half_y <= 0:
-        raise MathDomainError("no positive even moments; support unbounded?")
     half_x *= 1.0 + BOX_PAD
     half_y *= 1.0 + BOX_PAD
     cx, cy = center.real, center.imag

@@ -10,8 +10,13 @@ before it with one matrix product (order x j times j x order) followed by
 sums along its antidiagonals: order**4 / 2 multiply-adds per call.
 The module also holds the two input checks every matrix entry point shares,
 coercion to a square complex array and the Hermitian test, and the moment
-matrix a that the series' tail carries (`MomentMatrix`), so that a <-> b
-needs no shape module.
+identity of the exponential transform: with u = 1/z and v = 1/conj(w),
+
+    exp(-sum a[j,k] u^(j+1) v^(k+1)) = 1 - sum b[j,k] u^(j+1) v^(k+1),
+
+which `a_to_b` and `b_to_a` apply to the moment matrix a (`MomentMatrix`)
+and the positive-definite matrix b (`ExpMoments`).  The first columns agree
+exactly.
 """
 from __future__ import annotations
 
@@ -51,6 +56,21 @@ class MomentMatrix:
 
     def __post_init__(self):
         self.a = hermitian_matrix(self.a, self.order, "moment matrix")
+
+
+@dataclass
+class ExpMoments:
+    """Exponential-transform moments b[j, k], checked Hermitian.
+
+    Positive definiteness is checked where b is factored, in
+    `orthopoly.orthonormalize`.
+    """
+
+    order: int
+    b: np.ndarray
+
+    def __post_init__(self):
+        self.b = hermitian_matrix(self.b, self.order, "b matrix")
 
 
 @dataclass
@@ -140,3 +160,16 @@ def log_neg(f: BiSeries) -> BiSeries:
             w[j] = (j + 1) * a[j]
     return BiSeries(n, 0.0, a)
 
+
+def a_to_b(a) -> ExpMoments:
+    """Moments to exponential-transform moments via exp(-A) = 1 - B."""
+    am = square_matrix(a, "a")
+    series = exp_neg(BiSeries.from_tail(am))
+    return ExpMoments(am.shape[0], -series.tail)
+
+
+def b_to_a(b) -> MomentMatrix:
+    """Inverse of a_to_b via -log(1 - B)."""
+    bm = square_matrix(b, "b")
+    series = log_neg(BiSeries(bm.shape[0], 1.0, -bm))
+    return MomentMatrix(bm.shape[0], series.tail)

@@ -30,7 +30,7 @@ import numpy as np
 import pytest
 
 from expotrans.errors import MathDomainError
-from expotrans.exptransform import a_to_b, b_to_a, boundary_root
+from expotrans.exptransform import boundary_root
 from expotrans.finiteterm import band_profile, detect_order, fill_from_first_column, fit_certificate
 from expotrans.gallery import b_for, resolve
 from expotrans.heleshaw import (
@@ -53,7 +53,7 @@ from expotrans.reconstruct import (
     reconstruct_from_certificate,
     support_box,
 )
-from expotrans.series import BiSeries, exp_neg, log_neg
+from expotrans.series import BiSeries, a_to_b, b_to_a, exp_neg, log_neg
 from expotrans.shapes import Annulus, Disk, Ellipse, Weighted, moments
 
 

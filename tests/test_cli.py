@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from expotrans import exptransform, finiteterm, serialize
+from expotrans import finiteterm, serialize, series
 from expotrans.cli import build_parser, main
 from expotrans.gallery import b_for
 
@@ -92,6 +92,25 @@ def test_transform_prints_the_sources_own_matrix(tmp_path, monkeypatch, capsys):
     block = serialize.matrix_from_obj(serialize.load_json("b.json"))[0][:4, :4]
     want = serialize.dumps(serialize.matrix_to_obj(block)) + "\n"
     assert _out(capsys, "transform b.json --given b --order 4") == want
+    # --inverse reads a matrix file as b unless --given says a
+    a_doc = _out(capsys, "moments gallery:ellipse-shape --order 8")
+    with open("a.json", "w") as fh:
+        fh.write(a_doc)
+    assert _out(capsys, "transform a.json --inverse --given a --order 8") == a_doc
+    want = _out(capsys, "moments a.json --order 4")
+    assert _out(capsys, "transform a.json --inverse --given a --order 4") == want
+
+
+@pytest.mark.parametrize("command", [
+    "moments gallery:disk --order 3",
+    "evolve gallery:disk --law squeeze --steps 2",
+], ids=["json", "csv"])
+def test_out_file_holds_stdouts_bytes(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    want = _out(capsys, command)
+    assert _out(capsys, f"{command} --out o.txt") == ""
+    with open("o.txt", "rb") as fh:
+        assert fh.read() == want.encode()
 
 
 def test_pipeline_ellipse_report():
@@ -244,7 +263,7 @@ def test_evolve_reads_a_column(tmp_path, monkeypatch, capsys):
     _out(capsys, "fill gallery:trifoil cert.json --order 10 --out filled.json")
     _out(capsys, "transform gallery:trifoil --order 10 --out b.json")
     for name in ("a_to_b", "b_to_a"):
-        monkeypatch.setattr(exptransform, name, lambda *args: pytest.fail("evolve converted a <-> b"))
+        monkeypatch.setattr(series, name, lambda *args: pytest.fail("evolve converted a <-> b"))
     want = _out(capsys, "evolve gallery:trifoil --order 10 --law squeeze")
     for column in ("col.json", "filled.json", "b.json"):
         assert _out(capsys, f"evolve {column} --order 10 --law squeeze") == want, column
@@ -291,6 +310,16 @@ def test_exit_code_bad_input(tmp_path):
     with open(stray, "w") as fh:
         json.dump({"hello": 1}, fh)
     assert run("moments", stray).returncode == 2
+    shape = str(tmp_path / "shape.json")
+    with open(shape, "w") as fh:
+        json.dump({"type": "disk", "center": "x", "R": 1}, fh)
+    assert run("moments", shape).returncode == 2
+    # a zero b file stalls at degree 0, leaving the band nothing to read
+    zero = str(tmp_path / "zero.json")
+    with open(zero, "w") as fh:
+        json.dump({"order": 3, "re": [[0] * 3] * 3, "im": [[0] * 3] * 3}, fh)
+    r = run("pipeline", zero, "--given", "b", "--order", "3")
+    assert r.returncode == 2 and "band: empty Hessenberg block" in r.stderr
 
 
 def test_exit_code_budget(tmp_path):

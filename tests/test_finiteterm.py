@@ -3,7 +3,6 @@ import numpy as np
 import pytest
 
 from expotrans.errors import InputError, MathDomainError
-from expotrans.exptransform import a_to_b
 from expotrans.finiteterm import (
     _propagate,
     band_profile,
@@ -20,6 +19,7 @@ from expotrans.operators import (
     trifoil_operator,
 )
 from expotrans.orthopoly import hessenberg, orthonormalize
+from expotrans.series import ExpMoments, a_to_b
 from expotrans.shapes import Annulus, Disk, moments
 
 
@@ -265,6 +265,13 @@ def band_of(shape_or_op, order):
     b = shape_or_op if hasattr(shape_or_op, "b") else shape_b(shape_or_op, order)
     basis = orthonormalize(b)
     return band_profile(hessenberg(b, basis))
+
+
+def test_band_profile_of_empty_block():
+    # a zero b stalls orthonormalization at degree 0: nothing is certified
+    b = ExpMoments(3, np.zeros((3, 3)))
+    with pytest.raises(InputError, match="empty Hessenberg block"):
+        band_profile(hessenberg(b, orthonormalize(b)))
 
 
 def test_band_profile_annulus():

@@ -7,9 +7,9 @@ import pytest
 from expotrans import serialize
 from expotrans.cli import _load_source, main
 from expotrans.errors import InputError, MathDomainError
-from expotrans.exptransform import ExpMoments, a_to_b, b_to_a
 from expotrans.gallery import OperatorFamily, a_for, b_for, names, resolve
 from expotrans.operators import b_from_operator
+from expotrans.series import ExpMoments, a_to_b, b_to_a
 from expotrans.shapes import (
     SHAPE_TYPES,
     Annulus,

@@ -79,6 +79,8 @@ def test_exterior_moments_offcenter_disk():
 def test_exterior_moments_origin_guard():
     with pytest.raises(MathDomainError):
         exterior_moments(Disk(5.0, 1.0), 4)
+    with pytest.raises(MathDomainError, match="boundary passes through the origin"):
+        exterior_moments(Disk(1.0, 1.0), 4)
     with pytest.raises(InputError):
         exterior_moments(Disk(0.0, 1.0), 0)
     with pytest.raises(InputError):

@@ -179,6 +179,10 @@ def test_two_diagonal_cone_exit_is_exact():
         two_diagonal_state(1.0, 2.0, 100)
     with pytest.raises(MathDomainError):
         two_diagonal_state(-1.0, 1.0, 100)
+    with pytest.raises(InputError, match="size >= 4"):
+        two_diagonal(1.0, 1.0, 3)
+    with pytest.raises(InputError, match="count >= 4"):
+        two_diagonal_state(1.0, 1.0, 3)
 
 
 def test_two_diagonal_operator_layout():

@@ -10,7 +10,6 @@ import pytest
 
 from expotrans import orthopoly
 from expotrans.errors import InputError, MathDomainError
-from expotrans.exptransform import a_to_b
 from expotrans.gallery import b_for
 from expotrans.operators import b_from_operator, toeplitz_ellipse
 from expotrans.orthopoly import (
@@ -19,6 +18,7 @@ from expotrans.orthopoly import (
     orthonormalize,
     poly_zeros,
 )
+from expotrans.series import a_to_b
 from expotrans.shapes import Annulus, Disk, Weighted, moments
 
 

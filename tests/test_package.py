@@ -74,14 +74,15 @@ def test_star_import_and_unknown_name():
 
 # listing or misnaming a gallery entry, or a usage error, loads none of the
 # numerical modules nor numpy; a shape's moments need no a <-> b conversion;
-# an operator family's or a matrix file's a <-> b needs no shape module; and
-# only the two-diagonal family's exact recursion loads fractions
+# an operator family's or a matrix file's a <-> b needs only `series`, neither
+# a shape module nor `exptransform`, which imports one; and only the
+# two-diagonal family's exact recursion loads fractions
 NUMERICAL = ("numpy", "expotrans.exptransform", "expotrans.shapes", "expotrans.series",
              "expotrans.operators", "expotrans.orthopoly", "expotrans.finiteterm",
              "expotrans.reconstruct", "expotrans.heleshaw")
 SHAPE_ONLY = ("expotrans.exptransform", "expotrans.operators", "expotrans.orthopoly",
               "expotrans.finiteterm", "expotrans.reconstruct")
-NO_SHAPES = ("expotrans.shapes", "expotrans.reconstruct", "expotrans.heleshaw")
+NO_SHAPES = ("expotrans.exptransform", "expotrans.shapes", "expotrans.reconstruct", "expotrans.heleshaw")
 CERT = {"d": 2, "q": [[0, 0], [0, 0], [1, 0]], "residual": 0, "rows_used": 8}
 B_FILE = {"order": 2, "re": [[1, 0], [0, 0.5]], "im": [[0, 0], [0, 0]]}
 

@@ -20,11 +20,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expotrans import gallery
-from expotrans.exptransform import a_to_b
 from expotrans.finiteterm import detect_order, fill_from_first_column
 from expotrans.operators import b_from_operator, ellipse_operator
 from expotrans.reconstruct import real_moments
 from expotrans.serialize import dumps, matrix_from_obj, matrix_to_obj
+from expotrans.series import a_to_b
 from expotrans.shapes import Annulus, Disk, Ellipse, moments, rotate_moments, translate_moments
 
 ORDERS = st.integers(1, 16)

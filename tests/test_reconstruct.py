@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from expotrans.errors import InputError, MathDomainError
-from expotrans.exptransform import a_to_b
 from expotrans.finiteterm import BandCertificate, detect_order, fill_from_first_column
 from expotrans.gallery import b_for
 from expotrans import reconstruct
@@ -23,7 +22,7 @@ from expotrans.reconstruct import (
     reconstruct_from_certificate,
     support_box,
 )
-from expotrans.series import BiSeries, log_neg
+from expotrans.series import BiSeries, a_to_b, log_neg
 from expotrans.shapes import (
     Annulus,
     Box,

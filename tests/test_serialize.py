@@ -215,6 +215,10 @@ def test_shape_validation():
         shape_from_obj({"type": "pentagon"})
     with pytest.raises(InputError):
         shape_from_obj({"type": "disk"})
+    with pytest.raises(InputError, match="expected \\[re, im\\]"):
+        shape_from_obj({"type": "disk", "center": "x", "R": 1})
+    # a bare number is a real center
+    assert shape_from_obj({"type": "disk", "center": 0.5, "R": 1}) == Disk(0.5 + 0j, 1.0)
 
 
 def test_grid_csv_golden():

@@ -14,9 +14,8 @@ import numpy as np
 import pytest
 
 from expotrans.errors import InputError
-from expotrans.exptransform import a_to_b
 from expotrans.gallery import b_for
-from expotrans.series import BiSeries, exp_neg, log_neg, mul
+from expotrans.series import BiSeries, MomentMatrix, a_to_b, exp_neg, log_neg, mul
 from expotrans.shapes import Ellipse, moments
 
 
@@ -330,6 +329,8 @@ def test_input_validation():
         BiSeries(2, 0.0, np.array([[np.nan, 0.0], [0.0, 0.0]]))
     with pytest.raises(InputError):
         BiSeries(0, 0.0, np.zeros((0, 0)))
+    with pytest.raises(InputError, match="shape does not match order"):
+        MomentMatrix(3, np.zeros((2, 2)))
     # the row loops run with overflow warnings off; a result that leaves the
     # float range is still refused, as an InputError and not as a warning
     big = BiSeries.from_tail(np.full((4, 4), 1e300))

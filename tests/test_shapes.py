@@ -290,6 +290,10 @@ def test_shape_validation():
         Grid(Box(0.0, 1.0, 0.0, 1.0), np.array([[0.5, np.nan]]))
     with pytest.raises(InputError, match="at least one part"):
         Sum(())
+    with pytest.raises(InputError, match="x0 < x1"):
+        Box(1.0, 0.0, 0.0, 1.0)
+    with pytest.raises(InputError, match="order must be >= 1"):
+        moments(Disk(0.0, 1.0), 0)
 
 
 def test_quad_budget_env(monkeypatch):
@@ -298,6 +302,9 @@ def test_quad_budget_env(monkeypatch):
         moments(Ellipse(0.0, 3.0, 1.0, 0.0), 10)
     monkeypatch.setenv("EXPOTRANS_QUAD_BUDGET", "zero")
     with pytest.raises(InputError):
+        moments(Ellipse(0.0, 3.0, 1.0, 0.0), 4)
+    monkeypatch.setenv("EXPOTRANS_QUAD_BUDGET", "0")
+    with pytest.raises(InputError, match="must be positive"):
         moments(Ellipse(0.0, 3.0, 1.0, 0.0), 4)
 
 
