@@ -250,6 +250,13 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
 def _add_order(p, order: int, least: int = 1):
     p.add_argument("--order", type=_count(least), default=order, help="moment matrix order N")
 
@@ -322,8 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_order(p, 8)
     _add_out(p)
     p.add_argument("--law", choices=("squeeze", "inject"), required=True)
-    p.add_argument("--t0", type=float, default=0.0)
-    p.add_argument("--t1", type=float, default=math.log(2.0))
+    p.add_argument("--t0", type=_finite, default=0.0)
+    p.add_argument("--t1", type=_finite, default=math.log(2.0))
     p.add_argument("--steps", type=_count(0), default=8)
     p.set_defaults(fn=cmd_evolve)
 

@@ -42,9 +42,9 @@ class OperatorFamily:
     max_offset: int
 
     def sized_for(self, order: int) -> BandedOperator:
-        # exactness rule: no Krylov vector may touch the truncation edge
-        size = self.xi_index + order * self.max_offset + 2
-        return self.build(size)
+        from .operators import exact_size
+
+        return self.build(exact_size(self.xi_index, self.max_offset, order))
 
     def data(self, order: int) -> ExpMoments:
         """b, the Krylov Gram of the model sized for ``order``."""

@@ -222,16 +222,20 @@ def commutator_defect(op: BandedOperator) -> float:
     return float(np.abs(comm[:interior, :interior]).max())
 
 
+def exact_size(xi_index: int, max_offset: int, order: int) -> int:
+    """Smallest truncation whose Gram of ``order`` is exact: no Krylov vector touches its edge."""
+    return xi_index + order * max_offset + 2
+
+
 def b_from_operator(op: BandedOperator, order: int) -> ExpMoments:
     """Krylov Gram matrix b[j, k] = <T*^k xi, T*^j xi>.
 
-    Requires size >= xi_index + order * max_offset + 2 so the truncation
-    never touches the vectors entering the Gram matrix; the result then
-    agrees with the infinite model exactly.
+    Requires size >= `exact_size(xi_index, max_offset, order)`; the result
+    then agrees with the infinite model exactly.
     """
     if order < 1:
         raise InputError("operator Gram order must be >= 1")
-    needed = op.xi_index + order * op.max_offset + 2
+    needed = exact_size(op.xi_index, op.max_offset, order)
     if op.size < needed:
         raise InputError(
             f"operator size {op.size} below exactness threshold {needed} for order {order}"

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, MathDomainError
+from .errors import InputError, MathDomainError, PrecisionError
 from .finiteterm import fill_from_first_column
 from .series import BiSeries, log_neg, square_matrix
 from .shapes import Box, translate_moments
@@ -136,7 +136,10 @@ def support_box(a) -> Box:
     a00 = am[0, 0].real
     if not np.isfinite(a00) or a00 <= 0:
         raise MathDomainError("a[0, 0] must be positive to locate the support")
-    center = am[1, 0] / a00 if am.shape[0] > 1 and np.isfinite(am[1, 0]) else 0.0 + 0.0j
+    with np.errstate(over="ignore"):
+        center = am[1, 0] / a00 if am.shape[0] > 1 and np.isfinite(am[1, 0]) else 0.0 + 0.0j
+    if not np.isfinite(center):
+        raise PrecisionError(f"the centroid a[1, 0] / a[0, 0] = {center} leaves the float range")
     # translation is lower-triangular: a non-finite entry reaches only the
     # entries (j, k) >= its own, so the others translate exactly with it set to 0
     spread = np.logical_or.accumulate(np.logical_or.accumulate(~np.isfinite(am), 0), 1)

@@ -7,12 +7,12 @@ known only through membership, `contains(z)`.  The moment matrix is
 
     a[j, k] = (1/pi) * integral of z^j conj(z)^k g(z) dA(z).
 
-Disks and annuli reduce to radial closed forms.  Ellipses use the smooth
-substitution x = p s cos(theta), y = q s sin(theta): the s integral is a
-closed form and the trapezoid rule in theta is exact for every requested
-moment; there is no indicator-function sampling anywhere.
-Off-center and rotated shapes are handled by exact binomial translation and
-phase rotation of the centered moments.
+Disks and annuli reduce to radial closed forms, moved off centre by exact
+binomial translation.  Ellipses, offset and rotated or not, use Green's
+theorem on their own boundary: a[j, k] is a contour integral of
+z^j conj(z)^(k+1) dz, and the trapezoid rule on 2N + 1 boundary nodes is
+exact for every moment of order N; there is no indicator-function sampling
+anywhere.
 
 The Cauchy kernel integral behind the exponential transform has closed
 forms for disks and annuli and is a contour integral over the boundary for
@@ -256,8 +256,21 @@ class Ellipse(Shape):
         return [(z, dz)]
 
     def moment_array(self, order: int) -> np.ndarray:
-        a = rotate_moments(_ellipse_centered_moments(self.p, self.q, order), self.phi)
-        return translate_moments(a, self.center)
+        """Green's theorem: a[j, k] = (1/(2 pi i (k+1))) * contour integral of
+        z^j conj(z)^(k+1) dz, a trigonometric polynomial of degree <= 2 order in
+        theta, so 2 order + 1 trapezoid nodes are exact.  The entries k >= j
+        (the larger divisor) are kept and mirrored; the diagonal is real."""
+        n = 2 * order + 1
+        if order * n > quad_budget():
+            raise PrecisionError(
+                f"quadrature budget exceeded: ellipse moments of order {order} need {order * n} nodes"
+            )
+        ((z, dz),) = boundary_nodes(self, n)
+        powers = z[None, :] ** np.arange(order + 1)[:, None]
+        g = (powers[:-1] @ (powers[1:].conj() * dz).T) / (1j * n * np.arange(1, order + 1))
+        a = np.triu(g) + np.triu(g, 1).conj().T
+        np.fill_diagonal(a, a.diagonal().real)
+        return a
 
     def _sigma(self, z: complex) -> float:
         """ln((P + Q)/(p + q)), P and Q the semi-axes of the confocal ellipse through z."""
@@ -550,27 +563,6 @@ def _principal_log(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _ellipse_centered_moments(p: float, q: float, order: int) -> np.ndarray:
-    """Fixed rule, exact for every z^j conj(z)^k with j, k < order.
-
-    Under z = s (p cos(theta) + i q sin(theta)), dA = p q s ds dtheta and the
-    integrand splits into s^(j+k+1), whose integral over [0, 1] is
-    1/(j+k+2), times a trigonometric polynomial of degree <= 2 order - 2 in
-    theta, exact under 2 order - 1 trapezoid nodes.  The budget counts the
-    order x (2 order - 1) nodes of the product rule in (s, theta).
-    """
-    nt = 2 * order - 1
-    if order * nt > quad_budget():
-        raise PrecisionError(
-            f"quadrature budget exceeded: ellipse moments of order {order} need {order * nt} nodes"
-        )
-    ((rim, _),) = boundary_nodes(Ellipse(0.0, p, q), nt)
-    powers = rim[None, :] ** np.arange(order)[:, None]
-    jk = np.add.outer(np.arange(order), np.arange(order))
-    a = (2.0 * p * q / nt) * (powers @ powers.conj().T) / (jk + 2)
-    return 0.5 * (a + a.conj().T)
-
-
 def _radial_diagonal(order: int, inner: float, outer: float) -> np.ndarray:
     j = np.arange(order)
     return np.diag((outer ** (2 * j + 2) - inner ** (2 * j + 2)) / (j + 1)).astype(complex)
@@ -589,13 +581,6 @@ def translate_moments(a: np.ndarray, c: complex) -> np.ndarray:
     t = np.zeros((n, n), dtype=complex)
     t[j, p] = comb * powers[j - p]
     return t @ np.asarray(a, dtype=complex) @ t.conj().T
-
-
-def rotate_moments(a: np.ndarray, phi: float) -> np.ndarray:
-    """Exact phase transform of moments under z -> e^{i phi} z."""
-    n = a.shape[0]
-    d = np.exp(1j * phi * np.arange(n))
-    return d[:, None] * np.asarray(a, dtype=complex) * d.conj()[None, :]
 
 
 def moments(shape: Shape, order: int) -> MomentMatrix:

@@ -245,6 +245,17 @@ def test_evolve_backward_note():
     assert "backward squeeze" in r.stderr
 
 
+@pytest.mark.parametrize("option", ["--t0", "--t1"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_evolve_times_must_be_finite(capsys, option, value):
+    # a non-finite time once ran the flow and then failed to serialize
+    with pytest.raises(SystemExit) as exc:
+        main(["evolve", "gallery:disk", "--law", "squeeze", f"{option}={value}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "must be finite" in err and "Traceback" not in err
+
+
 def test_evolve_suction_stops():
     r = run("evolve", "gallery:disk", "--law", "inject", "--t0", "0", "--t1", "-2")
     assert r.returncode == 3

@@ -8,7 +8,7 @@ from expotrans import serialize
 from expotrans.cli import _load_source, main
 from expotrans.errors import InputError, MathDomainError
 from expotrans.gallery import OperatorFamily, a_for, b_for, names, resolve
-from expotrans.operators import b_from_operator
+from expotrans.operators import b_from_operator, exact_size
 from expotrans.series import ExpMoments, a_to_b, b_to_a
 from expotrans.shapes import (
     SHAPE_TYPES,
@@ -64,6 +64,15 @@ def test_sized_for_rule():
 
     b = b_from_operator(op, 10)
     assert b.b.shape == (10, 10)
+    # every family sizes its model at the threshold b_from_operator checks, by one rule
+    for address in ("gallery:ellipse", "gallery:trifoil", "gallery:power", "gallery:twodiag"):
+        fam = resolve(address)
+        for order in (2, 5, 9):
+            op = fam.sized_for(order)
+            assert op.size == exact_size(fam.xi_index, fam.max_offset, order)
+            assert b_from_operator(op, order).b.shape == (order, order)
+            with pytest.raises(InputError, match="exactness threshold"):
+                b_from_operator(fam.build(op.size - 1), order)
 
 
 def test_bad_addresses():

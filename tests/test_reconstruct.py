@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from expotrans.errors import InputError, MathDomainError
+from expotrans.errors import InputError, MathDomainError, PrecisionError
 from expotrans.finiteterm import BandCertificate, detect_order, fill_from_first_column
 from expotrans.gallery import b_for
 from expotrans import reconstruct
@@ -205,6 +205,13 @@ def test_support_box_elongated():
 def test_support_box_needs_mass():
     with pytest.raises(MathDomainError):
         support_box(np.zeros((4, 4), dtype=complex))
+
+
+def test_support_box_centroid_past_the_float_range():
+    # a[1, 0] / a[0, 0] overflows: the centroid is refused before any translation
+    a = np.array([[1e-300, 1e300], [1e300, 1.0]], dtype=complex)
+    with pytest.raises(PrecisionError, match="centroid"):
+        support_box(a)
 
 
 def test_legendre_constant_block():

@@ -15,6 +15,8 @@ import pytest
 from expotrans import heleshaw, shapes
 from expotrans.errors import InputError, MathDomainError, PrecisionError
 from expotrans.exptransform import boundary_root
+from expotrans.operators import b_from_operator, ellipse_operator
+from expotrans.series import a_to_b
 from expotrans.shapes import (
     Annulus,
     Box,
@@ -26,7 +28,6 @@ from expotrans.shapes import (
     boundary_nodes,
     cauchy_kernel_log,
     moments,
-    rotate_moments,
     translate_moments,
 )
 
@@ -95,7 +96,17 @@ def test_rotation_covariance():
     j = np.arange(n)
     phase = np.exp(1j * phi * (j[:, None] - j[None, :]))
     assert np.max(np.abs(rotated - phase * base)) < 1e-8
-    assert np.max(np.abs(rotate_moments(base, phi) - rotated)) < 1e-8
+
+
+def test_offset_ellipse_b_matches_its_operator_gram():
+    # the boundary rule has no translation step to lose digits in: b of an
+    # offset, rotated ellipse meets the Gram of T = c + alpha S + beta S*
+    c, p, q, phi = 0.6 + 0.1j, 1.2, 0.7, -1.1
+    turn = complex(math.cos(phi), math.sin(phi))
+    alpha, beta = turn * (p + q) / 2, turn * (p - q) / 2
+    b = a_to_b(moments(Ellipse(c, p, q, phi), 24).a).b
+    want = b_from_operator(ellipse_operator(c, alpha, beta, 26), 24).b
+    assert np.linalg.norm(b - want) <= 5e-11 * np.linalg.norm(want)
 
 
 def test_translated_disk_hand_values():
@@ -481,7 +492,8 @@ def _node_results() -> bytes:
     for shape in (Disk(0.1j, 1.0), Annulus(0.05, 0.4, 1.0), Ellipse(0j, 1.5, 0.5, 0.3)):
         out += list(heleshaw.exterior_moments(shape, 8).t)
     for order in (12, 24, 48):
-        out += list(shapes._ellipse_centered_moments(1.5, 0.6, order).ravel())
+        for ellipse in (Ellipse(0j, 1.5, 0.6), Ellipse(0.3 - 0.2j, 1.5, 0.6, 0.7)):
+            out += list(moments(ellipse, order).a.ravel())
     return _bits(out)
 
 
