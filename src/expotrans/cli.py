@@ -140,9 +140,9 @@ def cmd_evolve(args) -> int:
     col = _load_source(args.column).column(args.order)
     ts = np.linspace(args.t0, args.t1, args.steps + 1)
     if args.law == "squeeze":
+        rows = squeeze_trajectory(col, ts)
         if ts.min() < 0:
             sys.stderr.write("expotrans: note: backward squeeze amplifies truncation error\n")
-        rows = squeeze_trajectory(col, ts)
     else:
         rows = inject_trajectory(col, ts)
     _emit(serialize.trajectory_to_csv(rows), args.out)
@@ -161,7 +161,7 @@ def _selftest_cases(seed: int):
     import numpy as np
 
     from .finiteterm import detect_order
-    from .operators import b_from_operator, commutator_defect, toeplitz_ellipse, trifoil_operator
+    from .operators import commutator_defect, toeplitz_ellipse
     from .orthopoly import hessenberg, orthonormalize
     from .series import BiSeries, a_to_b, exp_neg, log_neg
     from .shapes import Annulus, moments
@@ -186,7 +186,7 @@ def _selftest_cases(seed: int):
         return float(np.max(np.abs(np.diag(b) - ref))), 1e-8
 
     def ellipse_tridiagonal():
-        b = b_from_operator(toeplitz_ellipse(2.0, 12), 8)
+        b = gallery.b_for("gallery:ellipse?u=2", 8)
         h = hessenberg(b, orthonormalize(b)).h
         block = h[:8, :7]
         worst = 0.0
@@ -197,7 +197,7 @@ def _selftest_cases(seed: int):
         return worst, 1e-8
 
     def trifoil_cert():
-        b = b_from_operator(trifoil_operator(30), 10)
+        b = gallery.b_for("gallery:trifoil", 10)
         cert = detect_order(b, 4, 1e-8)
         if cert is None or cert.d != 2:
             return math.inf, 1e-8

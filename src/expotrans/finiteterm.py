@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, MathDomainError
+from .errors import InputError, MathDomainError, PrecisionError
 from .operators import b_from_operator, ellipse_operator
 from .series import square_matrix
 
@@ -125,7 +125,9 @@ def fill_from_first_column(col, q, order: int) -> FilledMoments:
     the rules stall for d >= 3 at orders d + 5 .. d*d - 1 (MathDomainError).  A
     degree-0 certificate, which a disk's b fits, runs the same rules, so a
     disk of radius R centred at 0 fills b[1, 1] = -R^4 where its b is 0:
-    T xi = q0 xi is incompatible with [T*, T] = xi (x) xi.
+    T xi = q0 xi is incompatible with [T*, T] = xi (x) xi.  Either way, a
+    finite certificate whose fill has a certified entry past the float range
+    raises PrecisionError, naming the entry, before the column is checked.
     """
     col = np.asarray(col, dtype=complex).ravel()
     q = np.asarray(q, dtype=complex).ravel()
@@ -134,22 +136,27 @@ def fill_from_first_column(col, q, order: int) -> FilledMoments:
         raise InputError("certificate must have at least one coefficient")
     if not 1 <= order <= col.shape[0]:
         raise InputError(f"fill order {order} outside 1..{col.shape[0]} (the column length)")
-    if d == 1:
-        vals = _ellipse_gram(col[:order], q)
-        vals[:, 0] = col[:order]
-        vals[0, :] = np.conj(col[:order])
-    else:
-        vals = _propagate(col, q, order)
-        if d < order:
-            # rows whose b[m, 0..d] is certified: row 0 and every m + 2d < order
-            m = np.arange(order - 1)
-            m = m[(m == 0) | (m + 2 * d < order)]
-            _require_column(
-                vals[m + 1, 0] - vals[m, : d + 1] @ q, col[:order],
-                f"the column breaks its degree-{d} certificate's relation b[m+1, 0] = sum q[k] b[m, k]",
-            )
     jj, kk = np.indices((order, order))
     certified = (jj + kk + d < order) | (jj == 0) | (kk == 0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = _ellipse_gram(col[:order], q) if d == 1 else _propagate(col, q, order)
+    bad = np.argwhere(~np.isfinite(vals) & certified)
+    if bad.size and np.isfinite(q).all():
+        j, k = bad[0]
+        raise PrecisionError(f"the degree-{d} fill leaves the float range at entry ({j}, {k})")
+    if d == 1:
+        what = "the column misses the ellipse its degree-1 certificate fixes"
+        _require_column(vals[:, 0] - col[:order], col[:order], what)
+        vals[:, 0] = col[:order]
+        vals[0, :] = np.conj(col[:order])
+    elif d < order:
+        # rows whose b[m, 0..d] is certified: row 0 and every m + 2d < order
+        m = np.arange(order - 1)
+        m = m[(m == 0) | (m + 2 * d < order)]
+        _require_column(
+            vals[m + 1, 0] - vals[m, : d + 1] @ q, col[:order],
+            f"the column breaks its degree-{d} certificate's relation b[m+1, 0] = sum q[k] b[m, k]",
+        )
     return FilledMoments(np.where(certified, vals, np.nan + 0j), certified)
 
 
@@ -169,16 +176,21 @@ def _ellipse_gram(col: np.ndarray, q: np.ndarray) -> np.ndarray:
         raise MathDomainError(f"a degree-1 fill needs |q[1]| > 1, got {abs(q[1]):.6g}")
     beta = math.sqrt(b00.real / (abs(q[1]) ** 2 - 1.0))
     c = (q[0] + q[1] * np.conj(q[0])) / (1.0 - abs(q[1]) ** 2)
-    gram = b_from_operator(ellipse_operator(c, q[1] * beta, beta, order + 2), order).b
-    _require_column(gram[:, 0] - col, col, "the column misses the ellipse its degree-1 certificate fixes")
-    return gram
+    return b_from_operator(ellipse_operator(c, q[1] * beta, beta, order + 2), order).b
 
 
 def _require_column(miss: np.ndarray, col: np.ndarray, what: str) -> None:
-    """MathDomainError unless ||miss|| <= COLUMN_RTOL ||col|| (NaN fails)."""
-    if not np.linalg.norm(miss) <= COLUMN_RTOL * np.linalg.norm(col):
-        gap = np.linalg.norm(miss) / np.linalg.norm(col)
-        raise MathDomainError(f"{what} by {gap:.3e} (relative, normwise; at most {COLUMN_RTOL:g})")
+    """MathDomainError unless ||miss|| <= COLUMN_RTOL ||col|| (NaN fails).
+
+    Both are scaled by the power of two that brings max |col| into [1/2, 1):
+    exact, and the norms' squares cannot overflow to inf <= inf, a pass.
+    """
+    scale = 2.0 ** -max(int(np.frexp(np.abs(col).max())[1]), -1000)
+    miss_norm, col_norm = np.linalg.norm(miss * scale), np.linalg.norm(col * scale)
+    if not miss_norm <= COLUMN_RTOL * col_norm:
+        raise MathDomainError(
+            f"{what} by {miss_norm / col_norm:.3e} (relative, normwise; at most {COLUMN_RTOL:g})"
+        )
 
 
 def _propagate(col: np.ndarray, q: np.ndarray, order: int) -> np.ndarray:
@@ -235,15 +247,8 @@ def band_profile(h) -> BandProfile:
     block = h.h[: h.certified, : h.certified]
     if block.size == 0:
         raise InputError("empty Hessenberg block")
-    scale = float(np.abs(block).max())
-    ubw = 0
-    if scale > 0:
-        jj, kk = np.indices(block.shape)
-        sig = np.abs(block) > 1e-8 * scale
-        above = sig & (kk > jj)
-        if above.any():
-            ubw = int((kk - jj)[above].max())
-    dev = 0.0
-    if block.shape[0] > 1:
-        dev = float(np.abs(block[1:, 1:] - block[:-1, :-1]).max())
+    jj, kk = np.indices(block.shape)
+    above = (np.abs(block) > 1e-8 * np.abs(block).max()) & (kk > jj)
+    ubw = int((kk - jj)[above].max(initial=0))
+    dev = float(np.abs(block[1:, 1:] - block[:-1, :-1]).max(initial=0.0))
     return BandProfile(ubw, ubw + 2, dev)

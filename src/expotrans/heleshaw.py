@@ -14,13 +14,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, MathDomainError
+from .errors import InputError, MathDomainError, PrecisionError
 from .shapes import Ellipse, Shape, boundary_nodes
 
 
 def squeeze(col, t: float) -> np.ndarray:
-    """First-column flow a[j, 0](t) = e^(-t) a[j, 0](0)."""
-    return np.asarray(col, dtype=complex) * math.exp(-t)
+    """First-column flow a[j, 0](t) = e^(-t) a[j, 0](0).
+
+    PrecisionError when e^(-t) or the scaled column leaves the float range.
+    """
+    try:
+        with np.errstate(over="ignore"):
+            out = np.asarray(col, dtype=complex) * math.exp(-t)
+    except OverflowError:
+        out = None
+    if out is None or not np.isfinite(out).all():
+        raise PrecisionError(f"the squeeze to t = {t:g} leaves the float range")
+    return out
 
 
 def inject(col, dt: float) -> np.ndarray:
@@ -106,11 +116,8 @@ def zero_attraction(zeros, c: float) -> float:
     if c <= 0:
         raise InputError("need c > 0")
     zeros = np.asarray(zeros, dtype=complex).ravel()
-    if zeros.size == 0:
-        return 0.0
-    x, y = zeros.real, zeros.imag
-    dx = np.maximum(np.abs(x) - c, 0.0)
-    return float(np.hypot(dx, y).max())
+    dx = np.maximum(np.abs(zeros.real) - c, 0.0)
+    return float(np.hypot(dx, zeros.imag).max(initial=0.0))
 
 
 def _trajectory(col, t_grid, flow) -> list[tuple[float, int, complex]]:

@@ -73,17 +73,13 @@ def orthonormalize(b) -> PolyBasis:
 
     Stops at the first relative pivot below PIVOT_TOL and returns the
     polynomials found so far; raises if the matrix is indefinite beyond
-    tolerance.
+    tolerance.  b00 <= 0 takes that same path: the first pivot is b00, and
+    b00 <= PIVOT_TOL * b00 holds exactly then (a stopped degree-0 basis).
     """
     bm = square_matrix(b, "b")
     n = bm.shape[0]
     gram = bm.conj()  # gram[m, n] = <z^m, z^n> = b[n, m]
     b00 = gram[0, 0].real
-    if b00 <= 0:
-        if _indefinite(b00, bm):
-            raise MathDomainError("b matrix is indefinite beyond tolerance")
-        # nothing to normalize against: the degenerate degree-0 basis
-        return PolyBasis(0, np.zeros((0, 0), dtype=complex), True)
     chol = np.zeros((n, n), dtype=complex)
     degree = n
     stopped = False
@@ -110,13 +106,12 @@ def hessenberg(b, basis: PolyBasis) -> Hessenberg:
     Needs the shifted columns b[:, m+1]; when the basis runs to the full
     order the last column of h is truncation affected, so the certified
     block is one smaller.  Entries below the first subdiagonal are exact
-    structural zeros (never computed).
+    structural zeros (never computed).  A degree-0 basis runs no column and
+    gives the empty block, certified 0.
     """
     bm = square_matrix(b, "b")
     n = bm.shape[0]
     d = basis.degree
-    if d < 1:
-        return Hessenberg(np.zeros((0, 0), dtype=complex), 0)
     lmat = basis.coeffs
     certified = d if d < n else n - 1
     shifted = np.zeros((d, d), dtype=complex)  # shifted[m, nn] = b[nn, m+1]

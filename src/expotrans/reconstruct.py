@@ -130,7 +130,10 @@ def support_box(a) -> Box:
     half-extent from below for indicator-like densities, hence the padding
     factor 1 + BOX_PAD.  Elongated supports get elongated boxes, which is
     what keeps a low-order Legendre projection from wasting resolution on
-    empty space.
+    empty space.  A partly certified a takes the full one's path, converted
+    to the total order it covers: translation is lower-triangular, so those
+    entries read no others.  PrecisionError, naming the centroid, when they
+    leave the float range.
     """
     am = square_matrix(a, "a")
     a00 = am[0, 0].real
@@ -140,10 +143,12 @@ def support_box(a) -> Box:
         center = am[1, 0] / a00 if am.shape[0] > 1 and np.isfinite(am[1, 0]) else 0.0 + 0.0j
     if not np.isfinite(center):
         raise PrecisionError(f"the centroid a[1, 0] / a[0, 0] = {center} leaves the float range")
-    # translation is lower-triangular: a non-finite entry reaches only the
-    # entries (j, k) >= its own, so the others translate exactly with it set to 0
-    spread = np.logical_or.accumulate(np.logical_or.accumulate(~np.isfinite(am), 0), 1)
-    rm = real_moments(np.where(spread, np.nan, translate_moments(np.nan_to_num(am), -center)))
+    covered = _covered_order(am)
+    with np.errstate(over="ignore", invalid="ignore"):
+        moved = translate_moments(np.where(np.isfinite(am), am, 0.0), -center)
+    if _covered_order(moved) < covered:
+        raise PrecisionError(f"translating the moments to the centroid {center} overflows the float range")
+    rm = real_moments(moved, covered)
     half_x = half_y = 0.0
     for j in range(rm.total_order // 2 + 1):
         mx, my = rm.m[2 * j, 0], rm.m[0, 2 * j]

@@ -283,8 +283,9 @@ class Ellipse(Shape):
         tol = KERNEL_TOL.  The integrand continues analytically out to the
         confocal ellipse through z or w, so the n-node sum T_n errs by about
         exp(-sigma n) and a point needs at least ln(1/tol)/sigma nodes; when
-        that exceeds the budget `quad_budget()` (tol < exp(-sigma budget)) for
-        any point of the batch, the rule fails before any node is built.
+        that exceeds the budget `quad_budget()` (sigma budget < ln(1/tol))
+        for any point of the batch, the rule fails before any node is built.
+        A point on or inside the rim (sigma <= 0) fails that same test.
 
         Each point's nested doubling starts at the smallest n = 64 2^k with
         2 n sigma > ln(1/tol), so its first refinement sums the predicted
@@ -303,7 +304,7 @@ class Ellipse(Shape):
         """
         budget, tol = quad_budget(), KERNEL_TOL
         sigma = [min(self._sigma(zi), self._sigma(wi)) for zi, wi in zip(z, w)]
-        if min(sigma) <= 0 or tol < math.exp(-min(sigma) * budget):
+        if min(sigma) * budget < math.log(1.0 / tol):
             raise PrecisionError(
                 f"quadrature budget exceeded: the ellipse contour needs more than {budget} nodes"
             )
@@ -473,10 +474,8 @@ class Grid(Shape):
         """Distance from each point to the nearest positive cell's disk,
         negative inside; the positive cells' centres are built once."""
         cells = self.centers()[self.values > 0]
-        if not cells.size:
-            return np.full(len(points), math.inf)
         radius = 0.5 * math.hypot(*self.cell)
-        return np.array([np.abs(cells - p).min() - radius for p in points])
+        return np.array([np.abs(cells - p).min(initial=math.inf) - radius for p in points])
 
     def contains(self, z: complex) -> bool:
         return self._cell_distances([z])[0] <= 0

@@ -228,6 +228,39 @@ def test_column_breaking_its_certificate_relation(tmp_path, monkeypatch, capsys,
     assert "breaks its degree-0 certificate" in captured.err
 
 
+def test_column_check_sees_an_entry_whose_square_overflows(tmp_path):
+    # the ellipse's order-10 column with entry 9 at 1e160: the unscaled norms
+    # overflowed, the check passed and fill printed a numpy warning, exit 0
+    cert = tmp_path / "c.json"
+    cert.write_text(run("detect", "gallery:ellipse?u=2", "--order", "10").stdout)
+    a = json.loads(run("moments", "gallery:ellipse?u=2", "--order", "10").stdout)
+    re_col = [row[0] for row in a["re"]]
+    for big in (1e10, 1e160):
+        col = tmp_path / "col.json"
+        re_col[9] = big
+        col.write_text(json.dumps({"order": 10, "re": re_col, "im": [row[0] for row in a["im"]]}))
+        r = run("fill", str(col), str(cert), "--order", "10")
+        assert (r.returncode, r.stdout) == (3, "")
+        assert r.stderr.startswith("expotrans: domain error: the column misses the ellipse")
+        assert r.stderr.count("\n") == 1
+
+
+def test_float_range_failures_exit_4_on_one_stderr_line(tmp_path):
+    # fill and reconstruct printed twelve numpy warnings and exited 2 on a
+    # non-finite number; evolve's math.exp(1000) was a traceback, exit 1
+    col, cert = tmp_path / "col.json", tmp_path / "c.json"
+    col.write_text(json.dumps({"order": 8, "re": [1, 1e200, 0, 0, 0, 0, 0, 0], "im": [0] * 8}))
+    cert.write_text(json.dumps({"d": 0, "q": [[1e200, 0]], "residual": 0.0, "rows_used": 7}))
+    for argv in (
+        ["fill", str(col), str(cert), "--order", "8"],
+        ["reconstruct", str(col), str(cert), "--order", "8", "--legendre-order", "2"],
+        ["evolve", "gallery:disk", "--law", "squeeze", "--t0", "-1000", "--t1", "0"],
+    ):
+        r = run(*argv)
+        assert (r.returncode, r.stdout) == (4, "")
+        assert r.stderr.startswith("expotrans: precision error:") and r.stderr.count("\n") == 1
+
+
 def test_evolve_squeeze():
     r = run("evolve", "gallery:disk", "--law", "squeeze", "--order", "4", "--steps", "4")
     assert r.returncode == 0

@@ -199,6 +199,16 @@ def test_contour_refinement_names_the_budget(monkeypatch):
     assert summed == [128]
 
 
+@pytest.mark.parametrize("point", [1.5, 0.5, 0.0], ids=["rim", "inside", "centre"])
+def test_ellipse_kernel_on_or_inside_the_rim_is_a_precision_error(point):
+    # sigma <= 0 there: no node count meets the tolerance, and the budget
+    # test says so before any node is built
+    e = Ellipse(0j, 1.5, 0.5)
+    z = np.array([point + 0j])
+    with pytest.raises(PrecisionError, match="quadrature budget exceeded"):
+        e.kernel_log(z, z)
+
+
 def _real_kernel_log(x: np.ndarray) -> np.ndarray:
     """The contour rule's principal logarithm, log|x| + i arg x from real kernels."""
     out = np.empty_like(x)

@@ -1,9 +1,12 @@
 """Certificate fitting, detection, and moment filling."""
+import warnings
+
 import numpy as np
 import pytest
 
-from expotrans.errors import InputError, MathDomainError
+from expotrans.errors import InputError, MathDomainError, PrecisionError
 from expotrans.finiteterm import (
+    BandProfile,
     _propagate,
     band_profile,
     detect_order,
@@ -18,7 +21,7 @@ from expotrans.operators import (
     toeplitz_power,
     trifoil_operator,
 )
-from expotrans.orthopoly import hessenberg, orthonormalize
+from expotrans.orthopoly import Hessenberg, hessenberg, orthonormalize
 from expotrans.series import ExpMoments, a_to_b
 from expotrans.shapes import Annulus, Disk, moments
 
@@ -261,6 +264,36 @@ def test_fill_checks_the_column_against_the_certificate():
     assert gap < 1e-12
 
 
+def test_fill_column_check_survives_squares_past_the_float_range():
+    # 1e160 squared overflows: unscaled norms read inf <= 1e-6 * inf and
+    # passed the column; scaled by a power of two, the check sees the miss
+    # (the big entry is all of it) exactly as it sees 1e10's
+    b = b_for("gallery:ellipse?u=2", 10).b
+    q = detect_order(b, 6).q
+    assert q.shape == (2,)
+    for big in (1e10, 1e160):
+        col = b[:, 0].copy()
+        col[9] = big
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MathDomainError, match=r"misses the ellipse .* by 1\.000e\+00 "):
+                fill_from_first_column(col, q, 10)
+
+
+def test_fill_past_the_float_range_is_a_precision_error():
+    # q0 b[0, 1] = 1e400: the certified entry b[1, 1] is refused, with no
+    # numpy warning, before its relation is checked; q0 = 1e200 puts the
+    # degree-1 fill's ellipse operator at c = -1e200, whose Gram overflows
+    col = np.array([1.0, 1e200, 0, 0, 0, 0, 0, 0], dtype=complex)
+    ellipse = b_for("gallery:ellipse?u=2", 8).b[:, 0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PrecisionError, match=r"degree-0 fill leaves the float range at entry \(1, 1\)"):
+            fill_from_first_column(col, [1e200], 8)
+        with pytest.raises(PrecisionError, match="degree-1 fill leaves the float range"):
+            fill_from_first_column(ellipse, [1e200, 2.0], 8)
+
+
 def band_of(shape_or_op, order):
     b = shape_or_op if hasattr(shape_or_op, "b") else shape_b(shape_or_op, order)
     basis = orthonormalize(b)
@@ -272,6 +305,13 @@ def test_band_profile_of_empty_block():
     b = ExpMoments(3, np.zeros((3, 3)))
     with pytest.raises(InputError, match="empty Hessenberg block"):
         band_profile(hessenberg(b, orthonormalize(b)))
+
+
+def test_band_profile_of_zero_and_one_by_one_blocks():
+    # a zero block has no entry above 1e-8 of its largest, and a 1 x 1 block
+    # no diagonal to change along
+    assert band_profile(Hessenberg(np.zeros((2, 2), dtype=complex), 2)) == BandProfile(0, 2, 0.0)
+    assert band_profile(Hessenberg(np.array([[0.5 + 0.25j]]), 1)) == BandProfile(0, 2, 0.0)
 
 
 def test_band_profile_annulus():

@@ -6,11 +6,12 @@ half-distance c = sqrt(p^2 - q^2); a disk centered at c has t_1 = conj(c)
 and nothing else.
 """
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from expotrans.errors import InputError, MathDomainError
+from expotrans.errors import InputError, MathDomainError, PrecisionError
 from expotrans.heleshaw import (
     confocal_ellipse,
     exterior_moments,
@@ -30,6 +31,17 @@ def test_squeeze_basics():
     assert np.array_equal(squeeze(col, 0.0), col)
     assert np.max(np.abs(squeeze(col, math.log(2.0)) - col / 2)) < 1e-15
     assert np.max(np.abs(squeeze(col, 1.0) - col * math.exp(-1))) < 1e-15
+
+
+def test_squeeze_past_the_float_range():
+    # e^1000 overflows math.exp; e^700 is finite, but 1e10 e^700 is not
+    col = np.array([0.75, 1e10, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (-1000.0, -700.0):
+            with pytest.raises(PrecisionError, match=f"t = {t:g} leaves the float range"):
+                squeeze(col, t)
+        assert squeeze(col[:1], -700.0)[0] == 0.75 * math.exp(700.0)
 
 
 def test_inject_basics():

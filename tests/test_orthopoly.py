@@ -13,6 +13,7 @@ from expotrans.errors import InputError, MathDomainError
 from expotrans.gallery import b_for
 from expotrans.operators import b_from_operator, toeplitz_ellipse
 from expotrans.orthopoly import (
+    Hessenberg,
     completeness_gap,
     hessenberg,
     orthonormalize,
@@ -163,6 +164,34 @@ def test_indefinite_rejected():
     b = -np.eye(4)
     with pytest.raises(MathDomainError):
         orthonormalize(b)
+
+
+def test_tiny_negative_b00_stops_at_degree_zero():
+    # the first pivot is b00: within 1e-9 ||b||_2 below 0 it only stalls, so
+    # the basis stops at degree 0 and the Hessenberg block is empty
+    b = np.diag([-1e-20, 1.0, 1.0])
+    basis = orthonormalize(b)
+    assert (basis.degree, basis.stopped, basis.coeffs.shape) == (0, True, (0, 0))
+    h = hessenberg(b, basis)
+    assert (h.h.shape, h.certified) == ((0, 0), 0)
+
+
+def test_negative_b00_is_indefinite():
+    with pytest.raises(MathDomainError, match="indefinite beyond tolerance"):
+        orthonormalize(np.diag([-1.0, 1.0, 1.0]))
+
+
+@pytest.mark.parametrize("row0, b00", [
+    ([0.0, 0.0, 1.0], 2.0),  # the last term is not negligible: unsettled
+    ([0.0, 1.0, 1e-3], 0.5),  # settled, but lhs exceeds b00 beyond the bound
+], ids=["unsettled-tail", "gap-below-minus-bound"])
+def test_completeness_inconclusive_verdicts(row0, b00):
+    h = np.zeros((3, 3), dtype=complex)
+    h[0] = row0
+    rep = completeness_gap(Hessenberg(h, 3), b00)
+    assert rep.verdict == "inconclusive"
+    settled = rep.tail <= 1e-3 * max(abs(rep.lhs), abs(rep.rhs))
+    assert settled == (rep.gap < -rep.bound)
 
 
 def svd_indefinite(value: float, bm: np.ndarray) -> bool:

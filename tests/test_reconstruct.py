@@ -5,6 +5,7 @@ Gamma(j + 1/2) / (sqrt(pi) Gamma(j + 2)), so m[0,0] = 1 and m[2,0] = 1/4;
 scaling x by p and y by q multiplies m[2j, 0] by p^(2j+1) q.
 """
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -212,6 +213,27 @@ def test_support_box_centroid_past_the_float_range():
     a = np.array([[1e-300, 1e300], [1e300, 1.0]], dtype=complex)
     with pytest.raises(PrecisionError, match="centroid"):
         support_box(a)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_support_box_translation_past_the_float_range(n):
+    # the centroid 1e200 is finite, but translating to it overflows inside
+    # translate_moments' products; refused with no numpy warning
+    a = np.eye(n, dtype=complex)
+    a[0, 1] = a[1, 0] = 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PrecisionError, match=r"centroid \(1e\+200\+0j\) overflows"):
+            support_box(a)
+
+
+def test_reconstruct_fill_past_the_float_range():
+    col = np.array([1.0, 1e200, 0, 0, 0, 0, 0, 0], dtype=complex)
+    cert = BandCertificate(0, np.array([1e200 + 0j]), 0.0, 7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PrecisionError, match="leaves the float range"):
+            reconstruct_from_certificate(col, cert, 8, 2)
 
 
 def test_legendre_constant_block():
