@@ -113,16 +113,19 @@ def rot_diag_b(t: float, k: int) -> float:
 
     The off-diagonal entries vanish and
 
-        b[k, k] = t (1-t) (2-t) ... (k-t) / (k+1)!
+        b[k, k] = t (1-t) (2-t) ... (k-t) / (k+1)!,
+
+    formed as the running product t (1-t)/2 (2-t)/3 ... (k-t)/(k+1), whose
+    factors lie in [0, 1), so no k leaves the float range.
     """
     if not 0 < t <= 1:
         raise InputError("tdisk weight must lie in (0, 1]")
     if k < 0:
         raise InputError("need k >= 0")
-    num = t
+    b = t
     for i in range(1, k + 1):
-        num *= i - t
-    return num / math.factorial(k + 1)
+        b *= (i - t) / (i + 1)
+    return b
 
 
 def nevanlinna_density(t: float, x) -> np.ndarray:

@@ -25,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, MathDomainError, PrecisionError
+from .errors import InputError, MathDomainError
 from .operators import b_from_operator, ellipse_operator
-from .series import square_matrix
+from .series import in_float_range, square_matrix
 
 # largest normwise gap, relative to the column's norm, between a given first
 # column and the one its certificate predicts (the ellipse operator's for
@@ -138,12 +138,9 @@ def fill_from_first_column(col, q, order: int) -> FilledMoments:
         raise InputError(f"fill order {order} outside 1..{col.shape[0]} (the column length)")
     jj, kk = np.indices((order, order))
     certified = (jj + kk + d < order) | (jj == 0) | (kk == 0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = _ellipse_gram(col[:order], q) if d == 1 else _propagate(col, q, order)
-    bad = np.argwhere(~np.isfinite(vals) & certified)
-    if bad.size and np.isfinite(q).all():
-        j, k = bad[0]
-        raise PrecisionError(f"the degree-{d} fill leaves the float range at entry ({j}, {k})")
+    fill = _ellipse_gram if d == 1 else _propagate
+    message = f"the degree-{d} fill leaves the float range"
+    vals = in_float_range(lambda: fill(col, q, order), message, certified & np.isfinite(q).all())
     if d == 1:
         what = "the column misses the ellipse its degree-1 certificate fixes"
         _require_column(vals[:, 0] - col[:order], col[:order], what)
@@ -160,7 +157,7 @@ def fill_from_first_column(col, q, order: int) -> FilledMoments:
     return FilledMoments(np.where(certified, vals, np.nan + 0j), certified)
 
 
-def _ellipse_gram(col: np.ndarray, q: np.ndarray) -> np.ndarray:
+def _ellipse_gram(col: np.ndarray, q: np.ndarray, order: int) -> np.ndarray:
     """Krylov Gram of the ellipse operator fixed by b00 and q = (q0, q1).
 
     T = c + alpha S + beta S* has T xi = q0 xi + q1 T* xi with q1 = alpha /
@@ -168,7 +165,6 @@ def _ellipse_gram(col: np.ndarray, q: np.ndarray) -> np.ndarray:
     the gauge beta > 0 that gives beta = sqrt(b00 / (|q1|^2 - 1)),
     alpha = q1 beta and c = (q0 + q1 conj(q0)) / (1 - |q1|^2).
     """
-    order = col.shape[0]
     b00 = col[0]
     if not (np.isfinite(b00) and b00.real > 0):
         raise MathDomainError(f"a degree-1 fill needs b00 > 0, got {b00:.6g}")

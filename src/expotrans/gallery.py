@@ -47,10 +47,13 @@ class OperatorFamily:
         return self.build(exact_size(self.xi_index, self.max_offset, order))
 
     def data(self, order: int) -> ExpMoments:
-        """b, the Krylov Gram of the model sized for ``order``."""
+        """b, the Krylov Gram of the model sized for ``order``; PrecisionError
+        when building the model or its Gram leaves the float range."""
         from .operators import b_from_operator
+        from .series import in_float_range
 
-        return b_from_operator(self.sized_for(order), order)
+        message = f"the Krylov Gram of {self.name} at order {order} leaves the float range"
+        return in_float_range(lambda: b_from_operator(self.sized_for(order), order), message)
 
     def column(self, order: int) -> np.ndarray:
         return self.data(order).b[:, 0]

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, MathDomainError, PrecisionError
+from .errors import InputError, MathDomainError
+from .series import in_float_range
 from .shapes import Ellipse, Shape, boundary_nodes
 
 
@@ -23,14 +24,8 @@ def squeeze(col, t: float) -> np.ndarray:
 
     PrecisionError when e^(-t) or the scaled column leaves the float range.
     """
-    try:
-        with np.errstate(over="ignore"):
-            out = np.asarray(col, dtype=complex) * math.exp(-t)
-    except OverflowError:
-        out = None
-    if out is None or not np.isfinite(out).all():
-        raise PrecisionError(f"the squeeze to t = {t:g} leaves the float range")
-    return out
+    message = f"the squeeze to t = {t:g} leaves the float range"
+    return in_float_range(lambda: np.asarray(col, dtype=complex) * math.exp(-t), message)
 
 
 def inject(col, dt: float) -> np.ndarray:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import InputError, MathDomainError, PrecisionError
 from .finiteterm import fill_from_first_column
-from .series import BiSeries, log_neg, square_matrix
+from .series import BiSeries, in_float_range, log_neg, square_matrix
 from .shapes import Box, translate_moments
 
 # relative padding of the support box's half-extents
@@ -133,21 +133,19 @@ def support_box(a) -> Box:
     empty space.  A partly certified a takes the full one's path, converted
     to the total order it covers: translation is lower-triangular, so those
     entries read no others.  PrecisionError, naming the centroid, when they
-    leave the float range.
+    leave the float range or the box vanishes in the centroid's rounding.
     """
     am = square_matrix(a, "a")
     a00 = am[0, 0].real
     if not np.isfinite(a00) or a00 <= 0:
         raise MathDomainError("a[0, 0] must be positive to locate the support")
-    with np.errstate(over="ignore"):
-        center = am[1, 0] / a00 if am.shape[0] > 1 and np.isfinite(am[1, 0]) else 0.0 + 0.0j
-    if not np.isfinite(center):
-        raise PrecisionError(f"the centroid a[1, 0] / a[0, 0] = {center} leaves the float range")
+    center = 0.0 + 0.0j
+    if am.shape[0] > 1 and np.isfinite(am[1, 0]):
+        center = in_float_range(lambda: am[1, 0] / a00, "the centroid a[1, 0] / a[0, 0] leaves the float range")
     covered = _covered_order(am)
-    with np.errstate(over="ignore", invalid="ignore"):
-        moved = translate_moments(np.where(np.isfinite(am), am, 0.0), -center)
-    if _covered_order(moved) < covered:
-        raise PrecisionError(f"translating the moments to the centroid {center} overflows the float range")
+    inside = np.add.outer(np.arange(am.shape[0]), np.arange(am.shape[0])) <= covered
+    message = f"translating the moments to the centroid {center} overflows the float range"
+    moved = in_float_range(lambda: translate_moments(np.where(np.isfinite(am), am, 0.0), -center), message, inside)
     rm = real_moments(moved, covered)
     half_x = half_y = 0.0
     for j in range(rm.total_order // 2 + 1):
@@ -159,6 +157,8 @@ def support_box(a) -> Box:
     half_x *= 1.0 + BOX_PAD
     half_y *= 1.0 + BOX_PAD
     cx, cy = center.real, center.imag
+    if min(half_x, half_y) > 0 and (cx - half_x == cx + half_x or cy - half_y == cy + half_y):
+        raise PrecisionError(f"the support box vanishes in the rounding of the centroid {center}")
     return Box(cx - half_x, cx + half_x, cy - half_y, cy + half_y)
 
 

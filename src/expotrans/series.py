@@ -8,8 +8,8 @@ exponential and logarithm finite triangular recursions rather than limits.
 ``mul``, ``exp_neg`` and ``log_neg`` build each tail row j from the rows
 before it with one matrix product (order x j times j x order) followed by
 sums along its antidiagonals: order**4 / 2 multiply-adds per call.
-The module also holds the two input checks every matrix entry point shares,
-coercion to a square complex array and the Hermitian test, and the moment
+The module also holds the checks every entry point shares (coercion to a
+square complex array, the Hermitian test, the one float-range rule) and the moment
 identity of the exponential transform: with u = 1/z and v = 1/conj(w),
 
     exp(-sum a[j,k] u^(j+1) v^(k+1)) = 1 - sum b[j,k] u^(j+1) v^(k+1),
@@ -24,7 +24,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, PrecisionError
+
+
+def in_float_range(compute, message: str, mask=None):
+    """compute(), with numpy's overflow and invalid warnings off: the one float-range rule.
+
+    PrecisionError(message) when compute raises OverflowError or returns a non-finite
+    entry (an `ExpMoments` in its b); given a boolean mask, only masked entries count
+    and the message names the first.
+    """
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = compute()
+    except OverflowError:
+        raise PrecisionError(message) from None
+    finite = np.isfinite(getattr(out, "b", out))
+    if mask is not None:
+        finite |= ~mask
+    if not finite.all():
+        where = "" if mask is None else f" at entry {tuple(map(int, np.argwhere(~finite)[0]))}"
+        raise PrecisionError(message + where)
+    return out
 
 
 def square_matrix(x, attr: str) -> np.ndarray:
@@ -104,8 +125,8 @@ def _cross_row(xt: np.ndarray, rev: np.ndarray, j: int, buf: np.ndarray) -> np.n
     # y[j-1::-1] is the contiguous rev[n-j:]: G = xt[:, :j] @ rev[n-j:] lands in
     # columns 1..n of the call's zero-padded (n, 2n) buf and is summed along
     # q + r by reading row q shifted left by q with row length 2n - 1.  Callers
-    # silence overflow and invalid-value warnings: matmul may overflow inside a
-    # finite row's products, and `BiSeries` refuses a non-finite result.
+    # run it under `in_float_range`: matmul may overflow inside a finite row's
+    # products, and a non-finite result is a PrecisionError.
     n = xt.shape[0]
     np.matmul(xt[:, :j], rev[n - j :], out=buf[:, 1 : n + 1])
     return buf.ravel()[: n * (2 * n - 1)].reshape(n, 2 * n - 1)[:, :n].sum(axis=0)
@@ -116,11 +137,15 @@ def mul(f: BiSeries, g: BiSeries) -> BiSeries:
     if f.order != g.order:
         raise InputError(f"order mismatch: {f.order} vs {g.order}")
     n = f.order
-    tail = f.const * g.tail + g.const * f.tail
     rev, buf = np.ascontiguousarray(g.tail[::-1]), np.zeros((n, 2 * n), dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):  # see _cross_row
+
+    def rows():
+        tail = f.const * g.tail + g.const * f.tail
         for j in range(1, n):
             tail[j] += _cross_row(f.tail.T, rev, j, buf)
+        return tail
+
+    tail = in_float_range(rows, f"the series product of order {n} leaves the float range")
     return BiSeries(n, f.const * g.const, tail)
 
 
@@ -135,13 +160,16 @@ def exp_neg(f: BiSeries) -> BiSeries:
         raise InputError("exp_neg expects a series with zero constant term")
     n = f.order
     a = f.tail
-    w = np.arange(1, n + 1)[:, None] * a  # rows of f_u: (p + 1) * a[p]
     rev = np.zeros((n, n), dtype=complex)  # rev[n-1-j] = row j of E
     buf = np.zeros((n, 2 * n), dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):  # see _cross_row
+
+    def rows():
+        w = np.arange(1, n + 1)[:, None] * a  # rows of f_u: (p + 1) * a[p]
         for j in range(n):
             rev[n - 1 - j] = -a[j] - _cross_row(w.T, rev, j, buf) / (j + 1)
-    return BiSeries(n, 1.0, rev[::-1].copy())
+        return rev[::-1].copy()
+
+    return BiSeries(n, 1.0, in_float_range(rows, f"the series exp(-f) of order {n} leaves the float range"))
 
 
 def log_neg(f: BiSeries) -> BiSeries:
@@ -153,12 +181,15 @@ def log_neg(f: BiSeries) -> BiSeries:
     rev, buf = np.ascontiguousarray(e[::-1]), np.zeros((n, 2 * n), dtype=complex)
     a = np.zeros((n, n), dtype=complex)
     w = np.zeros((n, n), dtype=complex)  # rows of a_u: (p + 1) * a[p]
-    with np.errstate(over="ignore", invalid="ignore"):  # see _cross_row
+
+    def rows():
         for j in range(n):
             # exp_neg's identity and cross sum, bit for bit, solved for the new row of a
             a[j] = -e[j] - _cross_row(w.T, rev, j, buf) / (j + 1)
             w[j] = (j + 1) * a[j]
-    return BiSeries(n, 0.0, a)
+        return a
+
+    return BiSeries(n, 0.0, in_float_range(rows, f"the series -log(f) of order {n} leaves the float range"))
 
 
 def a_to_b(a) -> ExpMoments:

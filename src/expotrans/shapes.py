@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, MathDomainError, PrecisionError
-from .series import MomentMatrix
+from .series import MomentMatrix, in_float_range
 
 DEFAULT_QUAD_BUDGET = 4_194_304
 # unit-circle node sets kept for the process: power-of-two n up to this, shift 0 or 1/2
@@ -585,19 +585,12 @@ def translate_moments(a: np.ndarray, c: complex) -> np.ndarray:
 def moments(shape: Shape, order: int) -> MomentMatrix:
     """Moment matrix a[j, k] for j, k < order.
 
-    Moments that leave the float range, such as those of a shape far from
-    the origin at a high order, raise PrecisionError: Python's c**k raises
-    OverflowError and numpy's products overflow to inf.
+    Moments past the float range, such as those of a shape far from the
+    origin at a high order, raise PrecisionError.
     """
     if order < 1:
         raise InputError("moment order must be >= 1")
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            a = shape.moment_array(order)
-    except OverflowError:
-        a = None
-    if a is None or not np.isfinite(a).all():
-        raise PrecisionError(f"moments of order {order} overflow the float range")
+    a = in_float_range(lambda: shape.moment_array(order), f"moments of order {order} overflow the float range")
     return MomentMatrix(order, a)
 
 

@@ -247,18 +247,33 @@ def test_column_check_sees_an_entry_whose_square_overflows(tmp_path):
 
 def test_float_range_failures_exit_4_on_one_stderr_line(tmp_path):
     # fill and reconstruct printed twelve numpy warnings and exited 2 on a
-    # non-finite number; evolve's math.exp(1000) was a traceback, exit 1
+    # non-finite number; evolve's math.exp(1000) was a traceback, exit 1.
+    # An operator family whose model (u = 1e200) or Krylov Gram leaves the
+    # float range, and a finite b whose a = -log(1 - B) does not, are
+    # precision errors too
     col, cert = tmp_path / "col.json", tmp_path / "c.json"
     col.write_text(json.dumps({"order": 8, "re": [1, 1e200, 0, 0, 0, 0, 0, 0], "im": [0] * 8}))
     cert.write_text(json.dumps({"d": 0, "q": [[1e200, 0]], "residual": 0.0, "rows_used": 7}))
+    ellipse_cert = tmp_path / "e.json"
+    ellipse_cert.write_text(run("detect", "gallery:ellipse", "--order", "10").stdout)
+    power = "gallery:power?alpha=1e10&beta=1e10&d=1"
     for argv in (
         ["fill", str(col), str(cert), "--order", "8"],
         ["reconstruct", str(col), str(cert), "--order", "8", "--legendre-order", "2"],
         ["evolve", "gallery:disk", "--law", "squeeze", "--t0", "-1000", "--t1", "0"],
+        ["detect", power, "--order", "40"],
+        ["transform", power, "--order", "40"],
+        ["pipeline", "gallery:twodiag?A1=1e200&B1=1", "--order", "8"],
+        ["transform", "gallery:ellipse?u=1e200", "--order", "4"],
+        ["evolve", "gallery:ellipse?u=1e200", "--order", "4", "--law", "squeeze"],
+        ["pipeline", "gallery:ellipse?u=1e100", "--order", "4"],
+        ["transform", "gallery:ellipse?u=1e100", "--order", "4", "--inverse"],
+        ["fill", "gallery:ellipse?u=1e100", str(ellipse_cert), "--order", "4"],
+        ["transform", "gallery:ellipse?u=1e3", "--order", "52", "--inverse"],
     ):
         r = run(*argv)
-        assert (r.returncode, r.stdout) == (4, "")
-        assert r.stderr.startswith("expotrans: precision error:") and r.stderr.count("\n") == 1
+        assert (r.returncode, r.stdout) == (4, ""), argv
+        assert r.stderr.startswith("expotrans: precision error:") and r.stderr.count("\n") == 1, argv
 
 
 def test_evolve_squeeze():

@@ -17,6 +17,7 @@ log|x| + i arg x from real kernels, and run with np.log instead it bounds
 what the choice of logarithm moves.
 """
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -73,6 +74,20 @@ def test_rot_diag_b_values():
     for t, k in ((0.5, -1), (1.5, 0), (0.0, 2)):
         with pytest.raises(InputError):
             rot_diag_b(t, k)
+
+
+@pytest.mark.parametrize("k", [170, 1000])
+def test_rot_diag_b_past_the_factorial_range(k):
+    # (k + 1)! leaves the float range from k = 170 on; the running product
+    # stays in [0, 1) and matches the lgamma form and the exact rational value
+    t = 0.5
+    got = rot_diag_b(t, k)
+    lgamma_form = math.exp(math.log(t) + math.lgamma(k + 1 - t) - math.lgamma(1 - t) - math.lgamma(k + 2))
+    assert abs(got - lgamma_form) <= 1e-12 * lgamma_form
+    exact = Fraction(1, 2)
+    for i in range(1, k + 1):
+        exact *= i - Fraction(1, 2)
+    assert abs(got - float(exact / math.factorial(k + 1))) <= 1e-14 * got
 
 
 def test_round_trip_random():

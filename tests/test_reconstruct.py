@@ -5,6 +5,7 @@ Gamma(j + 1/2) / (sqrt(pi) Gamma(j + 2)), so m[0,0] = 1 and m[2,0] = 1/4;
 scaling x by p and y by q multiplies m[2j, 0] by p^(2j+1) q.
 """
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -212,6 +213,16 @@ def test_support_box_centroid_past_the_float_range():
     # a[1, 0] / a[0, 0] overflows: the centroid is refused before any translation
     a = np.array([[1e-300, 1e300], [1e300, 1.0]], dtype=complex)
     with pytest.raises(PrecisionError, match="centroid"):
+        support_box(a)
+
+
+@pytest.mark.parametrize("center", [1e20, -1e20j])
+def test_support_box_lost_in_the_centroid_rounding(center):
+    # a unit disk's moments about a far centroid: the half-extents, about
+    # 1.15, vanish in the rounding of the centroid, so x0 == x1 or y0 == y1,
+    # a precision failure and not a malformed box
+    a = np.array([[1, np.conj(center)], [center, abs(center) ** 2]], dtype=complex)
+    with pytest.raises(PrecisionError, match=rf"rounding of the centroid {re.escape(str(complex(center)))}"):
         support_box(a)
 
 

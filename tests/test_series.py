@@ -9,13 +9,14 @@ per-pair convolution recursion (``loop_exp_neg``, ``loop_log_neg``) is the
 second oracle, for the row kernel at orders the Taylor sum is too slow for.
 """
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from expotrans.errors import InputError
+from expotrans.errors import InputError, PrecisionError
 from expotrans.gallery import b_for
-from expotrans.series import BiSeries, MomentMatrix, a_to_b, exp_neg, log_neg, mul
+from expotrans.series import BiSeries, ExpMoments, MomentMatrix, a_to_b, exp_neg, in_float_range, log_neg, mul
 from expotrans.shapes import Ellipse, moments
 
 
@@ -331,9 +332,48 @@ def test_input_validation():
         BiSeries(0, 0.0, np.zeros((0, 0)))
     with pytest.raises(InputError, match="shape does not match order"):
         MomentMatrix(3, np.zeros((2, 2)))
-    # the row loops run with overflow warnings off; a result that leaves the
-    # float range is still refused, as an InputError and not as a warning
+    # the row loops run under the float-range rule; a result that leaves the
+    # float range is refused as a PrecisionError and not as a warning
     big = BiSeries.from_tail(np.full((4, 4), 1e300))
     for call in (lambda: exp_neg(big), lambda: log_neg(BiSeries(4, 1.0, big.tail)), lambda: mul(big, big)):
-        with pytest.raises(InputError, match="non-finite"):
-            call()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PrecisionError, match="leaves the float range"):
+                call()
+
+
+def test_float_range_rule_passes_a_finite_result_through():
+    out = np.array([[1.0, 2.0], [3.0, 4.0]])
+    assert in_float_range(lambda: out, "unused") is out
+    assert in_float_range(lambda: 0.5 + 0j, "unused") == 0.5
+
+
+def test_float_range_rule_refuses_python_overflow():
+    # Python's float arithmetic raises rather than returning inf
+    with pytest.raises(PrecisionError, match="^e to the 1000 leaves the float range$"):
+        in_float_range(lambda: math.exp(1000.0), "e to the 1000 leaves the float range")
+    with pytest.raises(PrecisionError, match="^big$"):
+        in_float_range(lambda: float(10**400), "big")
+
+
+def test_float_range_rule_refuses_a_non_finite_entry_without_a_warning():
+    # numpy's overflow (1e300 squared) and invalid value (inf - inf) are
+    # silenced inside the rule; the non-finite result is the error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for compute in (lambda: np.full((2, 2), 1e300) ** 2, lambda: np.array([np.inf]) - np.inf):
+            with pytest.raises(PrecisionError, match="^past the range$"):
+                in_float_range(compute, "past the range")
+        with pytest.raises(PrecisionError, match="^gram$"):
+            in_float_range(lambda: ExpMoments(2, np.diag([1.0, np.inf])), "gram")
+
+
+def test_float_range_rule_reads_only_masked_entries_and_names_the_first():
+    vals = np.array([[1.0, np.inf], [np.nan, 1.0], [np.inf, np.inf]])
+    inside = np.array([[True, False], [True, True], [True, True]])
+    with pytest.raises(PrecisionError, match=r"^fill at entry \(1, 0\)$"):
+        in_float_range(lambda: vals, "fill", inside)
+    # every non-finite entry lies outside the mask: the result passes
+    outside = np.isfinite(vals)
+    assert in_float_range(lambda: vals, "fill", outside) is vals
+    assert in_float_range(lambda: vals, "fill", np.zeros_like(outside)) is vals
