@@ -20,7 +20,6 @@ import math
 import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
-from urllib.parse import parse_qsl
 
 from .errors import InputError
 
@@ -83,7 +82,7 @@ class MatrixSource:
         if self.arr.shape[0] < order:
             raise InputError(f"matrix of order {self.arr.shape[0]} smaller than requested {order}")
         block = self.arr[:order, :order]
-        return ExpMoments(order, block) if self.given == "b" else MomentMatrix(order, block)
+        return ExpMoments(block) if self.given == "b" else MomentMatrix(block)
 
     def column(self, order: int) -> np.ndarray:
         import numpy as np
@@ -97,8 +96,10 @@ class MatrixSource:
 
 
 def _params(query: str, allowed: dict[str, float]) -> dict[str, float]:
+    """The defaults updated by the query's k=v pieces, split on & and the first =;
+    a + stays a sign and no escape is decoded."""
     out = dict(allowed)
-    for key, val in parse_qsl(query, keep_blank_values=True):
+    for key, _, val in (piece.partition("=") for piece in query.split("&") if piece):
         if key not in allowed:
             raise InputError(f"unknown gallery parameter {key!r}")
         try:

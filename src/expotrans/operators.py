@@ -246,4 +246,4 @@ def b_from_operator(op: BandedOperator, order: int) -> ExpMoments:
     for k in range(1, order):
         vecs[k] = tstar @ vecs[k - 1]
     b = vecs.conj() @ vecs.T  # b[j, k] = <v_k, v_j>
-    return ExpMoments(order, b)
+    return ExpMoments(b)

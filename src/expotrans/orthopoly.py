@@ -54,17 +54,14 @@ class CompletenessReport:
 def _indefinite(value: float, bm: np.ndarray) -> bool:
     """Whether a stalled pivot lies below -1e-9 ||b||_2.
 
-    max |b_jj| <= ||b||_2 <= ||b||_F brackets the threshold, so the SVD for
-    ||b||_2 runs only for a value between the bracket's ends; each end is
-    widened by 1e-8 relative, far beyond the SVD's rounding, so that the
-    bracket never decides otherwise than the SVD would.
+    max |b_jj| <= ||b||_2, so the SVD for ||b||_2 runs only for a value below
+    -1e-9 max |b_jj|; that end is widened by 1e-8 relative, far beyond the
+    SVD's rounding, so that it never decides otherwise than the SVD would.
     """
     if value >= 0:
         return False
     if value >= -1e-9 * max(float(np.abs(np.diagonal(bm)).max()) * (1 - 1e-8), 1e-30):
         return False
-    if value < -1e-9 * max(float(np.linalg.norm(bm)) * (1 + 1e-8), 1e-30):
-        return True
     return value < -1e-9 * max(float(np.linalg.norm(bm, 2)), 1e-30)
 
 

@@ -48,20 +48,19 @@ def in_float_range(compute, message: str, mask=None):
     return out
 
 
-def square_matrix(x, attr: str) -> np.ndarray:
-    """``x.<attr>`` when x carries that field, else x, as a square complex array."""
+def square_matrix(x, attr: str = "") -> np.ndarray:
+    """``x.<attr>`` when x carries that field, else x, as a square complex array:
+    the one coercion of a matrix input."""
     m = np.asarray(getattr(x, attr, x), dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InputError("expected a square matrix")
     return m
 
 
-def hermitian_matrix(m, order: int, what: str) -> np.ndarray:
-    """m as an order x order complex matrix, symmetrized once it is Hermitian
-    to 1e-9 of its largest entry; ``what`` names the matrix in the errors."""
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (order, order):
-        raise InputError(f"{what} shape does not match order")
+def hermitian_matrix(m, what: str) -> np.ndarray:
+    """m as a square complex matrix (`square_matrix`), symmetrized once it is
+    Hermitian to 1e-9 of its largest entry; ``what`` names the matrix in the error."""
+    m = square_matrix(m)
     scale = max(1.0, float(np.abs(m).max()))
     if np.abs(m - m.conj().T).max() > 1e-9 * scale:
         raise InputError(f"{what} is not Hermitian")
@@ -70,13 +69,12 @@ def hermitian_matrix(m, order: int, what: str) -> np.ndarray:
 
 @dataclass
 class MomentMatrix:
-    """Complex moments a[j, k] up to order N in each index; Hermitian."""
+    """Complex moments a[j, k] for j, k < N, the array's order; Hermitian."""
 
-    order: int
     a: np.ndarray
 
     def __post_init__(self):
-        self.a = hermitian_matrix(self.a, self.order, "moment matrix")
+        self.a = hermitian_matrix(self.a, "moment matrix")
 
 
 @dataclass
@@ -87,11 +85,10 @@ class ExpMoments:
     `orthopoly.orthonormalize`.
     """
 
-    order: int
     b: np.ndarray
 
     def __post_init__(self):
-        self.b = hermitian_matrix(self.b, self.order, "b matrix")
+        self.b = hermitian_matrix(self.b, "b matrix")
 
 
 @dataclass
@@ -196,11 +193,11 @@ def a_to_b(a) -> ExpMoments:
     """Moments to exponential-transform moments via exp(-A) = 1 - B."""
     am = square_matrix(a, "a")
     series = exp_neg(BiSeries.from_tail(am))
-    return ExpMoments(am.shape[0], -series.tail)
+    return ExpMoments(-series.tail)
 
 
 def b_to_a(b) -> MomentMatrix:
     """Inverse of a_to_b via -log(1 - B)."""
     bm = square_matrix(b, "b")
     series = log_neg(BiSeries(bm.shape[0], 1.0, -bm))
-    return MomentMatrix(bm.shape[0], series.tail)
+    return MomentMatrix(series.tail)

@@ -95,7 +95,8 @@ class Shape:
     """A shade function g with compact support; each subclass owns its rules.
 
     A subclass provides `bounding_circle()`, `contains(z)` (whether z lies
-    in the support, boundary included), `moment_array(order)`,
+    in the support, boundary included), `moment_array(order)` (a, Hermitian
+    to rounding: `MomentMatrix` symmetrizes it),
     `kernel_log(z, w)` (the Cauchy kernels at the pairs of two
     equal-length 1-D complex arrays of points outside the support, as an
     array, to relative tolerance KERNEL_TOL where a rule approximates them),
@@ -259,7 +260,8 @@ class Ellipse(Shape):
         """Green's theorem: a[j, k] = (1/(2 pi i (k+1))) * contour integral of
         z^j conj(z)^(k+1) dz, a trigonometric polynomial of degree <= 2 order in
         theta, so 2 order + 1 trapezoid nodes are exact.  The entries k >= j
-        (the larger divisor) are kept and mirrored; the diagonal is real."""
+        (the larger divisor) are kept and mirrored; `MomentMatrix` makes the
+        diagonal real."""
         n = 2 * order + 1
         if order * n > quad_budget():
             raise PrecisionError(
@@ -268,9 +270,7 @@ class Ellipse(Shape):
         ((z, dz),) = boundary_nodes(self, n)
         powers = z[None, :] ** np.arange(order + 1)[:, None]
         g = (powers[:-1] @ (powers[1:].conj() * dz).T) / (1j * n * np.arange(1, order + 1))
-        a = np.triu(g) + np.triu(g, 1).conj().T
-        np.fill_diagonal(a, a.diagonal().real)
-        return a
+        return np.triu(g) + np.triu(g, 1).conj().T
 
     def _sigma(self, z: complex) -> float:
         """ln((P + Q)/(p + q)), P and Q the semi-axes of the confocal ellipse through z."""
@@ -489,6 +489,7 @@ class Grid(Shape):
         z, w = self._point_masses()
         powers = z[None, :] ** np.arange(order)[:, None]
         a = (powers * w) @ powers.conj().T
+        # MomentMatrix repeats this bit for bit, but a Weighted grid scales a first
         return 0.5 * (a + a.conj().T)
 
     def kernel_log(self, z: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -591,7 +592,7 @@ def moments(shape: Shape, order: int) -> MomentMatrix:
     if order < 1:
         raise InputError("moment order must be >= 1")
     a = in_float_range(lambda: shape.moment_array(order), f"moments of order {order} overflow the float range")
-    return MomentMatrix(order, a)
+    return MomentMatrix(a)
 
 
 # ---------------------------------------------------------------------------

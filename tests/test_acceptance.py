@@ -88,7 +88,7 @@ def test_criterion_02_round_trips():
         e = exp_neg(s)
         assert np.array_equal(e.tail[:, 0], -tail[:, 0])
 
-        a = type(moments(Disk(0.0, 1.0), n))(n, tail)
+        a = type(moments(Disk(0.0, 1.0), n))(tail)
         b = a_to_b(a)
         assert np.array_equal(b.b[:, 0], tail[:, 0])
         back_a = b_to_a(b).a

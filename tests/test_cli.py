@@ -12,7 +12,8 @@ import pytest
 
 from expotrans import finiteterm, serialize, series
 from expotrans.cli import build_parser, main
-from expotrans.gallery import b_for
+from expotrans.gallery import b_for, names, resolve
+from expotrans.shapes import Shape
 
 # the tree under test, ahead of any installed copy
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -99,6 +100,32 @@ def test_transform_prints_the_sources_own_matrix(tmp_path, monkeypatch, capsys):
     assert _out(capsys, "transform a.json --inverse --given a --order 8") == a_doc
     want = _out(capsys, "moments a.json --order 4")
     assert _out(capsys, "transform a.json --inverse --given a --order 4") == want
+
+
+def test_moments_is_transform_inverse(tmp_path, monkeypatch, capsys):
+    # one handler: the same bytes on both streams and the same exit code for
+    # every gallery shape, an operator family, a shape file, an a file and a
+    # b file, and for sources that fail with exit 2 and exit 4
+    monkeypatch.chdir(tmp_path)
+    _out(capsys, "gallery ellipse-shape --out shape.json")
+    _out(capsys, "moments gallery:annulus --order 8 --out a.json")
+    _out(capsys, "transform gallery:annulus --order 8 --out b.json")
+    shapes = [name for name in names() if isinstance(resolve(name), Shape)]
+    sources = [f"gallery:{name} --order 6" for name in shapes] + [
+        "gallery:trifoil --order 6", "shape.json --order 6", "a.json --given a --order 6",
+        "b.json --given b --order 6", "gallery:disk?x=1e5&R=1 --order 48", "missing.json",
+        "a.json --given a --order 9",
+    ]
+    assert len(sources) == 11
+    codes = set()
+    for source in sources:
+        results = []
+        for command in (f"moments {source}", f"transform {source} --inverse"):
+            code = main(command.split())
+            results.append((code, *capsys.readouterr()))
+        assert results[0] == results[1], source
+        codes.add(results[0][0])
+    assert codes == {0, 2, 4}
 
 
 @pytest.mark.parametrize("command", [

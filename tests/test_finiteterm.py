@@ -302,7 +302,7 @@ def band_of(shape_or_op, order):
 
 def test_band_profile_of_empty_block():
     # a zero b stalls orthonormalization at degree 0: nothing is certified
-    b = ExpMoments(3, np.zeros((3, 3)))
+    b = ExpMoments(np.zeros((3, 3)))
     with pytest.raises(InputError, match="empty Hessenberg block"):
         band_profile(hessenberg(b, orthonormalize(b)))
 

@@ -75,6 +75,18 @@ def test_sized_for_rule():
                 b_from_operator(fam.build(op.size - 1), order)
 
 
+def test_query_values_are_read_as_written():
+    # a + in an exponent or a sign is the number's own; it is not a space
+    assert resolve("gallery:disk?R=1e+0") == resolve("gallery:disk?R=1") == resolve("gallery:disk?R=+1")
+    assert resolve("gallery:annulus?&r=2.5e-1&&R=1E+0&") == resolve("gallery:annulus?r=0.25&R=1")
+    # no escape is decoded, and a blank value names itself
+    with pytest.raises(InputError, match=r"R='%31' is not a number"):
+        resolve("gallery:disk?R=%31")
+    for query in ("R=", "R"):
+        with pytest.raises(InputError, match=r"R='' is not a number"):
+            resolve(f"gallery:disk?{query}")
+
+
 def test_bad_addresses():
     with pytest.raises(InputError):
         resolve("gallery:moebius")
@@ -148,9 +160,9 @@ def _ladder(kind, src, order, what):
     if arr.shape[0] < order:
         raise InputError("matrix too small")
     if kind == "b":
-        b = ExpMoments(order, arr[:order, :order])
+        b = ExpMoments(arr[:order, :order])
         return b.b if what == "b" else b_to_a(b).a
-    a = MomentMatrix(order, arr[:order, :order])
+    a = MomentMatrix(arr[:order, :order])
     return a_to_b(a).b if what == "b" else a.a
 
 

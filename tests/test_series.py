@@ -330,8 +330,8 @@ def test_input_validation():
         BiSeries(2, 0.0, np.array([[np.nan, 0.0], [0.0, 0.0]]))
     with pytest.raises(InputError):
         BiSeries(0, 0.0, np.zeros((0, 0)))
-    with pytest.raises(InputError, match="shape does not match order"):
-        MomentMatrix(3, np.zeros((2, 2)))
+    with pytest.raises(InputError, match="expected a square matrix"):
+        MomentMatrix(np.zeros((2, 3)))
     # the row loops run under the float-range rule; a result that leaves the
     # float range is refused as a PrecisionError and not as a warning
     big = BiSeries.from_tail(np.full((4, 4), 1e300))
@@ -365,7 +365,7 @@ def test_float_range_rule_refuses_a_non_finite_entry_without_a_warning():
             with pytest.raises(PrecisionError, match="^past the range$"):
                 in_float_range(compute, "past the range")
         with pytest.raises(PrecisionError, match="^gram$"):
-            in_float_range(lambda: ExpMoments(2, np.diag([1.0, np.inf])), "gram")
+            in_float_range(lambda: ExpMoments(np.diag([1.0, np.inf])), "gram")
 
 
 def test_float_range_rule_reads_only_masked_entries_and_names_the_first():

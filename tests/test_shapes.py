@@ -16,7 +16,7 @@ from expotrans import heleshaw, shapes
 from expotrans.errors import InputError, MathDomainError, PrecisionError
 from expotrans.exptransform import boundary_root
 from expotrans.operators import b_from_operator, ellipse_operator
-from expotrans.series import a_to_b
+from expotrans.series import MomentMatrix, a_to_b
 from expotrans.shapes import (
     Annulus,
     Box,
@@ -271,6 +271,51 @@ def test_moment_matrices_hermitian():
     for s in shapes:
         a = moments(s, 6).a
         assert np.max(np.abs(a - a.conj().T)) < 1e-10
+
+
+def _seeded_ellipse(rng) -> Ellipse:
+    q = rng.uniform(0.1, 0.8)
+    return Ellipse(complex(*rng.uniform(-0.5, 0.5, 2)), q * rng.uniform(1.0, 3.0), q, rng.uniform(-math.pi, math.pi))
+
+
+def _seeded_grid(rng) -> Grid:
+    ny, nx = rng.integers(2, 12, 2)
+    values = rng.uniform(0.0, 1.0, (ny, nx)) * (rng.random((ny, nx)) < 0.8)
+    x0, y0 = rng.uniform(-1.0, 0.0, 2)
+    return Grid(Box(x0, x0 + rng.uniform(0.2, 1.2), y0, y0 + rng.uniform(0.2, 1.2)), values)
+
+
+def test_moment_matrix_owns_the_hermitian_rule():
+    # an ellipse's moment_array leaves its diagonal's rounding-level imaginary
+    # parts to MomentMatrix; zeroing them in place first (old_ellipse_rule)
+    # gives the same bits, signs of zero included, alone and under Weighted and Sum
+    rng = np.random.default_rng(31)
+
+    def old_ellipse_rule(shape, order):
+        a = shape.moment_array(order)
+        np.fill_diagonal(a, a.diagonal().real)
+        return a
+
+    for _ in range(60):
+        shape, order = _seeded_ellipse(rng), int(rng.integers(2, 40))
+        t, far = rng.uniform(0.1, 1.0), Disk(complex(3.0, 0.5), 0.7)
+        for got, rule in (
+            (shape, old_ellipse_rule(shape, order)),
+            (Weighted(shape, t), t * old_ellipse_rule(shape, order)),
+            (Sum((shape, far)), old_ellipse_rule(shape, order) + far.moment_array(order)),
+        ):
+            assert moments(got, order).a.tobytes() == MomentMatrix(rule).a.tobytes()
+        # the old rule's output was exactly Hermitian already: it is a itself
+        rule = old_ellipse_rule(shape, order)
+        assert moments(shape, order).a.tobytes() == rule.tobytes()
+    # a grid's rule symmetrizes, and MomentMatrix's second pass keeps every
+    # bit; a grey grid is its weight times that symmetrized array, bit for bit
+    for _ in range(30):
+        shape, order, t = _seeded_grid(rng), int(rng.integers(2, 40)), rng.uniform(0.1, 1.0)
+        rule = shape.moment_array(order)
+        assert np.array_equal(rule, rule.conj().T)
+        assert moments(shape, order).a.tobytes() == MomentMatrix(rule).a.tobytes() == rule.tobytes()
+        assert moments(Weighted(shape, t), order).a.tobytes() == (t * rule).tobytes()
 
 
 def test_geometry_helpers():
