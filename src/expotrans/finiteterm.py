@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, MathDomainError
-from .operators import b_from_operator, ellipse_operator
+from .operators import ellipse_operator, krylov_gram
 from .series import in_float_range, square_matrix
 
 # largest normwise gap, relative to the column's norm, between a given first
@@ -172,7 +172,8 @@ def _ellipse_gram(col: np.ndarray, q: np.ndarray, order: int) -> np.ndarray:
         raise MathDomainError(f"a degree-1 fill needs |q[1]| > 1, got {abs(q[1]):.6g}")
     beta = math.sqrt(b00.real / (abs(q[1]) ** 2 - 1.0))
     c = (q[0] + q[1] * np.conj(q[0])) / (1.0 - abs(q[1]) ** 2)
-    return b_from_operator(ellipse_operator(c, q[1] * beta, beta, order + 2), order).b
+    # the raw Gram: entries past the float range outside the certified triangle are masked
+    return krylov_gram(ellipse_operator(c, q[1] * beta, beta, order + 2), order)
 
 
 def _require_column(miss: np.ndarray, col: np.ndarray, what: str) -> None:

@@ -227,8 +227,9 @@ def exact_size(xi_index: int, max_offset: int, order: int) -> int:
     return xi_index + order * max_offset + 2
 
 
-def b_from_operator(op: BandedOperator, order: int) -> ExpMoments:
-    """Krylov Gram matrix b[j, k] = <T*^k xi, T*^j xi>.
+def krylov_gram(op: BandedOperator, order: int) -> np.ndarray:
+    """Krylov Gram matrix b[j, k] = <T*^k xi, T*^j xi>, as computed: entries
+    past the float range stay inf or NaN.
 
     Requires size >= `exact_size(xi_index, max_offset, order)`; the result
     then agrees with the infinite model exactly.
@@ -245,5 +246,9 @@ def b_from_operator(op: BandedOperator, order: int) -> ExpMoments:
     vecs[0] = op.xi()
     for k in range(1, order):
         vecs[k] = tstar @ vecs[k - 1]
-    b = vecs.conj() @ vecs.T  # b[j, k] = <v_k, v_j>
-    return ExpMoments(b)
+    return vecs.conj() @ vecs.T  # b[j, k] = <v_k, v_j>
+
+
+def b_from_operator(op: BandedOperator, order: int) -> ExpMoments:
+    """`krylov_gram` as an `ExpMoments`, so a non-finite entry is refused."""
+    return ExpMoments(krylov_gram(op, order))

@@ -4,10 +4,11 @@ Complex moments convert to real monomial moments m[p, q] by exact
 basis-change matrices: on each antidiagonal j + k = n the substitution
 x = (z + conj(z))/2, y = (z - conj(z))/(2i) is one (n+1) x (n+1) matrix of
 binomials times powers of 1/2 and i, built once and reused by every later
-call.  A box around the support is estimated from the even-moment growth,
-and the density is approximated by its L2 projection onto tensor Legendre
-polynomials on the box, pi * Lx m Ly^T, where the rows of Lx and Ly are the
-power-basis coefficients of the normalized Legendre polynomials.  A grid
+call, as are each top order's gather and scatter indices.  A box around the
+support is estimated from the even-moment growth, and the density is
+approximated by its L2 projection onto tensor Legendre polynomials on the
+box, pi * Lx m Ly^T, where the rows of Lx and Ly are the power-basis
+coefficients of the normalized Legendre polynomials.  A grid
 sample runs one Clenshaw pass along x on the grid's x values and one along
 y on its y values.  The projection is reported as is, Gibbs oscillations
 included; values outside [-0.1, 1.1] are only counted, never clipped.
@@ -22,7 +23,7 @@ import numpy as np
 
 from .errors import InputError, MathDomainError, PrecisionError
 from .finiteterm import fill_from_first_column
-from .series import BiSeries, in_float_range, log_neg, square_matrix
+from .series import BiSeries, degree_grid, in_float_range, log_neg, square_matrix
 from .shapes import Box, translate_moments
 
 # relative padding of the support box's half-extents
@@ -50,8 +51,7 @@ class GridFunction:
 def _covered_order(am: np.ndarray) -> int:
     """Largest p such that every entry with j + k <= p is finite (-1 if none)."""
     n = am.shape[0]
-    jk = np.add.outer(np.arange(n), np.arange(n))
-    return int(np.where(np.isfinite(am), n, jk).min(initial=n)) - 1
+    return int(np.where(np.isfinite(am), n, degree_grid(n)).min(initial=n)) - 1
 
 
 @functools.cache
@@ -69,6 +69,17 @@ def _substitution_matrix(n: int) -> np.ndarray:
     return c
 
 
+@functools.cache
+def _antidiagonals(top: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols) of every entry with j + k <= top, antidiagonal by
+    antidiagonal and j increasing along each: antidiagonal n is the slice
+    n(n+1)/2 : (n+1)(n+2)/2.  Built once per top order, read-only."""
+    rows = np.concatenate([np.arange(n + 1) for n in range(top + 1)])
+    cols = np.repeat(np.arange(top + 1), np.arange(1, top + 2)) - rows
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
 def _substitute(src: np.ndarray, top: int) -> np.ndarray:
     """Complex moments src[j, k] of z^j conj(z)^k to real moments out[p, q]
     of x^p y^q, by x = (z + conj(z))/2, y = (z - conj(z))/2i.
@@ -79,13 +90,22 @@ def _substitute(src: np.ndarray, top: int) -> np.ndarray:
     also by x.  Its entries are integers below 2^n times a power of 1/2 and
     of i, so they are exact for n <= 53.  Each C_n is built once and kept
     read-only for the life of the process: sum (n+1)^2 complex entries,
-    0.86 MB up to n = 53.
+    0.86 MB up to n = 53.  So is each top order's plan (`_antidiagonals`):
+    two int64 index arrays of (top+1)(top+2)/2 entries, 12 KB at top = 38,
+    all tops up to 53 together 0.44 MB.  One gather reads the triangle into
+    a flat array, whose antidiagonals are contiguous slices; C_n times its
+    slice is the same matrix-vector product as one antidiagonal at a time,
+    and one scatter writes the results back.
     """
-    out = np.full((top + 1, top + 1), np.nan + 0j)
-    out[0, 0] = src[0, 0]
+    rows, cols = _antidiagonals(top)
+    flat = src[rows, cols]
+    res = np.empty_like(flat)
+    res[0] = flat[0]
     for n in range(1, top + 1):  # increasing n: each C_n is built from a cached C_(n-1)
-        r = np.arange(n + 1)
-        out[r, n - r] = _substitution_matrix(n) @ src[r, n - r]
+        lo = n * (n + 1) // 2
+        np.matmul(_substitution_matrix(n), flat[lo : lo + n + 1], out=res[lo : lo + n + 1])
+    out = np.full((top + 1, top + 1), np.nan + 0j)
+    out[rows, cols] = res
     return out
 
 
@@ -104,8 +124,7 @@ def real_moments(a, total_order: int | None = None) -> RealMoments:
         raise MathDomainError(
             f"moments cover total order {covered}, requested {total_order}"
         )
-    r = np.arange(am.shape[0])
-    scale = max(1.0, float(np.abs(am[np.add.outer(r, r) <= p_max]).max()))
+    scale = max(1.0, float(np.abs(am[degree_grid(am.shape[0]) <= p_max]).max()))
     mc = _substitute(am, p_max)
     residue = np.argwhere(np.abs(mc.imag) > 1e-10 * scale)
     if residue.size:
@@ -120,6 +139,16 @@ def _axis_mu(j: int) -> float:
     # (1/pi) * integral of x^(2j) over the unit disk; calibrates the
     # per-axis extent estimator to be exact on disks for every j.
     return math.exp(math.lgamma(j + 0.5) - 0.5 * math.log(math.pi) - math.lgamma(j + 2))
+
+
+def _half_extent(even: np.ndarray) -> float:
+    """(even[j] / mu_j)^(1/(2j+2)) at the last j whose even axis moment
+    even[j] = m[2j] is finite and positive; 0 when none is."""
+    usable = np.flatnonzero(np.isfinite(even) & (even > 0))
+    if not usable.size:
+        return 0.0
+    j = int(usable[-1])
+    return (even[j] / _axis_mu(j)) ** (1.0 / (2 * j + 2))
 
 
 def support_box(a) -> Box:
@@ -143,39 +172,35 @@ def support_box(a) -> Box:
     if am.shape[0] > 1 and np.isfinite(am[1, 0]):
         center = in_float_range(lambda: am[1, 0] / a00, "the centroid a[1, 0] / a[0, 0] leaves the float range")
     covered = _covered_order(am)
-    inside = np.add.outer(np.arange(am.shape[0]), np.arange(am.shape[0])) <= covered
+    inside = degree_grid(am.shape[0]) <= covered
     message = f"translating the moments to the centroid {center} overflows the float range"
     moved = in_float_range(lambda: translate_moments(np.where(np.isfinite(am), am, 0.0), -center), message, inside)
     rm = real_moments(moved, covered)
-    half_x = half_y = 0.0
-    for j in range(rm.total_order // 2 + 1):
-        mx, my = rm.m[2 * j, 0], rm.m[0, 2 * j]
-        if np.isfinite(mx) and mx > 0:
-            half_x = (mx / _axis_mu(j)) ** (1.0 / (2 * j + 2))
-        if np.isfinite(my) and my > 0:
-            half_y = (my / _axis_mu(j)) ** (1.0 / (2 * j + 2))
-    half_x *= 1.0 + BOX_PAD
-    half_y *= 1.0 + BOX_PAD
+    half_x = _half_extent(rm.m[::2, 0]) * (1.0 + BOX_PAD)
+    half_y = _half_extent(rm.m[0, ::2]) * (1.0 + BOX_PAD)
     cx, cy = center.real, center.imag
     if min(half_x, half_y) > 0 and (cx - half_x == cx + half_x or cy - half_y == cy + half_y):
         raise PrecisionError(f"the support box vanishes in the rounding of the centroid {center}")
     return Box(cx - half_x, cx + half_x, cy - half_y, cy + half_y)
 
 
-def _legendre_rows(order: int, lo: float, hi: float) -> np.ndarray:
-    """Row k: power-basis coefficients of the L2-normalized Legendre
-    polynomial of degree k on [lo, hi], k = 0..order.
+def _legendre_rows(order: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Slice i, row k: power-basis coefficients of the L2-normalized Legendre
+    polynomial of degree k on [lo[i], hi[i]], k = 0..order.
 
-    Uses (k+1) P_(k+1) = (2k+1) t P_k - k P_(k-1) with t = alpha x + beta.
+    Uses (k+1) P_(k+1) = (2k+1) t P_k - k P_(k-1) with t = alpha x + beta,
+    one step for every interval at once: each entry takes the same
+    elementwise operations as it would alone.
     """
+    lo, hi = np.asarray(lo, dtype=float)[:, None], np.asarray(hi, dtype=float)[:, None]
     alpha, beta = 2.0 / (hi - lo), -(hi + lo) / (hi - lo)
-    rows = np.zeros((order + 1, order + 1))
-    rows[0, 0] = 1.0
+    rows = np.zeros((lo.shape[0], order + 1, order + 1))
+    rows[:, 0, 0] = 1.0
     for k in range(order):
-        tp = beta * rows[k]
-        tp[1:] += alpha * rows[k, :-1]
-        rows[k + 1] = ((2 * k + 1) * tp - (k * rows[k - 1] if k else 0.0)) / (k + 1)
-    return rows * np.sqrt((2 * np.arange(order + 1) + 1) / (hi - lo))[:, None]
+        tp = beta * rows[:, k]
+        tp[:, 1:] += alpha * rows[:, k, :-1]
+        rows[:, k + 1] = ((2 * k + 1) * tp - (k * rows[:, k - 1] if k else 0.0)) / (k + 1)
+    return rows * np.sqrt((2 * np.arange(order + 1) + 1) / (hi - lo))[:, :, None]
 
 
 @dataclass
@@ -235,11 +260,9 @@ def legendre_fit(rm: RealMoments, box: Box, order: int) -> LegendreField:
     """
     if order > rm.total_order:
         raise InputError(f"moments cover total order {rm.total_order}, requested {order}")
-    lx = _legendre_rows(order, box.x0, box.x1)
-    ly = _legendre_rows(order, box.y0, box.y1)
-    p, q = np.indices((order + 1, order + 1))
+    lx, ly = _legendre_rows(order, (box.x0, box.y0), (box.x1, box.y1))
     m = np.nan_to_num(rm.m[: order + 1, : order + 1])
-    coeffs = np.where(p + q <= order, math.pi * lx @ m @ ly.T, 0.0)
+    coeffs = np.where(degree_grid(order + 1) <= order, math.pi * lx @ m @ ly.T, 0.0)
     return LegendreField(box, order, coeffs)
 
 

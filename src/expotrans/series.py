@@ -20,24 +20,26 @@ exactly.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, PrecisionError
+from .errors import InputError, NonFiniteError, PrecisionError
 
 
 def in_float_range(compute, message: str, mask=None):
     """compute(), with numpy's overflow and invalid warnings off: the one float-range rule.
 
-    PrecisionError(message) when compute raises OverflowError or returns a non-finite
-    entry (an `ExpMoments` in its b); given a boolean mask, only masked entries count
-    and the message names the first.
+    PrecisionError(message) when compute raises OverflowError, builds a `MomentMatrix`
+    or `ExpMoments` with a non-finite entry (NonFiniteError), or returns a non-finite
+    entry; given a boolean mask, only masked entries count and the message names the
+    first.
     """
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             out = compute()
-    except OverflowError:
+    except (OverflowError, NonFiniteError):
         raise PrecisionError(message) from None
     finite = np.isfinite(getattr(out, "b", out))
     if mask is not None:
@@ -57,10 +59,23 @@ def square_matrix(x, attr: str = "") -> np.ndarray:
     return m
 
 
+@functools.cache
+def degree_grid(n: int) -> np.ndarray:
+    """The n x n grid of total degrees j + k, built once per order and read-only
+    (8 n^2 bytes: 18 KB at n = 48)."""
+    grid = np.add.outer(np.arange(n), np.arange(n))
+    grid.flags.writeable = False
+    return grid
+
+
 def hermitian_matrix(m, what: str) -> np.ndarray:
     """m as a square complex matrix (`square_matrix`), symmetrized once it is
-    Hermitian to 1e-9 of its largest entry; ``what`` names the matrix in the error."""
+    finite and Hermitian to 1e-9 of its largest entry; ``what`` names the
+    matrix in the error."""
     m = square_matrix(m)
+    finite = np.isfinite(m)
+    if not finite.all():
+        raise NonFiniteError(f"{what} has a non-finite entry at {tuple(map(int, np.argwhere(~finite)[0]))}")
     scale = max(1.0, float(np.abs(m).max()))
     if np.abs(m - m.conj().T).max() > 1e-9 * scale:
         raise InputError(f"{what} is not Hermitian")

@@ -428,6 +428,22 @@ def test_moments_past_the_float_range_are_precision_errors(tmp_path, monkeypatch
         assert "precision error: moments of order 48" in err and "Traceback" not in err
 
 
+def test_mass_underflowing_to_zero_is_a_precision_error(tmp_path, monkeypatch, capsys):
+    # R = 1e-200: a[0, 0] = R^2 underflows to 0; pipeline refused the valid
+    # source as bad input ("band: empty Hessenberg block", exit 2) and
+    # transform printed an all-zero b; a zero b file still exits 2
+    # (test_exit_code_bad_input)
+    monkeypatch.chdir(tmp_path)
+    address = "gallery:disk?R=1e-200"
+    _out(capsys, f"gallery {address} --out disk.json")
+    for argv in (f"pipeline {address}", f"transform {address}", f"moments {address}", "transform disk.json"):
+        assert main(f"{argv} --order 4".split()) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("expotrans: precision error:") and captured.err.count("\n") == 1
+        assert "mass a[0, 0] underflows to 0" in captured.err
+
+
 def test_selftest():
     r = run("selftest")
     assert r.returncode == 0

@@ -204,6 +204,93 @@ def test_support_box_elongated():
     assert 0.5 < box.y1 < 0.8
 
 
+def _half_extent_by_loop(axis: np.ndarray, top: int) -> float:
+    """The walk over every j that support_box made, kept as the oracle: the
+    last finite positive m[2j] along the axis sets the half-extent."""
+    half = 0.0
+    for j in range(top // 2 + 1):
+        m = axis[2 * j]
+        if np.isfinite(m) and m > 0:
+            half = (m / reconstruct._axis_mu(j)) ** (1.0 / (2 * j + 2))
+    return half * (1.0 + reconstruct.BOX_PAD)
+
+
+def _support_box_by_loop(a) -> Box:
+    am = np.asarray(a, dtype=complex)
+    center = am[1, 0] / am[0, 0].real if am.shape[0] > 1 and np.isfinite(am[1, 0]) else 0j
+    covered = reconstruct._covered_order(am)
+    rm = real_moments(translate_moments(np.where(np.isfinite(am), am, 0.0), -center), covered)
+    hx, hy = _half_extent_by_loop(rm.m[:, 0], covered), _half_extent_by_loop(rm.m[0, :], covered)
+    return Box(center.real - hx, center.real + hx, center.imag - hy, center.imag + hy)
+
+
+def test_support_box_matches_the_per_j_walk_bit_for_bit():
+    rng = np.random.default_rng(32)
+    cases = []
+    # full columns of seeded shapes
+    for _ in range(12):
+        c = complex(*rng.uniform(-0.5, 0.5, 2))
+        p = rng.uniform(0.3, 1.5)
+        shape = rng.choice([Disk(c, p), Annulus(c, 0.4 * p, p), Ellipse(c, p, rng.uniform(0.2, 1.0) * p, rng.uniform(0, 3))])
+        cases.append(moments(shape, int(rng.integers(2, 25))).a)
+    # fills certified on a triangle, NaN beyond it
+    for u, order in ((1.6, 12), (2.0, 16), (2.4, 24), (2.8, 20)):
+        cases.append(_certified_triangle(f"gallery:ellipse?u={u}", order))
+    # Hermitian matrices that are no shape's moments: their even axis
+    # moments come out negative, so the walk skips the last ones
+    signs = set()
+    for n in (3, 6, 9, 14):
+        for _ in range(4):
+            x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            a = x + x.conj().T
+            a[0, 0] = 1.0 + abs(a[0, 0])
+            rm = real_moments(a)
+            signs.update(np.sign(rm.m[::2, 0][-1:]).tolist())
+            cases.append(a)
+    assert -1.0 in signs  # the last axis moment was <= 0 at least once
+    for a in cases:
+        try:
+            want = _support_box_by_loop(a).as_tuple()
+        except InputError:  # no axis moment > 0: a box of width 0
+            with pytest.raises(InputError):
+                support_box(a)
+            continue
+        assert support_box(a).as_tuple() == want
+
+
+def test_half_extent_skips_axis_moments_that_are_not_finite_and_positive():
+    # one pass picks the last usable m[2j]; the walk is the oracle
+    rng = np.random.default_rng(33)
+    bad = (0.0, -0.0, -1.0, np.nan, np.inf, -np.inf)
+    for _ in range(200):
+        axis = rng.uniform(1e-6, 10.0, int(rng.integers(1, 12)))
+        for j in np.flatnonzero(rng.random(axis.size) < 0.4):
+            axis[j] = rng.choice(bad)
+        full = np.full(2 * axis.size - 1, np.nan)
+        full[::2] = axis
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = reconstruct._half_extent(axis) * (1.0 + reconstruct.BOX_PAD)
+        assert got == _half_extent_by_loop(full, full.size - 1)
+    assert reconstruct._half_extent(np.array([np.nan, -1.0, 0.0])) == 0.0
+
+
+def test_substitution_plans_are_cached_and_read_only():
+    for top in (0, 1, 6, 38):
+        rows, cols = reconstruct._antidiagonals(top)
+        assert (rows, cols) == reconstruct._antidiagonals(top)
+        # antidiagonal n is the slice n(n+1)/2 : (n+1)(n+2)/2, j increasing
+        for n in range(top + 1):
+            lo = n * (n + 1) // 2
+            assert rows[lo : lo + n + 1].tolist() == list(range(n + 1))
+            assert (rows + cols)[lo : lo + n + 1].tolist() == [n] * (n + 1)
+        assert rows.size == (top + 1) * (top + 2) // 2
+        for arr in (rows, cols):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
+
 def test_support_box_needs_mass():
     with pytest.raises(MathDomainError):
         support_box(np.zeros((4, 4), dtype=complex))
@@ -327,6 +414,28 @@ def test_legendre_fit_exact_oracle():
             norm = math.sqrt((2 * p + 1) / box.width * (2 * q + 1) / box.height)
             exact[p, q] = math.pi * norm * float(acc)
     assert np.abs(fld.coeffs - exact).max() <= 1e-12 * np.abs(exact).max()
+
+
+def _legendre_rows_one_interval(order, lo, hi):
+    """The recurrence run for one interval at a time, as the oracle."""
+    alpha, beta = 2.0 / (hi - lo), -(hi + lo) / (hi - lo)
+    rows = np.zeros((order + 1, order + 1))
+    rows[0, 0] = 1.0
+    for k in range(order):
+        tp = beta * rows[k]
+        tp[1:] += alpha * rows[k, :-1]
+        rows[k + 1] = ((2 * k + 1) * tp - (k * rows[k - 1] if k else 0.0)) / (k + 1)
+    return rows * np.sqrt((2 * np.arange(order + 1) + 1) / (hi - lo))[:, None]
+
+
+def test_legendre_rows_of_both_axes_match_one_interval_at_a_time():
+    rng = np.random.default_rng(34)
+    for order in range(13):
+        lo = rng.uniform(-4.0, 1.0, 2)
+        hi = lo + rng.uniform(1e-3, 5.0, 2)
+        rows = reconstruct._legendre_rows(order, lo, hi)
+        for i in range(2):
+            assert np.array_equal(rows[i], _legendre_rows_one_interval(order, float(lo[i]), float(hi[i])))
 
 
 def test_reconstruct_trifoil():

@@ -16,7 +16,7 @@ import pytest
 
 from expotrans.errors import InputError, PrecisionError
 from expotrans.gallery import b_for
-from expotrans.series import BiSeries, ExpMoments, MomentMatrix, a_to_b, exp_neg, in_float_range, log_neg, mul
+from expotrans.series import BiSeries, ExpMoments, MomentMatrix, a_to_b, degree_grid, exp_neg, in_float_range, log_neg, mul
 from expotrans.shapes import Ellipse, moments
 
 
@@ -340,6 +340,32 @@ def test_input_validation():
             warnings.simplefilter("error")
             with pytest.raises(PrecisionError, match="leaves the float range"):
                 call()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_a_given_matrix_with_a_non_finite_entry_is_bad_input(bad):
+    # nan > tol is False, so the Hermitian test alone let NaN through: the
+    # matrix constructed, and only a later a_to_b refused it
+    m = np.eye(3, dtype=complex)
+    m[2, 1] = bad
+    for cls, what in ((MomentMatrix, "moment matrix"), (ExpMoments, "b matrix")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match=rf"^{what} has a non-finite entry at \(2, 1\)$"):
+                cls(m)
+            # built inside the float-range rule, it is the computation leaving the range
+            with pytest.raises(PrecisionError, match="^computed$"):
+                in_float_range(lambda: cls(m), "computed")
+
+
+def test_degree_grid_is_cached_and_read_only():
+    for n in (1, 2, 7, 48):
+        grid = degree_grid(n)
+        assert grid is degree_grid(n)
+        assert np.array_equal(grid, np.add.outer(np.arange(n), np.arange(n)))
+        assert not grid.flags.writeable
+        with pytest.raises(ValueError):
+            grid[0, 0] = 1
 
 
 def test_float_range_rule_passes_a_finite_result_through():

@@ -159,6 +159,37 @@ def test_moments_past_the_float_range(x):
         assert np.isfinite(moments(disk, 8).a).all()
 
 
+def test_mass_underflowing_to_zero_is_a_precision_error():
+    # R = 1e-200: a[0, 0] = R^2 underflows to 0, and the zero b that followed
+    # made pipeline refuse a valid source as bad input ("empty Hessenberg block")
+    tiny = Disk(0.3, 1e-200)
+    for shape in (tiny, Weighted(tiny, 0.5), Sum((tiny, Disk(5.0, 1e-200))), Ellipse(0.0, 1e-170, 1e-170)):
+        with pytest.raises(PrecisionError, match=r"mass a\[0, 0\] underflows to 0"):
+            moments(shape, 4)
+    # a tiny mass that does not underflow, a sum with a visible part and a grid
+    # of zeros, whose mass is 0 and not an underflow, keep their moments
+    assert moments(Disk(0.0, 1e-150), 2).a[0, 0] == 1e-300
+    assert moments(Sum((tiny, Disk(5.0, 1.0))), 2).a[0, 0] == 1.0
+    zeros = Grid(Box(-1.0, 1.0, -1.0, 1.0), np.zeros((3, 4)))
+    assert not zeros.has_shade() and not Weighted(zeros, 0.5).has_shade()
+    assert not np.any(moments(zeros, 4).a)
+    assert not np.any(moments(Weighted(zeros, 0.5), 4).a)
+    assert Sum((zeros, Disk(5.0, 1e-200))).has_shade()
+
+
+def test_pascal_tables_are_cached_and_read_only():
+    for n in (1, 5, 48):
+        table = shapes._pascal_table(n)
+        assert table is shapes._pascal_table(n)
+        j, p, k, comb = table
+        assert np.array_equal(k, j - p)
+        assert comb.tolist() == [float(math.comb(int(r), int(c))) for r, c in zip(j, p)]
+        for arr in table:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+
 def test_sum_additivity():
     d1 = Disk(-2.0, 0.5)
     d2 = Disk(2.0, 0.75)
