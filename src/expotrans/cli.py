@@ -110,14 +110,15 @@ def cmd_fill(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
+    import numpy as np
+
+    from .finiteterm import require_column
     from .reconstruct import reconstruct_from_certificate
 
     col = _load_source(args.column).column(args.order)
     cert = serialize.certificate_from_obj(serialize.load_json(args.cert))
-    if cert.residual > args.tol:
-        raise MathDomainError(
-            f"certificate residual {cert.residual:.3e} exceeds tolerance {args.tol:.3e}"
-        )
+    what = f"the certificate's residual {cert.residual:.3e} misses the column"
+    require_column(np.array([cert.residual]), col, what)
     field, info = reconstruct_from_certificate(col, cert, args.order, args.legendre_order)
     gf = field.sample(args.grid, args.grid)
     header = serialize.grid_header_obj(gf, args.legendre_order, info["mass_from_field"])
@@ -309,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reconstruct", help="density field from column + certificate")
     _add_column(p)
     p.add_argument("--grid", type=_count(1), default=64, help="samples per axis in the CSV")
-    p.add_argument("--tol", type=_tolerance, default=1e-6, help="residual tolerance")
     p.add_argument("--legendre-order", type=_count(0), default=10, dest="legendre_order")
     p.set_defaults(fn=cmd_reconstruct)
 

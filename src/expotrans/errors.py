@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto process exit codes, so library code should raise
-the most specific class that applies.
+the most specific class that applies: a non-finite entry of a given matrix
+is an InputError, a computation past the float range a PrecisionError.
 """
 
 
@@ -11,12 +12,6 @@ class ExpotransError(Exception):
 
 class InputError(ExpotransError):
     """Malformed or inconsistent user input (bad JSON, shape mismatch)."""
-
-
-class NonFiniteError(InputError):
-    """A matrix with a NaN or infinite entry given to `MomentMatrix` or
-    `ExpMoments`; one built inside `series.in_float_range` is a computation
-    that left the float range, a PrecisionError."""
 
 
 class MathDomainError(ExpotransError):

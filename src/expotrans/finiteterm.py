@@ -143,14 +143,14 @@ def fill_from_first_column(col, q, order: int) -> FilledMoments:
     vals = in_float_range(lambda: fill(col, q, order), message, certified & np.isfinite(q).all())
     if d == 1:
         what = "the column misses the ellipse its degree-1 certificate fixes"
-        _require_column(vals[:, 0] - col[:order], col[:order], what)
+        require_column(vals[:, 0] - col[:order], col[:order], what)
         vals[:, 0] = col[:order]
         vals[0, :] = np.conj(col[:order])
     elif d < order:
         # rows whose b[m, 0..d] is certified: row 0 and every m + 2d < order
         m = np.arange(order - 1)
         m = m[(m == 0) | (m + 2 * d < order)]
-        _require_column(
+        require_column(
             vals[m + 1, 0] - vals[m, : d + 1] @ q, col[:order],
             f"the column breaks its degree-{d} certificate's relation b[m+1, 0] = sum q[k] b[m, k]",
         )
@@ -176,7 +176,7 @@ def _ellipse_gram(col: np.ndarray, q: np.ndarray, order: int) -> np.ndarray:
     return krylov_gram(ellipse_operator(c, q[1] * beta, beta, order + 2), order)
 
 
-def _require_column(miss: np.ndarray, col: np.ndarray, what: str) -> None:
+def require_column(miss: np.ndarray, col: np.ndarray, what: str) -> None:
     """MathDomainError unless ||miss|| <= COLUMN_RTOL ||col|| (NaN fails).
 
     Both are scaled by the power of two that brings max |col| into [1/2, 1):

@@ -48,11 +48,11 @@ class OperatorFamily:
     def data(self, order: int) -> ExpMoments:
         """b, the Krylov Gram of the model sized for ``order``; PrecisionError
         when building the model or its Gram leaves the float range."""
-        from .operators import b_from_operator
-        from .series import in_float_range
+        from .operators import krylov_gram
+        from .series import ExpMoments, in_float_range
 
         message = f"the Krylov Gram of {self.name} at order {order} leaves the float range"
-        return in_float_range(lambda: b_from_operator(self.sized_for(order), order), message)
+        return ExpMoments(in_float_range(lambda: krylov_gram(self.sized_for(order), order), message))
 
     def column(self, order: int) -> np.ndarray:
         return self.data(order).b[:, 0]

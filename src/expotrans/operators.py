@@ -250,5 +250,5 @@ def krylov_gram(op: BandedOperator, order: int) -> np.ndarray:
 
 
 def b_from_operator(op: BandedOperator, order: int) -> ExpMoments:
-    """`krylov_gram` as an `ExpMoments`, so a non-finite entry is refused."""
+    """`krylov_gram` as an `ExpMoments`, so a non-finite entry is bad input (InputError)."""
     return ExpMoments(krylov_gram(op, order))

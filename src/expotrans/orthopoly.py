@@ -89,9 +89,8 @@ def orthonormalize(b) -> PolyBasis:
             stopped = True
             break
         chol[k, k] = math.sqrt(pivot)
-        if k + 1 < n:
-            rest = gram[k + 1 :, k] - chol[k + 1 :, :k] @ chol[k, :k].conj()
-            chol[k + 1 :, k] = rest / chol[k, k]
+        rest = gram[k + 1 :, k] - chol[k + 1 :, :k] @ chol[k, :k].conj()
+        chol[k + 1 :, k] = rest / chol[k, k]
     c = chol[:degree, :degree]
     coeffs = np.linalg.solve(c, np.eye(degree, dtype=complex)) if degree else np.zeros((0, 0), complex)
     return PolyBasis(degree, coeffs, stopped)

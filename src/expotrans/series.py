@@ -25,23 +25,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NonFiniteError, PrecisionError
+from .errors import InputError, PrecisionError
 
 
 def in_float_range(compute, message: str, mask=None):
     """compute(), with numpy's overflow and invalid warnings off: the one float-range rule.
 
-    PrecisionError(message) when compute raises OverflowError, builds a `MomentMatrix`
-    or `ExpMoments` with a non-finite entry (NonFiniteError), or returns a non-finite
-    entry; given a boolean mask, only masked entries count and the message names the
-    first.
+    PrecisionError(message) when compute raises OverflowError or returns a number or
+    array with a non-finite entry; given a boolean mask, only masked entries count and
+    the message names the first.
     """
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             out = compute()
-    except (OverflowError, NonFiniteError):
+    except OverflowError:
         raise PrecisionError(message) from None
-    finite = np.isfinite(getattr(out, "b", out))
+    finite = np.isfinite(out)
     if mask is not None:
         finite |= ~mask
     if not finite.all():
@@ -70,16 +69,16 @@ def degree_grid(n: int) -> np.ndarray:
 
 def hermitian_matrix(m, what: str) -> np.ndarray:
     """m as a square complex matrix (`square_matrix`), symmetrized once it is
-    finite and Hermitian to 1e-9 of its largest entry; ``what`` names the
-    matrix in the error."""
+    finite and Hermitian to 1e-9 of its largest entry, by the float-range rule;
+    ``what`` names the matrix in the error."""
     m = square_matrix(m)
     finite = np.isfinite(m)
     if not finite.all():
-        raise NonFiniteError(f"{what} has a non-finite entry at {tuple(map(int, np.argwhere(~finite)[0]))}")
+        raise InputError(f"{what} has a non-finite entry at {tuple(map(int, np.argwhere(~finite)[0]))}")
     scale = max(1.0, float(np.abs(m).max()))
     if np.abs(m - m.conj().T).max() > 1e-9 * scale:
         raise InputError(f"{what} is not Hermitian")
-    return 0.5 * (m + m.conj().T)
+    return in_float_range(lambda: 0.5 * (m + m.conj().T), f"{what} leaves the float range when symmetrized")
 
 
 @dataclass

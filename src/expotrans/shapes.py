@@ -25,7 +25,6 @@ rule's cost.
 """
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 import os
@@ -95,7 +94,8 @@ class Shape:
     """A shade function g with compact support; each subclass owns its rules.
 
     A subclass provides `bounding_circle()`, `contains(z)` (whether z lies
-    in the support, boundary included), `moment_array(order)` (a, Hermitian
+    in the support, boundary included: a bool for a point, a boolean array
+    of z's shape for an array of points), `moment_array(order)` (a, Hermitian
     to rounding: `MomentMatrix` symmetrizes it),
     `kernel_log(z, w)` (the Cauchy kernels at the pairs of two
     equal-length 1-D complex arrays of points outside the support, as an
@@ -166,7 +166,7 @@ class Disk(Shape):
     def bounding_circle(self) -> tuple[complex, float]:
         return self.center, self.R
 
-    def contains(self, z: complex) -> bool:
+    def contains(self, z):
         return abs(z - self.center) <= self.R
 
     def boundary(self, e: np.ndarray) -> list:
@@ -200,8 +200,9 @@ class Annulus(Shape):
     def bounding_circle(self) -> tuple[complex, float]:
         return self.center, self.R
 
-    def contains(self, z: complex) -> bool:
-        return self.r <= abs(z - self.center) <= self.R
+    def contains(self, z):
+        rho = abs(z - self.center)
+        return (self.r <= rho) & (rho <= self.R)
 
     def boundary(self, e: np.ndarray) -> list:
         outer = (self.center + self.R * e, 1j * self.R * e)
@@ -251,7 +252,7 @@ class Ellipse(Shape):
     def bounding_circle(self) -> tuple[complex, float]:
         return self.center, self.p
 
-    def contains(self, z: complex) -> bool:
+    def contains(self, z):
         u = self._local(z)
         return (u.real / self.p) ** 2 + (u.imag / self.q) ** 2 <= 1.0
 
@@ -379,7 +380,7 @@ class Weighted(Shape):
     def bounding_circle(self) -> tuple[complex, float]:
         return self.base.bounding_circle()
 
-    def contains(self, z: complex) -> bool:
+    def contains(self, z):
         return self.base.contains(z)
 
     def shade_at(self, z: complex) -> float:
@@ -425,8 +426,8 @@ class Sum(Shape):
         radius = max(abs(c - center) + r for c, r in circles)
         return center, radius
 
-    def contains(self, z: complex) -> bool:
-        return any(p.contains(z) for p in self.parts)
+    def contains(self, z):
+        return np.logical_or.reduce([p.contains(z) for p in self.parts])
 
     def shade_at(self, z: complex) -> float:
         return next(p for p in self.parts if p.contains(z)).shade_at(z)
@@ -482,14 +483,16 @@ class Grid(Shape):
         return self.box.center, math.hypot(self.box.width, self.box.height) / 2
 
     def _cell_distances(self, points) -> np.ndarray:
-        """Distance from each point to the nearest positive cell's disk,
-        negative inside; the positive cells' centres are built once."""
+        """Distance from each point to the nearest positive cell's disk, negative
+        inside, in the points' shape; the positive cells' centres are built once."""
+        points = np.asarray(points, dtype=complex)
         cells = self.centers()[self.values > 0]
         radius = 0.5 * math.hypot(*self.cell)
-        return np.array([np.abs(cells - p).min(initial=math.inf) - radius for p in points])
+        dist = [np.abs(cells - p).min(initial=math.inf) - radius for p in points.ravel()]
+        return np.array(dist).reshape(points.shape)
 
-    def contains(self, z: complex) -> bool:
-        return self._cell_distances([z])[0] <= 0
+    def contains(self, z):
+        return self._cell_distances(z) <= 0
 
     def has_shade(self) -> bool:
         return bool((self.values > 0).any())
@@ -662,10 +665,10 @@ def cauchy_kernel_log(shape: Shape, z, w):
     w = np.atleast_1d(np.asarray(w, dtype=complex))
     if z.ndim != 1 or z.shape != w.shape or z.size == 0:
         raise InputError("z and w must be equal-length, non-empty 1-D arrays of points")
-    points = z.tolist() + w.tolist()
-    if not all(map(cmath.isfinite, points)):
+    points = np.concatenate([z, w])
+    if not np.isfinite(points).all():
         raise InputError("evaluation points must be finite")
-    if any(map(shape.contains, points)):
+    if shape.contains(points).any():
         raise MathDomainError("evaluation point lies inside or on the support")
     k = shape.kernel_log(z, w)
     return complex(k[0]) if scalar else k

@@ -225,6 +225,31 @@ def test_reconstruct_rejects_sloppy_certificate(tmp_path):
     assert "residual" in r.stderr
 
 
+def test_reconstruct_takes_the_certificate_detect_returns(tmp_path, monkeypatch, capsys):
+    # detect's residual, 1.28, is 5.9e-17 of the column's norm 2.19e16; it
+    # once met an absolute --tol of 1e-6 and was refused (exit 3)
+    monkeypatch.chdir(tmp_path)
+    _out(capsys, "detect gallery:ellipse?u=2.2 --order 40 --out c.json")
+    with open("c.json") as fh:
+        assert json.load(fh)["certificate"]["residual"] > 1.0
+    assert main("reconstruct gallery:ellipse?u=2.2 c.json --order 40".split()) == 0
+
+
+@pytest.mark.parametrize("u", ["1.5", "3"])
+def test_reconstruct_rejects_a_residual_past_the_column_rule(tmp_path, monkeypatch, capsys, u):
+    # the benchmark's cli-cold deck: a recorded residual of 1.0 against column
+    # norms of 409 (u = 1.5) and 8.2e4 (u = 3) at order 12, above 1e-6 of either
+    monkeypatch.chdir(tmp_path)
+    doc = json.loads(_out(capsys, f"detect gallery:ellipse?u={u} --order 12 --dmax 4"))
+    doc["certificate"]["residual"] = 1.0
+    with open("sloppy.json", "w") as fh:
+        json.dump(doc, fh)
+    assert main(f"reconstruct gallery:ellipse?u={u} sloppy.json --order 12".split()) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "residual 1.000e+00" in captured.err
+
+
 @pytest.mark.parametrize("command", [
     "fill gallery:disk c.json --order 6",
     "reconstruct gallery:disk c.json --order 6 --legendre-order 4 --grid 4",
@@ -504,7 +529,6 @@ def test_options_a_command_does_not_read_are_rejected(tmp_path):
     "detect gallery:trifoil --order 10 --tol=nan",
     "detect gallery:trifoil --order 10 --tol=-1",
     "pipeline gallery:ellipse --tol=inf",
-    "reconstruct gallery:trifoil cert.json --tol=nan",
     # a negative seed once reached numpy's generator and died with its traceback
     "selftest --seed -1",
 ])

@@ -468,6 +468,29 @@ def test_rule_set_of_every_shape():
     assert union.shade_at(2.0 + 0.5j + 0.5) == 0.6 and union.shade_at(-2.0) == 1.0
 
 
+def test_contains_answers_a_batch_as_it_answers_each_point():
+    rng = np.random.default_rng(17)
+    for shape in _rule_set_shapes():
+        name = type(shape).__name__
+        c, r = shape.bounding_circle()
+        z = c + 1.5 * r * np.sqrt(rng.random(300)) * np.exp(2j * math.pi * rng.random(300))
+        if isinstance(shape, Annulus):
+            assert (abs(z - shape.center) < shape.r).any(), "no seeded point in the hole"
+        got = shape.contains(z)
+        assert got.shape == z.shape and got.dtype == bool, name
+        assert got.tolist() == [bool(shape.contains(complex(zi))) for zi in z], name
+        assert got.any() and not got.all(), name
+        assert np.array_equal(shape.contains(z.reshape(20, 15)), got.reshape(20, 15)), name
+        # a point still gives a scalar
+        assert np.ndim(shape.contains(complex(z[0]))) == 0, name
+        # one inside or one non-finite point rejects the kernel's whole batch
+        far = c + 3.0 * r * np.exp(2j * math.pi * rng.random(4))
+        with pytest.raises(MathDomainError, match="^evaluation point lies inside or on the support$"):
+            cauchy_kernel_log(shape, np.append(far, z[got][0]), np.append(far, far[0]))
+        with pytest.raises(InputError, match="^evaluation points must be finite$"):
+            cauchy_kernel_log(shape, far, np.append(far[:-1], complex(np.nan, 0.0)))
+
+
 # ---------------------------------------------------------------------------
 # unit-circle node tables
 
