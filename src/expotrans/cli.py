@@ -2,9 +2,9 @@
 
 Every subcommand reads shapes, matrices, or certificates from JSON (or a
 "gallery:" address), runs one slice of the pipeline, and writes a single
-deterministic JSON or CSV document to --out or stdout.  Exit codes: 0 ok,
-2 bad input, 3 mathematical precondition violated, 4 tolerance or budget
-failure.
+deterministic JSON or CSV document to --out or stdout.  Exit code 0 is
+success; every other code, with its stderr label, is the raised error's
+(see `errors`).
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from dataclasses import asdict
 
 # what every subcommand needs; each cmd_* imports the modules of its own route
 from . import gallery, serialize
-from .errors import ExpotransError, InputError, MathDomainError, PrecisionError
+from .errors import ExpotransError, InputError, PrecisionError
 
 
 def _load_source(path_or_addr: str, given: str = "a"):
@@ -83,7 +83,7 @@ def cmd_pipeline(args) -> int:
         "certified_block": h.certified,
         "band": asdict(prof),
         "completeness": asdict(report_c),
-        "certificate": serialize.certificate_to_obj(cert) if cert is not None else None,
+        "certificate": serialize.certificate_to_obj(cert),
     }
     _emit(serialize.dumps(report), args.out)
     return 0
@@ -94,8 +94,7 @@ def cmd_detect(args) -> int:
 
     b = gallery.b_for(_load_source(args.source, args.given), args.order)
     cert = detect_order(b, args.dmax, args.tol)
-    obj = {"certificate": serialize.certificate_to_obj(cert) if cert is not None else None}
-    _emit(serialize.dumps(obj), args.out)
+    _emit(serialize.dumps({"certificate": serialize.certificate_to_obj(cert)}), args.out)
     return 0
 
 
@@ -110,18 +109,16 @@ def cmd_fill(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    import numpy as np
-
     from .finiteterm import require_column
     from .reconstruct import reconstruct_from_certificate
 
     col = _load_source(args.column).column(args.order)
     cert = serialize.certificate_from_obj(serialize.load_json(args.cert))
     what = f"the certificate's residual {cert.residual:.3e} misses the column"
-    require_column(np.array([cert.residual]), col, what)
+    require_column(cert.residual, col, what)
     field, info = reconstruct_from_certificate(col, cert, args.order, args.legendre_order)
     gf = field.sample(args.grid, args.grid)
-    header = serialize.grid_header_obj(gf, args.legendre_order, info["mass_from_field"])
+    header = serialize.grid_header_obj(gf, field.order, info["mass_from_field"])
     text = "# " + serialize.dumps(header) + "\n" + serialize.grid_to_csv(gf)
     _emit(text, args.out)
     return 0
@@ -310,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reconstruct", help="density field from column + certificate")
     _add_column(p)
     p.add_argument("--grid", type=_count(1), default=64, help="samples per axis in the CSV")
-    p.add_argument("--legendre-order", type=_count(0), default=10, dest="legendre_order")
+    p.add_argument("--legendre-order", type=_count(0), default=None, dest="legendre_order")
     p.set_defaults(fn=cmd_reconstruct)
 
     p = sub.add_parser("evolve", help="moment trajectories under squeeze or inject")
@@ -342,15 +339,9 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except InputError as exc:
-        sys.stderr.write(f"expotrans: input error: {exc}\n")
-        return 2
-    except MathDomainError as exc:
-        sys.stderr.write(f"expotrans: domain error: {exc}\n")
-        return 3
-    except PrecisionError as exc:
-        sys.stderr.write(f"expotrans: precision error: {exc}\n")
-        return 4
+    except ExpotransError as exc:
+        sys.stderr.write(f"expotrans: {exc.label}: {exc}\n")
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import InputError, MathDomainError
 from .operators import ellipse_operator, krylov_gram
-from .series import in_float_range, square_matrix
+from .series import degree_grid, in_float_range, square_matrix
 
 # largest normwise gap, relative to the column's norm, between a given first
 # column and the one its certificate predicts (the ellipse operator's for
@@ -66,19 +66,21 @@ class BandProfile:
 def fit_certificate(b, d: int) -> BandCertificate:
     """Least-squares certificate of order d over every usable row (order - 1).
 
-    A rank-deficient design matrix yields the minimal-norm solution.
+    A rank-deficient design matrix yields the minimal-norm solution.  Columns
+    0..d are scaled by `column_scale` of column 0, so b times 2^k gives the same
+    q and 2^k the residual; a scaled entry or residual past the float range is a
+    PrecisionError.
     """
     bm = square_matrix(b, "b")
     n = bm.shape[0]
     if not 0 <= d < n or n < 2:
         raise InputError("need 0 <= d < order and order >= 2")
-    m = n - 1
-    design = bm[:m, : d + 1]
-    target = bm[1 : m + 1, 0]
+    scale, message = column_scale(bm[:, 0]), f"the degree-{d} certificate fit leaves the float range"
+    bs = in_float_range(lambda: bm[:, : d + 1] * scale, message)
+    design, target = bs[: n - 1], bs[1:, 0]
     q = np.linalg.lstsq(design, target, rcond=None)[0]
-    res = target - design @ q
-    rms = float(np.sqrt(np.mean(np.abs(res) ** 2)))
-    return BandCertificate(d, q, rms, m)
+    rms = in_float_range(lambda: np.sqrt(np.mean(np.abs(target - design @ q) ** 2)) / scale, message)
+    return BandCertificate(d, q, float(rms), n - 1)
 
 
 def detect_order(b, dmax: int, tol: float = 1e-8) -> BandCertificate | None:
@@ -88,9 +90,11 @@ def detect_order(b, dmax: int, tol: float = 1e-8) -> BandCertificate | None:
     stops at the first hit; None when nothing fits up to min(dmax, order - 3).
     Every fit keeps a spare row (order - 1 rows for at most order - 2
     unknowns): an exactly determined fit would match any b to rounding.
+    The norm is taken on the column scaled by `column_scale`, as the fit's.
     """
     bm = square_matrix(b, "b")
-    cutoff = tol * float(np.linalg.norm(bm[:, 0]))
+    scale = column_scale(bm[:, 0])
+    cutoff = tol * float(np.linalg.norm(bm[:, 0] * scale)) / scale
     for d in range(min(dmax, bm.shape[0] - 3) + 1):
         cert = fit_certificate(bm, d)
         if cert.residual <= cutoff:
@@ -136,8 +140,8 @@ def fill_from_first_column(col, q, order: int) -> FilledMoments:
         raise InputError("certificate must have at least one coefficient")
     if not 1 <= order <= col.shape[0]:
         raise InputError(f"fill order {order} outside 1..{col.shape[0]} (the column length)")
-    jj, kk = np.indices((order, order))
-    certified = (jj + kk + d < order) | (jj == 0) | (kk == 0)
+    certified = degree_grid(order) + d < order
+    certified[0, :] = certified[:, 0] = True
     fill = _ellipse_gram if d == 1 else _propagate
     message = f"the degree-{d} fill leaves the float range"
     vals = in_float_range(lambda: fill(col, q, order), message, certified & np.isfinite(q).all())
@@ -176,18 +180,19 @@ def _ellipse_gram(col: np.ndarray, q: np.ndarray, order: int) -> np.ndarray:
     return krylov_gram(ellipse_operator(c, q[1] * beta, beta, order + 2), order)
 
 
-def require_column(miss: np.ndarray, col: np.ndarray, what: str) -> None:
-    """MathDomainError unless ||miss|| <= COLUMN_RTOL ||col|| (NaN fails).
+def column_scale(col: np.ndarray) -> float:
+    """The power of two, at most 2^1000, that brings max |col| into [1/2, 1): the exact scale
+    of every column norm and certificate fit, whose squares then cannot overflow to inf."""
+    return 2.0 ** -max(math.frexp(float(np.abs(col).max()))[1], -1000)
 
-    Both are scaled by the power of two that brings max |col| into [1/2, 1):
-    exact, and the norms' squares cannot overflow to inf <= inf, a pass.
-    """
-    scale = 2.0 ** -max(int(np.frexp(np.abs(col).max())[1]), -1000)
+
+def require_column(miss, col: np.ndarray, what: str) -> None:
+    """MathDomainError unless ||miss|| <= COLUMN_RTOL ||col|| (NaN fails), both scaled by `column_scale(col)`."""
+    scale = column_scale(col)
     miss_norm, col_norm = np.linalg.norm(miss * scale), np.linalg.norm(col * scale)
     if not miss_norm <= COLUMN_RTOL * col_norm:
-        raise MathDomainError(
-            f"{what} by {miss_norm / col_norm:.3e} (relative, normwise; at most {COLUMN_RTOL:g})"
-        )
+        ratio = miss_norm / col_norm if col_norm else math.inf  # a zero column misses by any miss
+        raise MathDomainError(f"{what} by {ratio:.3e} (relative, normwise; at most {COLUMN_RTOL:g})")
 
 
 def _propagate(col: np.ndarray, q: np.ndarray, order: int) -> np.ndarray:

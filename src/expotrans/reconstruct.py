@@ -21,13 +21,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, MathDomainError, PrecisionError
+from .errors import MathDomainError, PrecisionError
 from .finiteterm import fill_from_first_column
 from .series import BiSeries, degree_grid, in_float_range, log_neg, square_matrix
 from .shapes import Box, translate_moments
 
 # relative padding of the support box's half-extents
 BOX_PAD = 0.15
+# the Legendre order of a reconstruction given none, when the fill reaches it
+LEGENDRE_ORDER = 10
 
 
 @dataclass
@@ -109,22 +111,25 @@ def _substitute(src: np.ndarray, top: int) -> np.ndarray:
     return out
 
 
+def _short_reach(covered: int, requested) -> MathDomainError:
+    """The one refusal of moments that do not reach a requested total order."""
+    return MathDomainError(f"moments cover total order {covered}, requested {requested}")
+
+
 def real_moments(a, total_order: int | None = None) -> RealMoments:
     """Exact binomial conversion of complex moments to real moments.
 
     NaN entries are tolerated outside the requested total order, so a
-    certified-triangle fill can be converted as far as it reaches.  Residual
-    imaginary parts beyond 1e-10 of the largest entry with j + k <= the
-    converted order raise rather than being dropped.
+    certified-triangle fill can be converted as far as it reaches; only the
+    gathered triangle is checked.  Residual imaginary parts beyond 1e-10 of
+    its largest entry raise rather than being dropped.
     """
     am = square_matrix(a, "a")
-    covered = _covered_order(am)
-    p_max = covered if total_order is None else total_order
-    if p_max < 0 or p_max > covered:
-        raise MathDomainError(
-            f"moments cover total order {covered}, requested {total_order}"
-        )
-    scale = max(1.0, float(np.abs(am[degree_grid(am.shape[0]) <= p_max]).max()))
+    n = am.shape[0]
+    p_max = _covered_order(am) if total_order is None else total_order
+    if not (0 <= p_max < n and np.isfinite(tri := am[degree_grid(n) <= p_max]).all()):
+        raise _short_reach(_covered_order(am), total_order)
+    scale = max(1.0, float(np.abs(tri).max()))
     mc = _substitute(am, p_max)
     residue = np.argwhere(np.abs(mc.imag) > 1e-10 * scale)
     if residue.size:
@@ -259,44 +264,37 @@ def legendre_fit(rm: RealMoments, box: Box, order: int) -> LegendreField:
     well the box covers the support.
     """
     if order > rm.total_order:
-        raise InputError(f"moments cover total order {rm.total_order}, requested {order}")
+        raise _short_reach(rm.total_order, order)
     lx, ly = _legendre_rows(order, (box.x0, box.y0), (box.x1, box.y1))
     m = np.nan_to_num(rm.m[: order + 1, : order + 1])
     coeffs = np.where(degree_grid(order + 1) <= order, math.pi * lx @ m @ ly.T, 0.0)
     return LegendreField(box, order, coeffs)
 
 
-def reconstruct_from_certificate(col, cert, order: int, legendre_order: int) -> tuple[LegendreField, dict]:
+def reconstruct_from_certificate(
+    col, cert, order: int, legendre_order: int | None = None
+) -> tuple[LegendreField, dict]:
     """Full pipeline: first column of b + `BandCertificate` -> b fill -> a -> projection.
 
-    The certified triangle of the fill must cover the requested Legendre
-    order; the log-series step only ever reads entries inside the triangle,
-    so the masked values are exact there.
+    The certified triangle of the fill must cover the Legendre order, by
+    default LEGENDRE_ORDER or the fill's reach if smaller; the log-series step
+    only ever reads entries inside the triangle, so the masked values are exact there.
     """
     col = np.asarray(col, dtype=complex)
     if np.all(col == 0):
         # nothing to reconstruct; a support box cannot be located, so report
         # the zero field on a unit reference box
         box = Box(-1.0, 1.0, -1.0, 1.0)
-        fld = LegendreField(box, legendre_order,
-                            np.zeros((legendre_order + 1, legendre_order + 1)))
-        return fld, {
-            "box": box.as_tuple(),
-            "mass_from_moments": 0.0,
-            "mass_from_field": 0.0,
-            "covered_order": legendre_order,
-        }
+        lo = LEGENDRE_ORDER if legendre_order is None else legendre_order
+        fld = LegendreField(box, lo, np.zeros((lo + 1, lo + 1)))
+        return fld, {"box": box.as_tuple(), "mass_from_moments": 0.0, "mass_from_field": 0.0,
+                     "covered_order": lo}
     filled = fill_from_first_column(col, cert.q, order)
-    e_tail = -filled.masked_values()
-    avals = log_neg(BiSeries(order, 1.0, e_tail)).tail
+    avals = log_neg(BiSeries(1.0, -filled.masked_values())).tail
     avals = np.where(filled.certified, avals, np.nan + 0j)
-    rm = real_moments(avals, total_order=legendre_order)
+    covered = _covered_order(avals)
+    rm = real_moments(avals, min(LEGENDRE_ORDER, covered) if legendre_order is None else legendre_order)
     box = support_box(avals)
-    fld = legendre_fit(rm, box, legendre_order)
-    diagnostics = {
-        "box": box.as_tuple(),
-        "mass_from_moments": math.pi * rm.m[0, 0],
-        "mass_from_field": fld.mass(),
-        "covered_order": _covered_order(avals),
-    }
-    return fld, diagnostics
+    fld = legendre_fit(rm, box, rm.total_order)
+    return fld, {"box": box.as_tuple(), "mass_from_moments": math.pi * rm.m[0, 0],
+                 "mass_from_field": fld.mass(), "covered_order": covered}

@@ -103,7 +103,9 @@ def matrix_from_obj(obj: dict) -> tuple[np.ndarray, np.ndarray]:
 # certificates
 
 
-def certificate_to_obj(cert: BandCertificate) -> dict:
+def certificate_to_obj(cert: BandCertificate | None) -> dict | None:
+    if cert is None:
+        return None
     import numpy as np
 
     return {

@@ -107,27 +107,25 @@ class ExpMoments:
 
 @dataclass
 class BiSeries:
-    """c + sum_{j,k < order} tail[j,k] u^(j+1) v^(k+1)."""
+    """c + sum_{j,k < order} tail[j,k] u^(j+1) v^(k+1); the square tail's size is the order."""
 
-    order: int
     const: complex
     tail: np.ndarray
 
     def __post_init__(self):
-        self.tail = np.asarray(self.tail, dtype=complex)
+        self.tail = square_matrix(self.tail)
         if self.order < 1:
             raise InputError("series order must be >= 1")
-        if self.tail.shape != (self.order, self.order):
-            raise InputError(
-                f"tail shape {self.tail.shape} does not match order {self.order}"
-            )
         if not np.all(np.isfinite(self.tail.view(float))):
             raise InputError("series tail contains non-finite entries")
 
+    @property
+    def order(self) -> int:
+        return self.tail.shape[0]
+
     @classmethod
     def from_tail(cls, tail) -> "BiSeries":
-        tail = np.asarray(tail, dtype=complex)
-        return cls(tail.shape[0], 0.0, tail.copy())
+        return cls(0.0, np.array(tail, dtype=complex))
 
 
 def _cross_row(xt: np.ndarray, rev: np.ndarray, j: int, buf: np.ndarray) -> np.ndarray:
@@ -157,7 +155,7 @@ def mul(f: BiSeries, g: BiSeries) -> BiSeries:
         return tail
 
     tail = in_float_range(rows, f"the series product of order {n} leaves the float range")
-    return BiSeries(n, f.const * g.const, tail)
+    return BiSeries(f.const * g.const, tail)
 
 
 def exp_neg(f: BiSeries) -> BiSeries:
@@ -180,7 +178,7 @@ def exp_neg(f: BiSeries) -> BiSeries:
             rev[n - 1 - j] = -a[j] - _cross_row(w.T, rev, j, buf) / (j + 1)
         return rev[::-1].copy()
 
-    return BiSeries(n, 1.0, in_float_range(rows, f"the series exp(-f) of order {n} leaves the float range"))
+    return BiSeries(1.0, in_float_range(rows, f"the series exp(-f) of order {n} leaves the float range"))
 
 
 def log_neg(f: BiSeries) -> BiSeries:
@@ -200,7 +198,7 @@ def log_neg(f: BiSeries) -> BiSeries:
             w[j] = (j + 1) * a[j]
         return a
 
-    return BiSeries(n, 0.0, in_float_range(rows, f"the series -log(f) of order {n} leaves the float range"))
+    return BiSeries(0.0, in_float_range(rows, f"the series -log(f) of order {n} leaves the float range"))
 
 
 def a_to_b(a) -> ExpMoments:
@@ -213,5 +211,5 @@ def a_to_b(a) -> ExpMoments:
 def b_to_a(b) -> MomentMatrix:
     """Inverse of a_to_b via -log(1 - B)."""
     bm = square_matrix(b, "b")
-    series = log_neg(BiSeries(bm.shape[0], 1.0, -bm))
+    series = log_neg(BiSeries(1.0, -bm))
     return MomentMatrix(series.tail)

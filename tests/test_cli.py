@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -180,6 +181,29 @@ def test_no_certificate_below_order_is_null(command):
     r = run(command, "gallery:ellipse-shape", "--order", "3", "--tol", "1e-30")
     assert r.returncode == 0, r.stderr
     assert r.stdout.rstrip().endswith('"certificate":null}')
+
+
+@pytest.mark.parametrize("command", ["detect", "pipeline"])
+def test_a_column_past_the_squares_range_is_fitted_quietly(capsys, command):
+    # the u = 1e40 ellipse's column norm squares past the float range; the fit
+    # once raised two overflow warnings and wrote an inf residual (exit 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "gallery:ellipse?u=1e40", "--order", "6"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.rstrip().endswith('"certificate":null}')
+
+
+def test_reconstruct_default_legendre_order_follows_the_certificate(tmp_path, monkeypatch, capsys):
+    # detect -> reconstruct on the trifoil at order 12: the degree-2 fill reaches
+    # total order 9, so the default 10 once exited 3; the header names the order used
+    monkeypatch.chdir(tmp_path)
+    _out(capsys, "detect gallery:trifoil --order 12 --out c.json")
+    header = _out(capsys, "reconstruct gallery:trifoil c.json --order 12 --grid 4").split("\n", 1)[0]
+    assert json.loads(header[2:])["legendre_order"] == 9
+    assert main("reconstruct gallery:trifoil c.json --order 12 --legendre-order 10".split()) == 3
+    assert capsys.readouterr().err == "expotrans: domain error: moments cover total order 9, requested 10\n"
 
 
 def test_fill_and_reconstruct(tmp_path):
@@ -679,6 +703,8 @@ def test_readme_command_table_matches_parser():
                 assert action.required, (name, option)
             elif default == "log 2":
                 assert action.default == math.log(2), (name, option)
+            elif default.endswith("if smaller"):  # a cap the command lowers at run time
+                assert action.default is None, (name, option)
             elif default:
                 want = default if re.fullmatch(r"[a-z]+", default) else float(default)
                 assert action.default == want, (name, option)

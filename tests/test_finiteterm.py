@@ -12,6 +12,7 @@ from expotrans.finiteterm import (
     detect_order,
     fill_from_first_column,
     fit_certificate,
+    require_column,
 )
 from expotrans.gallery import b_for
 from expotrans.operators import (
@@ -82,6 +83,25 @@ def test_detect_keeps_a_spare_row(order):
     b = x @ x.conj().T
     assert fit_certificate(b, order - 2).residual < 1e-12
     assert detect_order(b, order) is None
+
+
+def test_fit_certificate_is_exact_under_powers_of_two():
+    # the fit runs on b scaled by its column's power of two: q is the same bit
+    # for bit and the residual scales exactly, far from 1 in either direction
+    b = b_for("gallery:trifoil", 12).b
+    ref = fit_certificate(b, 2)
+    for k in (-500, -100, 0, 100, 500):
+        cert = fit_certificate(b * 2.0**k, 2)
+        assert np.array_equal(cert.q, ref.q), k
+        assert cert.residual == ref.residual * 2.0**k, k
+        assert detect_order(b * 2.0**k, 4).d == 2, k
+
+
+def test_column_rule_on_a_zero_column_warns_nothing():
+    # any miss of a zero column is infinitely large, relatively: the message
+    # once divided by the zero norm and printed numpy's divide warning
+    with pytest.raises(MathDomainError, match=r"misses the column by inf \(relative"):
+        require_column(1e-12, np.zeros(6, dtype=complex), "the certificate's residual 1.000e-12 misses the column")
 
 
 def test_fit_certificate_validation():

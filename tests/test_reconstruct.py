@@ -135,7 +135,7 @@ def _certified_triangle(source: str, order: int) -> np.ndarray:
     """Complex moments of a fill's certified triangle, NaN elsewhere."""
     b = b_for(source, order)
     filled = fill_from_first_column(b.b[:, 0], detect_order(b, 4).q, order)
-    a = log_neg(BiSeries(order, 1.0, -filled.masked_values())).tail
+    a = log_neg(BiSeries(1.0, -filled.masked_values())).tail
     return np.where(filled.certified, a, np.nan)
 
 
@@ -378,8 +378,21 @@ def test_legendre_weighted_level():
 
 def test_legendre_order_guard():
     rm = real_moments(moments(Disk(0.0, 1.0), 5))
-    with pytest.raises(InputError):
+    with pytest.raises(MathDomainError):
         legendre_fit(rm, Box(-1, 1, -1, 1), 10)
+
+
+def test_moments_that_do_not_reach_are_one_domain_error():
+    # the same refusal, worded the same, from the conversion and from the fit
+    a = moments(Disk(0.0, 1.0), 5).a  # covers total order 4
+    with pytest.raises(MathDomainError, match=r"^moments cover total order 4, requested 5$"):
+        real_moments(a, 5)
+    with pytest.raises(MathDomainError, match=r"^moments cover total order 4, requested 10$"):
+        legendre_fit(real_moments(a), Box(-1, 1, -1, 1), 10)
+    a[2, 1] = np.nan  # a gap inside the triangle of total order 3
+    with pytest.raises(MathDomainError, match=r"^moments cover total order 2, requested 3$"):
+        real_moments(a, 3)
+    assert real_moments(a, 2).total_order == 2
 
 
 def _exact_legendre_rows(order, lo, hi):
@@ -450,6 +463,35 @@ def test_reconstruct_trifoil():
     x0, x1, y0, y1 = diag["box"]
     assert x0 < 0 < x1 and y0 < 0 < y1
     assert np.isfinite(fld(0.0, 0.0))
+
+
+def test_one_recovery_reads_the_fills_reach_twice(monkeypatch):
+    # once for the recovery (real_moments given a total order only checks its
+    # triangle) and once for the support box; the recovery once read it four times
+    calls = []
+    covered_order = reconstruct._covered_order
+    monkeypatch.setattr(reconstruct, "_covered_order", lambda am: calls.append(1) or covered_order(am))
+    for source, order in (("gallery:ellipse?u=2", 16), ("gallery:trifoil", 12)):
+        b = b_for(source, order)
+        for legendre_order in (None, 6):
+            calls.clear()
+            reconstruct_from_certificate(b.b[:, 0], detect_order(b, 4), order, legendre_order)
+            assert len(calls) <= 2, (source, legendre_order)
+
+
+def test_default_legendre_order_is_capped_by_the_reach():
+    # the trifoil's degree-2 fill at order 12 reaches total order 9, under the
+    # default 10; the ellipse's degree-1 fill reaches 11, so 10 is kept
+    b = b_for("gallery:trifoil", 12)
+    fld, diag = reconstruct_from_certificate(b.b[:, 0], detect_order(b, 4), 12)
+    assert (fld.order, diag["covered_order"]) == (9, 9)
+    with pytest.raises(MathDomainError, match="moments cover total order 9, requested 10"):
+        reconstruct_from_certificate(b.b[:, 0], detect_order(b, 4), 12, 10)
+    b = b_for("gallery:ellipse?u=2", 12)
+    cert = detect_order(b, 4)
+    assert reconstruct_from_certificate(b.b[:, 0], cert, 12)[0].order == reconstruct.LEGENDRE_ORDER
+    default, given = (reconstruct_from_certificate(b.b[:, 0], cert, 12, lo)[0] for lo in (None, 10))
+    assert np.array_equal(default.coeffs, given.coeffs)
 
 
 def test_reconstruct_ellipse_quadrature_column():
