@@ -28,7 +28,7 @@ def _load_source(path_or_addr: str, given: str = "a"):
     if isinstance(obj, dict) and "type" in obj:
         return serialize.shape_from_obj(obj)
     if isinstance(obj, dict) and "re" in obj:
-        return gallery.MatrixSource(serialize.matrix_from_obj(obj)[0], given)
+        return gallery.MatrixSource(serialize.matrix_from_obj(obj), given)
     raise InputError(f"{path_or_addr} is neither a shape nor a matrix document")
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, MathDomainError
-from .operators import ellipse_operator, krylov_gram
+from .operators import ellipse_operator, exact_size, krylov_gram
 from .series import degree_grid, in_float_range, square_matrix
 
 # largest normwise gap, relative to the column's norm, between a given first
@@ -151,9 +151,8 @@ def fill_from_first_column(col, q, order: int) -> FilledMoments:
         vals[:, 0] = col[:order]
         vals[0, :] = np.conj(col[:order])
     elif d < order:
-        # rows whose b[m, 0..d] is certified: row 0 and every m + 2d < order
-        m = np.arange(order - 1)
-        m = m[(m == 0) | (m + 2 * d < order)]
+        # the rows whose b[m, 0..d] is certified
+        m = np.flatnonzero(certified[: order - 1, : d + 1].all(axis=1))
         require_column(
             vals[m + 1, 0] - vals[m, : d + 1] @ q, col[:order],
             f"the column breaks its degree-{d} certificate's relation b[m+1, 0] = sum q[k] b[m, k]",
@@ -177,7 +176,7 @@ def _ellipse_gram(col: np.ndarray, q: np.ndarray, order: int) -> np.ndarray:
     beta = math.sqrt(b00.real / (abs(q[1]) ** 2 - 1.0))
     c = (q[0] + q[1] * np.conj(q[0])) / (1.0 - abs(q[1]) ** 2)
     # the raw Gram: entries past the float range outside the certified triangle are masked
-    return krylov_gram(ellipse_operator(c, q[1] * beta, beta, order + 2), order)
+    return krylov_gram(ellipse_operator(c, q[1] * beta, beta, exact_size(0, 1, order)), order)
 
 
 def column_scale(col: np.ndarray) -> float:

@@ -53,7 +53,7 @@ def exterior_moments(shape: Shape, kmax: int) -> ExteriorMoments:
 
     Spectrally accurate for these analytic boundaries.  The origin must be
     strictly enclosed by the outer boundary (z^-k blows up on the contour
-    otherwise).
+    otherwise); a sum past the float range is a PrecisionError.
     """
     if kmax < 1:
         raise InputError("need kmax >= 1")
@@ -65,10 +65,10 @@ def exterior_moments(shape: Shape, kmax: int) -> ExteriorMoments:
     if abs(np.angle(z_outer / np.roll(z_outer, 1)).sum() - 2 * math.pi) > 1e-6:
         raise MathDomainError("origin is not strictly inside the outer boundary")
     ks = np.arange(1, kmax + 1)
-    vals = np.zeros(kmax, dtype=complex)
-    for z, dz in comps:
-        vals += (z[None, :] ** (-ks[:, None]) * np.conj(z)[None, :] * dz[None, :]).sum(axis=1) / len(z)
-    vals /= 1j * ks  # (1/(2 pi i k)) with the trapezoid weight 2 pi / n folded in
+    vals = in_float_range(  # (1/(2 pi i k)) with the trapezoid weight 2 pi / n folded in
+        lambda: sum((z ** -ks[:, None] * np.conj(z) * dz).sum(axis=1) / len(z) for z, dz in comps) / (1j * ks),
+        f"the exterior moments to k = {kmax} leave the float range",
+    )
     return ExteriorMoments(kmax, vals)
 
 
@@ -98,12 +98,15 @@ def mother_body_moment(c: float, mass_total: float, j: int) -> float:
     """integral of x^j rho(x) dx over the focal segment, in closed form.
 
     It is 0 for odd j, and mass c^(2m) C_m / 4^m for j = 2m, where
-    C_m = (2m)! / (m! (m+1)!) is the Catalan number.
+    C_m = (2m)! / (m! (m+1)!) is the Catalan number; past the float range, PrecisionError.
     """
     if c <= 0:
         raise InputError("need c > 0")
     m, odd = divmod(j, 2)
-    return 0.0 if odd else mass_total * c**j * (math.comb(j, m) / ((m + 1) * 4**m))
+    if odd:
+        return 0.0
+    message = f"the mother-body moment of order {j} leaves the float range"
+    return in_float_range(lambda: mass_total * c**j * (math.comb(j, m) / ((m + 1) * 4**m)), message)
 
 
 def zero_attraction(zeros, c: float) -> float:

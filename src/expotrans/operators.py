@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, MathDomainError
-from .series import ExpMoments
+from .series import ExpMoments, in_float_range
 
 
 @dataclass
@@ -250,5 +250,6 @@ def krylov_gram(op: BandedOperator, order: int) -> np.ndarray:
 
 
 def b_from_operator(op: BandedOperator, order: int) -> ExpMoments:
-    """`krylov_gram` as an `ExpMoments`, so a non-finite entry is bad input (InputError)."""
-    return ExpMoments(krylov_gram(op, order))
+    """`krylov_gram` as an `ExpMoments`; a Gram past the float range is a PrecisionError."""
+    message = f"the Krylov Gram at order {order} leaves the float range"
+    return ExpMoments(in_float_range(lambda: krylov_gram(op, order), message))

@@ -55,12 +55,10 @@ def _indefinite(value: float, bm: np.ndarray) -> bool:
     """Whether a stalled pivot lies below -1e-9 ||b||_2.
 
     max |b_jj| <= ||b||_2, so the SVD for ||b||_2 runs only for a value below
-    -1e-9 max |b_jj|; that end is widened by 1e-8 relative, far beyond the
-    SVD's rounding, so that it never decides otherwise than the SVD would.
+    -1e-9 max(1e-30, max |b_jj|), never for one >= 0, even with a NaN b_jj; that end
+    is widened by 1e-8 relative, so that it never decides otherwise than the SVD would.
     """
-    if value >= 0:
-        return False
-    if value >= -1e-9 * max(float(np.abs(np.diagonal(bm)).max()) * (1 - 1e-8), 1e-30):
+    if value >= -1e-9 * max(1e-30, float(np.abs(np.diagonal(bm)).max()) * (1 - 1e-8)):
         return False
     return value < -1e-9 * max(float(np.linalg.norm(bm, 2)), 1e-30)
 

@@ -76,10 +76,9 @@ def matrix_to_obj(m: np.ndarray, certified: np.ndarray | None = None) -> dict:
     return {"order": m.shape[0], "re": re, "im": im}
 
 
-def matrix_from_obj(obj: dict) -> tuple[np.ndarray, np.ndarray]:
+def matrix_from_obj(obj: dict) -> np.ndarray:
     """A square matrix document, or a column document (one list of ``order``
-    entries), as re + i im with NaN where an entry is null, and a mask that
-    is False there."""
+    entries), as re + i im with NaN where an entry is null."""
     import numpy as np
 
     try:
@@ -95,8 +94,7 @@ def matrix_from_obj(obj: dict) -> tuple[np.ndarray, np.ndarray]:
         raise InputError("malformed matrix JSON: need one re and im row (or column entry) per order")
     if re.ndim == 2 and re.shape[1] != re.shape[0]:
         raise InputError("malformed matrix JSON: need order entries in every row")
-    mask = ~(np.isnan(re) | np.isnan(im))
-    return np.where(mask, re + 1j * im, np.nan), mask
+    return np.where(np.isnan(re) | np.isnan(im), np.nan, re + 1j * im)
 
 
 # ---------------------------------------------------------------------------

@@ -29,14 +29,14 @@ from .errors import InputError, PrecisionError
 
 
 def in_float_range(compute, message: str, mask=None):
-    """compute(), with numpy's overflow and invalid warnings off: the one float-range rule.
+    """compute(), with numpy's overflow, divide and invalid warnings off: the one float-range rule.
 
     PrecisionError(message) when compute raises OverflowError or returns a number or
     array with a non-finite entry; given a boolean mask, only masked entries count and
     the message names the first.
     """
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             out = compute()
     except OverflowError:
         raise PrecisionError(message) from None

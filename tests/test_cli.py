@@ -11,6 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
+import output_check
 from expotrans import finiteterm, serialize, series
 from expotrans.cli import build_parser, main
 from expotrans.gallery import b_for, names, resolve
@@ -91,7 +92,7 @@ def test_transform_prints_the_sources_own_matrix(tmp_path, monkeypatch, capsys):
     with open("b.json", "w") as fh:
         fh.write(b_doc)
     assert _out(capsys, "transform b.json --given b --order 8") == b_doc
-    block = serialize.matrix_from_obj(serialize.load_json("b.json"))[0][:4, :4]
+    block = serialize.matrix_from_obj(serialize.load_json("b.json"))[:4, :4]
     want = serialize.dumps(serialize.matrix_to_obj(block)) + "\n"
     assert _out(capsys, "transform b.json --given b --order 4") == want
     # --inverse reads a matrix file as b unless --given says a
@@ -272,6 +273,41 @@ def test_reconstruct_rejects_a_residual_past_the_column_rule(tmp_path, monkeypat
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "residual 1.000e+00" in captured.err
+
+
+@pytest.mark.parametrize("residual, code", [(0.0, 0), (1e-12, 3)], ids=["exact", "near"])
+def test_reconstruct_of_an_all_zero_column(tmp_path, monkeypatch, capsys, residual, code):
+    # the one CLI path to reconstruct_from_certificate's zero-column branch: a
+    # recorded residual of exactly 0, which a zero column's norm still admits;
+    # any positive residual misses it by inf
+    monkeypatch.chdir(tmp_path)
+    with open("zero.json", "w") as fh:
+        json.dump({"order": 6, "re": [0.0] * 6, "im": [0.0] * 6}, fh)
+    with open("cert.json", "w") as fh:
+        json.dump({"d": 1, "q": [[0.0, 0.0], [2.0, 0.0]], "residual": residual, "rows_used": 5}, fh)
+    assert main("reconstruct zero.json cert.json --order 6 --grid 8".split()) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.out == ""
+        assert "misses the column by inf" in captured.err
+        return
+    assert captured.err == ""
+    header, _, csv = captured.out.partition("\n")
+    doc = json.loads(header[len("# "):])
+    assert doc["box"] == [-1, 1, -1, 1] and doc["mass"] == 0
+    rows = csv.splitlines()
+    assert rows[0] == "x,y,value" and len(rows) == 1 + 8 * 8
+    assert all(row.split(",")[2] == "0" for row in rows[1:])
+
+
+def test_output_check_list_exits_as_expected(tmp_path):
+    # the committed parent-against-change list (tests/output_check.py), run
+    # whole: every command exits with its expected code, and none ends in an
+    # exception that main does not map to an exit code
+    rows = output_check.record(str(tmp_path))
+    assert len(rows) == len(output_check.commands())
+    assert [row[2] for row in rows if isinstance(row[1], str)] == []
+    assert [(command.key(), got, command.code) for command, got, _ in rows if got != command.code] == []
 
 
 @pytest.mark.parametrize("command", [

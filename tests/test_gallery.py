@@ -187,7 +187,7 @@ def _text(path):
 
 
 def _read(path):
-    return serialize.matrix_from_obj(json.loads(_text(path)))[0]
+    return serialize.matrix_from_obj(json.loads(_text(path)))
 
 
 @pytest.mark.parametrize("kind", ["matrix", "column", "filled"])
@@ -212,7 +212,7 @@ def test_one_reader_serves_column_and_source(tmp_path, monkeypatch, capsys, kind
     if kind == "matrix":
         for command in ("moments", "transform"):  # a and b share the first column
             assert main(f"{command} matrix.json --order 10".split()) == 0
-            printed = serialize.matrix_from_obj(json.loads(capsys.readouterr().out))[0]
+            printed = serialize.matrix_from_obj(json.loads(capsys.readouterr().out))
             assert np.array_equal(printed[:, 0], source.column(10))
         return
     with pytest.raises(InputError):

@@ -99,6 +99,16 @@ def test_exterior_moments_origin_guard():
         exterior_moments(Grid(Box(-1, 1, -1, 1), np.ones((8, 8))), 4)
 
 
+@pytest.mark.parametrize("shape, kmax", [(Disk(0j, 1e-10), 40), (Disk(0.5 + 0j, 0.6), 400)])
+def test_exterior_moments_past_the_float_range(shape, kmax):
+    # z^-k on a contour near 0: one PrecisionError, no numpy warning, and no
+    # non-finite t returned
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PrecisionError, match=f"exterior moments to k = {kmax} leave the float range"):
+            exterior_moments(shape, kmax)
+
+
 def test_confocal_family():
     c = 0.8
     for s in (0.4, 0.9, 1.5):
@@ -161,6 +171,15 @@ def test_mother_body_moment_closed_form():
                 assert abs(got - a[j]) <= 1e-10 * abs(a[j - j % 2]), (c, s, j)
     with pytest.raises(InputError):
         mother_body_moment(0.0, 1.0, 2)
+
+
+def test_mother_body_moment_past_the_float_range():
+    # c^j overflows as a Python float (OverflowError): PrecisionError, and an odd j is still 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PrecisionError, match="mother-body moment of order 400 leaves the float range"):
+            mother_body_moment(10.0, 1.0, 400)
+    assert mother_body_moment(10.0, 1.0, 401) == 0.0
 
 
 def test_zero_attraction():

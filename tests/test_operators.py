@@ -5,11 +5,13 @@ with xi = e_1 the first vectors are e_1, e_2, e_0+e_3, 2e_1+e_4, giving an
 explicit 4x4 Gram matrix, and similarly for the ellipse model 2S + S*.
 """
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from expotrans.errors import InputError, MathDomainError
+from expotrans import gallery
+from expotrans.errors import InputError, MathDomainError, PrecisionError
 from expotrans.operators import (
     BandedOperator,
     commutator_defect,
@@ -100,6 +102,16 @@ def test_b_from_operator_guard():
         b_from_operator(toeplitz_ellipse(2.0, 8), 0)
     b = b_from_operator(toeplitz_ellipse(2.0, 30), 8).b
     assert np.max(np.abs(b - b.conj().T)) < 1e-12
+
+
+def test_b_from_operator_past_the_float_range():
+    # T*^k xi grows like (2e10)^k: its Gram leaves the float range by order 40,
+    # which is a PrecisionError (as gallery.b_for's), with no numpy warning
+    op = gallery.resolve("gallery:power?alpha=1e10&beta=1e10&d=1").sized_for(40)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PrecisionError, match="Krylov Gram at order 40 leaves the float range"):
+            b_from_operator(op, 40)
 
 
 def test_power_model_validation():

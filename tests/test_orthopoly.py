@@ -247,6 +247,9 @@ def test_pivot_bracket_decides_as_the_svd_rule(monkeypatch):
             for eps in (-1e-15, 0.0, 1e-15):
                 value = -1e-9 * end * (1 + eps)
                 assert orthopoly._indefinite(value, bm) == svd_indefinite(value, bm)
+        # a NaN, zero or positive pivot: the bracket's own comparison says not indefinite
+        for value in (np.nan, 0.0, 1.0):
+            assert orthopoly._indefinite(value, bm) == svd_indefinite(value, bm)
         # the whole factorization, with the pivot at step k set to about
         # -factor 1e-9 ||b||_2: the same stop degree or the same raise
         for factor in (0.5, 0.999, 1.001, 2.0):
@@ -263,3 +266,6 @@ def test_pivot_bracket_decides_as_the_svd_rule(monkeypatch):
             assert got[0] == got[1]
             outcomes["raise" if got[0] == "raise" else "stop"] += 1
     assert outcomes["raise"] >= 200 and outcomes["stop"] >= 200
+    # a zero pivot with a NaN on the diagonal past it stops, with no SVD (which
+    # does not converge on NaN)
+    assert orthonormalize(np.array([[1, 1, 0], [1, 1, 0], [0, 0, np.nan]], dtype=complex)).degree == 1

@@ -220,4 +220,5 @@ def test_matrix_document_round_trip_is_byte_stable(order, seed):
     parts = np.where(rng.random(size) < 0.2, rng.choice([-0.0, 0.0], size), parts)
     mask = rng.random((order, order)) < 0.7
     first = dumps(matrix_to_obj(parts[..., 0] + 1j * parts[..., 1], mask))
-    assert dumps(matrix_to_obj(*matrix_from_obj(json.loads(first)))) == first
+    back = matrix_from_obj(json.loads(first))
+    assert dumps(matrix_to_obj(back, ~np.isnan(back))) == first
