@@ -98,12 +98,20 @@ def cmd_detect(args) -> int:
     return 0
 
 
-def cmd_fill(args) -> int:
+def _shade_fill(col, cert, order: int):
+    """The certificate's fill of col, refused (exit 3) when no shade in [0, 1] has it."""
     from .finiteterm import fill_from_first_column
+    from .orthopoly import require_shade
 
+    filled = fill_from_first_column(col, cert.q, order)
+    require_shade(filled.values, filled.certified)
+    return filled
+
+
+def cmd_fill(args) -> int:
     col = _load_source(args.column).column(args.order)
     cert = serialize.certificate_from_obj(serialize.load_json(args.cert))
-    filled = fill_from_first_column(col, cert.q, args.order)
+    filled = _shade_fill(col, cert, args.order)
     _emit(serialize.dumps(serialize.matrix_to_obj(filled.values, filled.certified)), args.out)
     return 0
 
@@ -116,7 +124,9 @@ def cmd_reconstruct(args) -> int:
     cert = serialize.certificate_from_obj(serialize.load_json(args.cert))
     what = f"the certificate's residual {cert.residual:.3e} misses the column"
     require_column(cert.residual, col, what)
-    field, info = reconstruct_from_certificate(col, cert, args.order, args.legendre_order)
+    # a zero column recovers the zero field, whose b = 0 is a shade's
+    filled = _shade_fill(col, cert, args.order) if col.any() else None
+    field, info = reconstruct_from_certificate(col, cert, args.order, args.legendre_order, filled)
     gf = field.sample(args.grid, args.grid)
     header = serialize.grid_header_obj(gf, field.order, info["mass_from_field"])
     text = "# " + serialize.dumps(header) + "\n" + serialize.grid_to_csv(gf)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, MathDomainError
+from .errors import InputError, MathDomainError, PrecisionError
 from .operators import ellipse_operator, exact_size, krylov_gram
 from .series import degree_grid, in_float_range, square_matrix
 
@@ -34,6 +34,8 @@ from .series import degree_grid, in_float_range, square_matrix
 # d = 1, the relation on column 0 otherwise); a column that misses by more
 # belongs to another shade
 COLUMN_RTOL = 1e-6
+# the refusal of a certificate fit of degree {} past the float range
+_FIT_REFUSAL = "the degree-{} certificate fit leaves the float range"
 
 
 @dataclass
@@ -75,11 +77,16 @@ def fit_certificate(b, d: int) -> BandCertificate:
     n = bm.shape[0]
     if not 0 <= d < n or n < 2:
         raise InputError("need 0 <= d < order and order >= 2")
-    scale, message = column_scale(bm[:, 0]), f"the degree-{d} certificate fit leaves the float range"
-    bs = in_float_range(lambda: bm[:, : d + 1] * scale, message)
-    design, target = bs[: n - 1], bs[1:, 0]
+    scale = column_scale(bm[:, 0])
+    return _fit(in_float_range(lambda: bm[:, : d + 1] * scale, _FIT_REFUSAL.format(d)), scale, d)
+
+
+def _fit(bs: np.ndarray, scale: float, d: int) -> BandCertificate:
+    """`fit_certificate` on bs, whose columns 0..d are b's times scale and finite."""
+    n = bs.shape[0]
+    design, target = bs[: n - 1, : d + 1], bs[1:, 0]
     q = np.linalg.lstsq(design, target, rcond=None)[0]
-    rms = in_float_range(lambda: np.sqrt(np.mean(np.abs(target - design @ q) ** 2)) / scale, message)
+    rms = in_float_range(lambda: np.sqrt(np.mean(np.abs(target - design @ q) ** 2)) / scale, _FIT_REFUSAL.format(d))
     return BandCertificate(d, q, float(rms), n - 1)
 
 
@@ -91,12 +98,20 @@ def detect_order(b, dmax: int, tol: float = 1e-8) -> BandCertificate | None:
     Every fit keeps a spare row (order - 1 rows for at most order - 2
     unknowns): an exactly determined fit would match any b to rounding.
     The norm is taken on the column scaled by `column_scale`, as the fit's.
+    The scan scales columns 0..min(dmax, order - 3) once; only when one of
+    them leaves the float range does each degree scale its own, so that the
+    refusal names the first degree that reads it, as `fit_certificate` would.
     """
     bm = square_matrix(b, "b")
+    top = min(dmax, bm.shape[0] - 3)
     scale = column_scale(bm[:, 0])
     cutoff = tol * float(np.linalg.norm(bm[:, 0] * scale)) / scale
-    for d in range(min(dmax, bm.shape[0] - 3) + 1):
-        cert = fit_certificate(bm, d)
+    try:
+        bs = in_float_range(lambda: bm[:, : top + 1] * scale, _FIT_REFUSAL.format(top))
+    except PrecisionError:
+        bs = None
+    for d in range(top + 1):
+        cert = fit_certificate(bm, d) if bs is None else _fit(bs, scale, d)
         if cert.residual <= cutoff:
             return cert
     return None
@@ -129,9 +144,10 @@ def fill_from_first_column(col, q, order: int) -> FilledMoments:
     the rules stall for d >= 3 at orders d + 5 .. d*d - 1 (MathDomainError).  A
     degree-0 certificate, which a disk's b fits, runs the same rules, so a
     disk of radius R centred at 0 fills b[1, 1] = -R^4 where its b is 0:
-    T xi = q0 xi is incompatible with [T*, T] = xi (x) xi.  Either way, a
-    finite certificate whose fill has a certified entry past the float range
-    raises PrecisionError, naming the entry, before the column is checked.
+    T xi = q0 xi is incompatible with [T*, T] = xi (x) xi.  This function
+    returns that fill; the CLI refuses it (`orthopoly.require_shade`).  Either
+    way, a finite certificate whose fill has a certified entry past the float
+    range raises PrecisionError, naming the entry, before the column is checked.
     """
     col = np.asarray(col, dtype=complex).ravel()
     q = np.asarray(q, dtype=complex).ravel()

@@ -19,6 +19,8 @@ from .errors import InputError, MathDomainError
 from .series import square_matrix
 
 PIVOT_TOL = 1e-10
+# a stalled pivot or a least eigenvalue below -INDEFINITE_RTOL ||b||_2 makes b indefinite
+INDEFINITE_RTOL = 1e-9
 
 
 @dataclass
@@ -52,15 +54,35 @@ class CompletenessReport:
 
 
 def _indefinite(value: float, bm: np.ndarray) -> bool:
-    """Whether a stalled pivot lies below -1e-9 ||b||_2.
+    """Whether a stalled pivot or least eigenvalue lies below -INDEFINITE_RTOL ||b||_2.
 
     max |b_jj| <= ||b||_2, so the SVD for ||b||_2 runs only for a value below
-    -1e-9 max(1e-30, max |b_jj|), never for one >= 0, even with a NaN b_jj; that end
-    is widened by 1e-8 relative, so that it never decides otherwise than the SVD would.
+    -INDEFINITE_RTOL max(1e-30, max |b_jj|), never for one >= 0, even with a NaN b_jj;
+    that end is widened by 1e-8 relative, so that it never decides otherwise than the
+    SVD would.
     """
-    if value >= -1e-9 * max(1e-30, float(np.abs(np.diagonal(bm)).max()) * (1 - 1e-8)):
+    if value >= -INDEFINITE_RTOL * max(1e-30, float(np.abs(np.diagonal(bm)).max()) * (1 - 1e-8)):
         return False
-    return value < -1e-9 * max(float(np.linalg.norm(bm, 2)), 1e-30)
+    return value < -INDEFINITE_RTOL * max(float(np.linalg.norm(bm, 2)), 1e-30)
+
+
+def require_shade(values, certified) -> None:
+    """MathDomainError when the largest leading block of b that ``certified`` covers
+    is indefinite by `_indefinite`'s rule.  The b of a shade in [0, 1] is positive
+    semidefinite (Putinar), so no shade has moments whose b is not; the error names
+    the block's size and its least eigenvalue relative to its 2-norm."""
+    covered = np.logical_and.accumulate(np.logical_and.accumulate(np.asarray(certified, bool), 0), 1)
+    k = int(covered.diagonal().sum())
+    if k == 0:
+        return
+    block = square_matrix(values)[:k, :k]
+    lam = np.linalg.eigvalsh(block)
+    if _indefinite(lam[0], block):
+        raise MathDomainError(
+            f"no shade in [0, 1] has these moments: the leading {k} x {k} block of b has least "
+            f"eigenvalue {lam[0]:.3e}, {lam[0] / np.abs(lam).max():.3e} of its 2-norm "
+            f"(at least -{INDEFINITE_RTOL:g})"
+        )
 
 
 def orthonormalize(b) -> PolyBasis:

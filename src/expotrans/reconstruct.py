@@ -8,10 +8,14 @@ call, as are each top order's gather and scatter indices.  A box around the
 support is estimated from the even-moment growth, and the density is
 approximated by its L2 projection onto tensor Legendre polynomials on the
 box, pi * Lx m Ly^T, where the rows of Lx and Ly are the power-basis
-coefficients of the normalized Legendre polynomials.  A grid
-sample runs one Clenshaw pass along x on the grid's x values and one along
-y on its y values.  The projection is reported as is, Gibbs oscillations
-included; values outside [-0.1, 1.1] are only counted, never clipped.
+coefficients of the normalized Legendre polynomials: on a box centred near
+the origin, per axis one product of P_0..P_L's coefficients on [-1, 1], kept
+per order L, with the interval's binomial substitution matrix, and on any
+other box one recurrence pass for both axes.  A grid's cell centres sit at
+the same unit coordinates on every box, so a sample is two matrix products
+with a table of P_0..P_L at those coordinates, kept per (grid size, order).
+The projection is reported as is, Gibbs oscillations included; values
+outside [-0.1, 1.1] are only counted, never clipped.
 """
 from __future__ import annotations
 
@@ -22,9 +26,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MathDomainError, PrecisionError
-from .finiteterm import fill_from_first_column
+from .finiteterm import FilledMoments, fill_from_first_column
 from .series import BiSeries, degree_grid, in_float_range, log_neg, square_matrix
-from .shapes import Box, translate_moments
+from .shapes import Box, _pascal_table, translate_moments
 
 # relative padding of the support box's half-extents
 BOX_PAD = 0.15
@@ -189,23 +193,62 @@ def support_box(a) -> Box:
     return Box(cx - half_x, cx + half_x, cy - half_y, cy + half_y)
 
 
+@functools.cache
+def _legendre_power(order: int) -> np.ndarray:
+    """c[k, i], the coefficient of t^i in the Legendre polynomial P_k(t) on
+    [-1, 1], k, i <= order: 2^-k (-1)^m C(k, m) C(2k - 2m, k) at i = k - 2m,
+    each the float of the exact rational.  Built once per order and read-only:
+    8 (order+1)^2 bytes, 968 B at order 10, all orders up to 47 together 0.3 MB."""
+    c = np.zeros((order + 1, order + 1))
+    for k in range(order + 1):
+        for m in range(k // 2 + 1):
+            c[k, k - 2 * m] = math.ldexp(float((-1) ** m * math.comb(k, m) * math.comb(2 * k - 2 * m, k)), -k)
+    c.flags.writeable = False
+    return c
+
+
 def _legendre_rows(order: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Slice i, row k: power-basis coefficients of the L2-normalized Legendre
     polynomial of degree k on [lo[i], hi[i]], k = 0..order.
 
-    Uses (k+1) P_(k+1) = (2k+1) t P_k - k P_(k-1) with t = alpha x + beta,
-    one step for every interval at once: each entry takes the same
-    elementwise operations as it would alone.
+    With t = alpha x + beta, P_k(t) = sum_i c[k, i] t^i, so the rows are
+    `_legendre_power`'s table times the substitution matrix
+    s[i, r] = comb(i, r) alpha^r beta^(i-r), one product for every interval,
+    its binomials from `shapes._pascal_table`.  That product keeps each entry
+    within a few ulps only while order * |beta| <= 1, on a box centred near
+    the origin; past it an entry's terms cancel (2 * 10^4 ulps lost at
+    order * |beta| near 2), so the rows run (k+1) P_(k+1) = (2k+1) t P_k -
+    k P_(k-1) instead, one step for every interval at once.
     """
     lo, hi = np.asarray(lo, dtype=float)[:, None], np.asarray(hi, dtype=float)[:, None]
     alpha, beta = 2.0 / (hi - lo), -(hi + lo) / (hi - lo)
-    rows = np.zeros((lo.shape[0], order + 1, order + 1))
-    rows[:, 0, 0] = 1.0
-    for k in range(order):
-        tp = beta * rows[:, k]
-        tp[:, 1:] += alpha * rows[:, k, :-1]
-        rows[:, k + 1] = ((2 * k + 1) * tp - (k * rows[:, k - 1] if k else 0.0)) / (k + 1)
+    if order * np.abs(beta).max() <= 1.0:
+        i, r, i_r, comb = _pascal_table(order + 1)
+        sub = np.zeros((lo.shape[0], order + 1, order + 1))
+        sub[:, i, r] = comb * alpha**r * beta**i_r
+        rows = _legendre_power(order) @ sub
+    else:
+        rows = np.zeros((lo.shape[0], order + 1, order + 1))
+        rows[:, 0, 0] = 1.0
+        for k in range(order):
+            tp = beta * rows[:, k]
+            tp[:, 1:] += alpha * rows[:, k, :-1]
+            rows[:, k + 1] = ((2 * k + 1) * tp - (k * rows[:, k - 1] if k else 0.0)) / (k + 1)
     return rows * np.sqrt((2 * np.arange(order + 1) + 1) / (hi - lo))[:, :, None]
+
+
+@functools.lru_cache(maxsize=32)
+def _legendre_grid(n: int, order: int) -> np.ndarray:
+    """v[i, k] = P_k(t_i) at a grid's unit coordinates t_i = (2i + 1)/n - 1,
+    k <= order, by `legvander`'s steps, without importing numpy.polynomial.
+    Built once per (n, order) and read-only, the 32 latest kept: 8 n (order+1)
+    bytes, 5.6 KB for a 64-point axis at order 10."""
+    t = (2 * np.arange(n) + 1) / n - 1
+    v = np.ones((n, order + 1))
+    for k in range(1, order + 1):  # k P_k = (2k - 1) t P_(k-1) - (k - 1) P_(k-2)
+        v[:, k] = (v[:, k - 1] * t * (2 * k - 1) - (v[:, k - 2] * (k - 1) if k > 1 else 0.0)) / k
+    v.flags.writeable = False
+    return v
 
 
 @dataclass
@@ -238,12 +281,8 @@ class LegendreField:
     def sample(self, nx: int, ny: int) -> GridFunction:
         xs = self.box.x0 + self.box.width * (np.arange(nx) + 0.5) / nx
         ys = self.box.y0 + self.box.height * (np.arange(ny) + 0.5) / ny
-        # the same Clenshaw steps as self(*np.meshgrid(xs, ys)), point for
-        # point, but the x pass runs on nx values instead of nx * ny; C order
-        # keeps the summation order of later reductions over the grid
-        vals = np.ascontiguousarray(
-            np.polynomial.legendre.leggrid2d(*self._unit(xs, ys), self._legmat).T
-        )
+        # the cell centres' unit coordinates depend on nx and ny only
+        vals = _legendre_grid(ny, self.order) @ (_legendre_grid(nx, self.order) @ self._legmat).T
         if not np.all(np.isfinite(vals)):
             raise MathDomainError("non-finite values in sampled reconstruction")
         return GridFunction(
@@ -272,13 +311,15 @@ def legendre_fit(rm: RealMoments, box: Box, order: int) -> LegendreField:
 
 
 def reconstruct_from_certificate(
-    col, cert, order: int, legendre_order: int | None = None
+    col, cert, order: int, legendre_order: int | None = None, filled: FilledMoments | None = None
 ) -> tuple[LegendreField, dict]:
     """Full pipeline: first column of b + `BandCertificate` -> b fill -> a -> projection.
 
     The certified triangle of the fill must cover the Legendre order, by
     default LEGENDRE_ORDER or the fill's reach if smaller; the log-series step
     only ever reads entries inside the triangle, so the masked values are exact there.
+    A caller that has already made the fill, `fill_from_first_column(col,
+    cert.q, order)`, passes it as ``filled`` (the CLI checks it first).
     """
     col = np.asarray(col, dtype=complex)
     if np.all(col == 0):
@@ -289,7 +330,8 @@ def reconstruct_from_certificate(
         fld = LegendreField(box, lo, np.zeros((lo + 1, lo + 1)))
         return fld, {"box": box.as_tuple(), "mass_from_moments": 0.0, "mass_from_field": 0.0,
                      "covered_order": lo}
-    filled = fill_from_first_column(col, cert.q, order)
+    if filled is None:
+        filled = fill_from_first_column(col, cert.q, order)
     avals = log_neg(BiSeries(1.0, -filled.masked_values())).tail
     avals = np.where(filled.certified, avals, np.nan + 0j)
     covered = _covered_order(avals)

@@ -128,17 +128,23 @@ class BiSeries:
         return cls(0.0, np.array(tail, dtype=complex))
 
 
-def _cross_row(xt: np.ndarray, rev: np.ndarray, j: int, buf: np.ndarray) -> np.ndarray:
-    # Entry c is sum_{p<j} sum_{q+r=c-1} xt[q,p] y[j-1-p,r], reading rows < j of
-    # x and y, where rev holds y's rows in reverse (rev[n-1-i] = y[i]) so that
-    # y[j-1::-1] is the contiguous rev[n-j:]: G = xt[:, :j] @ rev[n-j:] lands in
-    # columns 1..n of the call's zero-padded (n, 2n) buf and is summed along
-    # q + r by reading row q shifted left by q with row length 2n - 1.  Callers
-    # run it under `in_float_range`: matmul may overflow inside a finite row's
-    # products, and a non-finite result is a PrecisionError.
-    n = xt.shape[0]
-    np.matmul(xt[:, :j], rev[n - j :], out=buf[:, 1 : n + 1])
-    return buf.ravel()[: n * (2 * n - 1)].reshape(n, 2 * n - 1)[:, :n].sum(axis=0)
+def _cross_kernel(n: int):
+    """The row kernel of `mul`, `exp_neg` and `log_neg` at order n, its buffers
+    built once per call of theirs.  row(xt, rev, j) returns, in one array that it
+    overwrites each time, entry c = sum_{p<j} sum_{q+r=c-1} xt[q,p] y[j-1-p,r] over
+    rows < j of x and y, where rev holds y's rows in reverse (rev[n-1-i] = y[i]):
+    G = xt[:, :j] @ rev[n-j:] lands in columns 1..n of a zero-padded (n, 2n)
+    buffer, summed along q + r by the view that reads row q shifted left by q.
+    Callers run it under `in_float_range`: matmul may overflow inside a finite
+    row's products, and a non-finite result is a PrecisionError."""
+    buf, out = np.zeros((n, 2 * n), dtype=complex), np.empty(n, dtype=complex)
+    antidiagonals = buf.ravel()[: n * (2 * n - 1)].reshape(n, 2 * n - 1)[:, :n]
+
+    def row(xt: np.ndarray, rev: np.ndarray, j: int) -> np.ndarray:
+        np.matmul(xt[:, :j], rev[n - j :], out=buf[:, 1 : n + 1])
+        return antidiagonals.sum(axis=0, out=out)
+
+    return row
 
 
 def mul(f: BiSeries, g: BiSeries) -> BiSeries:
@@ -146,12 +152,12 @@ def mul(f: BiSeries, g: BiSeries) -> BiSeries:
     if f.order != g.order:
         raise InputError(f"order mismatch: {f.order} vs {g.order}")
     n = f.order
-    rev, buf = np.ascontiguousarray(g.tail[::-1]), np.zeros((n, 2 * n), dtype=complex)
+    rev, cross = np.ascontiguousarray(g.tail[::-1]), _cross_kernel(n)
 
     def rows():
-        tail = f.const * g.tail + g.const * f.tail
+        tail, ft = f.const * g.tail + g.const * f.tail, f.tail.T
         for j in range(1, n):
-            tail[j] += _cross_row(f.tail.T, rev, j, buf)
+            tail[j] += cross(ft, rev, j)
         return tail
 
     tail = in_float_range(rows, f"the series product of order {n} leaves the float range")
@@ -164,18 +170,19 @@ def exp_neg(f: BiSeries) -> BiSeries:
     Uses the derivative identity E_u = -f_u * E, which determines each tail
     row of E from earlier rows in one triangular pass.  The v^1 column of
     the result is exactly -f's v^1 column (the cross terms are empty there).
+    Each row is written in place, with no temporary array.
     """
     if f.const != 0.0:
         raise InputError("exp_neg expects a series with zero constant term")
     n = f.order
     a = f.tail
-    rev = np.zeros((n, n), dtype=complex)  # rev[n-1-j] = row j of E
-    buf = np.zeros((n, 2 * n), dtype=complex)
+    rev, cross = np.zeros((n, n), dtype=complex), _cross_kernel(n)  # rev[n-1-j] = row j of E
 
     def rows():
-        w = np.arange(1, n + 1)[:, None] * a  # rows of f_u: (p + 1) * a[p]
+        wt, neg = (np.arange(1, n + 1)[:, None] * a).T, -a  # rows of f_u: (p + 1) * a[p]
         for j in range(n):
-            rev[n - 1 - j] = -a[j] - _cross_row(w.T, rev, j, buf) / (j + 1)
+            s = cross(wt, rev, j)
+            np.subtract(neg[j], np.divide(s, j + 1, out=s), out=rev[n - 1 - j])
         return rev[::-1].copy()
 
     return BiSeries(1.0, in_float_range(rows, f"the series exp(-f) of order {n} leaves the float range"))
@@ -187,15 +194,17 @@ def log_neg(f: BiSeries) -> BiSeries:
         raise InputError("log_neg expects a series with constant term 1")
     n = f.order
     e = f.tail
-    rev, buf = np.ascontiguousarray(e[::-1]), np.zeros((n, 2 * n), dtype=complex)
+    rev, cross = np.ascontiguousarray(e[::-1]), _cross_kernel(n)
     a = np.zeros((n, n), dtype=complex)
     w = np.zeros((n, n), dtype=complex)  # rows of a_u: (p + 1) * a[p]
 
     def rows():
+        wt, neg = w.T, -e
         for j in range(n):
             # exp_neg's identity and cross sum, bit for bit, solved for the new row of a
-            a[j] = -e[j] - _cross_row(w.T, rev, j, buf) / (j + 1)
-            w[j] = (j + 1) * a[j]
+            s = cross(wt, rev, j)
+            np.subtract(neg[j], np.divide(s, j + 1, out=s), out=a[j])
+            np.multiply(a[j], j + 1, out=w[j])
         return a
 
     return BiSeries(0.0, in_float_range(rows, f"the series -log(f) of order {n} leaves the float range"))

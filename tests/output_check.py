@@ -121,17 +121,18 @@ def commands() -> list[Command]:
         ("moments b.json --given b --order 6", 0), ("moments col.json", 2),
         ("transform nan.json --given b", 2), ("moments missing.json", 2),
     )]
-    # detect -> fill -> reconstruct, with and without --legendre-order
-    for source, n, recon in (
-        ("gallery:ellipse", 10, (12, 24, 40)), ("gallery:ellipse?u=1.5", 10, (12,)),
-        ("gallery:ellipse?u=2.2", 40, (40,)), ("gallery:trifoil", 10, (12,)), ("gallery:disk", 12, (12,)),
+    # detect -> fill -> reconstruct, with and without --legendre-order; the
+    # disk's degree-0 fill has b[1, 1] < 0, which no shade in [0, 1] has (exit 3)
+    for source, n, recon, code in (
+        ("gallery:ellipse", 10, (12, 24, 40), 0), ("gallery:ellipse?u=1.5", 10, (12,), 0),
+        ("gallery:ellipse?u=2.2", 40, (40,), 0), ("gallery:trifoil", 10, (12,), 0), ("gallery:disk", 12, (12,), 3),
     ):
         cert = "cert-" + source[len("gallery:"):].replace("?", "-").replace("=", "") + ".json"
         out.append(_cmd(f"detect {shlex.quote(source)} --order {n}", save=cert))
-        out.append(_cmd(f"fill {shlex.quote(source)} {cert} --order {n}", save=cert.replace("cert", "filled")))
+        out.append(_cmd(f"fill {shlex.quote(source)} {cert} --order {n}", code, save=cert.replace("cert", "filled")))
         for m in recon:
-            out.append(_cmd(f"reconstruct {shlex.quote(source)} {cert} --order {m} --grid 24"))
-            out.append(_cmd(f"reconstruct {shlex.quote(source)} {cert} --order {m} --legendre-order 6"))
+            out.append(_cmd(f"reconstruct {shlex.quote(source)} {cert} --order {m} --grid 24", code))
+            out.append(_cmd(f"reconstruct {shlex.quote(source)} {cert} --order {m} --legendre-order 6", code))
     # COLUMN read from a column file and from fill's own output (nulls off column 0)
     out += [_cmd(line, code) for line, code in (
         ("fill col.json cert-trifoil.json --order 10", 3), ("fill filled-trifoil.json cert-trifoil.json --order 10", 0),

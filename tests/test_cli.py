@@ -310,6 +310,26 @@ def test_output_check_list_exits_as_expected(tmp_path):
     assert [(command.key(), got, command.code) for command, got, _ in rows if got != command.code] == []
 
 
+@pytest.mark.parametrize("source", ["gallery:disk", "gallery:annulus", "gallery:ellipse", "gallery:trifoil"])
+def test_fill_that_no_shade_has_exits_3(tmp_path, monkeypatch, capsys, source):
+    # a degree-0 certificate's fill has b[1, 1] < 0 on the disk (-1) and the
+    # annulus, so no shade in [0, 1] has it: fill and reconstruct refuse it;
+    # the ellipse's degree-1 and the trifoil's degree-2 chains go through
+    monkeypatch.chdir(tmp_path)
+    _out(capsys, f"detect {source} --order 12 --out c.json")
+    refused = source in ("gallery:disk", "gallery:annulus")
+    for command in (f"fill {source} c.json --order 12", f"reconstruct {source} c.json --order 12 --grid 8"):
+        assert main(command.split()) == (3 if refused else 0), command
+        captured = capsys.readouterr()
+        if refused:
+            assert captured.out == ""
+            assert captured.err.startswith("expotrans: domain error: no shade in [0, 1] has these moments: "
+                                           "the leading 6 x 6 block of b has least eigenvalue -")
+            assert captured.err.count("\n") == 1
+        else:
+            assert captured.err == ""
+
+
 @pytest.mark.parametrize("command", [
     "fill gallery:disk c.json --order 6",
     "reconstruct gallery:disk c.json --order 6 --legendre-order 4 --grid 4",

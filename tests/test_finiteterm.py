@@ -9,6 +9,7 @@ from expotrans.finiteterm import (
     BandProfile,
     _propagate,
     band_profile,
+    column_scale,
     detect_order,
     fill_from_first_column,
     fit_certificate,
@@ -95,6 +96,40 @@ def test_fit_certificate_is_exact_under_powers_of_two():
         assert np.array_equal(cert.q, ref.q), k
         assert cert.residual == ref.residual * 2.0**k, k
         assert detect_order(b * 2.0**k, 4).d == 2, k
+
+
+def test_detect_order_takes_each_fit_as_fit_certificate_does():
+    # the scan scales columns 0..dmax once; each certificate is fit_certificate's
+    # of the same degree, bit for bit, and so is where the scan stops
+    for address in ("gallery:trifoil", "gallery:ellipse?u=1.7", "gallery:power?d=2", "gallery:twodiag"):
+        for order in (6, 12, 24):
+            b = b_for(address, order).b
+            for k in (-600, 0, 600):
+                bk = b * 2.0**k
+                cert = detect_order(bk, 4)
+                scan = [fit_certificate(bk, d) for d in range(min(4, order - 3) + 1)]
+                scale = column_scale(bk[:, 0])
+                cutoff = 1e-8 * float(np.linalg.norm(bk[:, 0] * scale)) / scale
+                hit = next((c for c in scan if c.residual <= cutoff), None)
+                assert (cert is None) == (hit is None), (address, order, k)
+                if hit is not None:
+                    assert (cert.d, cert.residual, cert.rows_used) == (hit.d, hit.residual, hit.rows_used)
+                    assert np.array_equal(cert.q, hit.q)
+
+
+def test_detect_order_refuses_at_the_first_degree_that_reads_a_column_past_the_range():
+    # column 0 near 1e-300 scales by about 2^997; column 2 then overflows, so
+    # degrees 0 and 1 are fitted and the refusal names degree 2, with no warning
+    rng = np.random.default_rng(5)
+    b = rng.standard_normal((8, 8)) + 0j
+    b[:, :2] *= 1e-300
+    b[:, 2] *= 1e10
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fit in (lambda: detect_order(b, 4), lambda: fit_certificate(b, 2)):
+            with pytest.raises(PrecisionError, match=r"^the degree-2 certificate fit leaves the float range$"):
+                fit()
+        assert fit_certificate(b, 1).d == 1
 
 
 def test_column_rule_on_a_zero_column_warns_nothing():

@@ -269,3 +269,19 @@ def test_pivot_bracket_decides_as_the_svd_rule(monkeypatch):
     # a zero pivot with a NaN on the diagonal past it stops, with no SVD (which
     # does not converge on NaN)
     assert orthonormalize(np.array([[1, 1, 0], [1, 1, 0], [0, 0, np.nan]], dtype=complex)).degree == 1
+
+
+def test_require_shade_reads_the_largest_certified_leading_block():
+    # the block's least eigenvalue against -1e-9 of its 2-norm, _indefinite's rule
+    b = np.diag([1.0, 2.0, -1.0, 4.0]).astype(complex)
+    mask = np.ones((4, 4), dtype=bool)
+    mask[2, 2] = False  # leading blocks of size 1 and 2 only: no negative eigenvalue
+    orthopoly.require_shade(b, mask)
+    with pytest.raises(MathDomainError, match=r"^no shade in \[0, 1\] has these moments: the leading 4 x 4 "
+                                              r"block of b has least eigenvalue -1\.000e\+00, -2\.500e-01 of its "
+                                              r"2-norm \(at least -1e-09\)$"):
+        orthopoly.require_shade(b, np.ones((4, 4), dtype=bool))
+    # within tolerance: a rounding residue is no refusal
+    orthopoly.require_shade(np.diag([1.0, -5e-10]), np.ones((2, 2), dtype=bool))
+    with pytest.raises(MathDomainError, match="leading 2 x 2 block"):
+        orthopoly.require_shade(np.diag([1.0, -2e-9]), np.ones((2, 2), dtype=bool))

@@ -357,16 +357,19 @@ def test_legendre_disk_projection():
 
 
 def test_sample_equals_pointwise_evaluation():
+    # the grid tables' two products against legval2d's Clenshaw steps at each
+    # point: equal within 1e-13 of max(1, max |value|)
     rng = np.random.default_rng(12)
     for order in range(13):
-        for nx, ny in ((1, 1), (3, 5), (17, 2), (2, 9)):
+        for nx, ny in ((1, 1), (3, 5), (17, 2), (2, 9), (64, 64), (160, 160)):
             x0, y0 = rng.uniform(-4.0, 4.0, 2)
             w, h = rng.uniform(0.2, 3.0, 2)
             c = rng.standard_normal((order + 1, order + 1))
             fld = LegendreField(Box(x0, x0 + w, y0, y0 + h), order, c)
             gf = fld.sample(nx, ny)
             assert gf.values.shape == (ny, nx)
-            assert np.array_equal(gf.values, fld(*np.meshgrid(gf.xs, gf.ys)))
+            want = fld(*np.meshgrid(gf.xs, gf.ys))
+            assert np.abs(gf.values - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
 
 
 def test_legendre_weighted_level():
@@ -413,20 +416,31 @@ def _exact_legendre_rows(order, lo, hi):
 
 
 def test_legendre_fit_exact_oracle():
-    order = 10
-    box = Box(-1.2, 1.3, -1.0, 0.9)
-    rm = real_moments(moments(Ellipse(0.05 - 0.05j, 1.0, 0.7, 0.3), 12))
-    fld = legendre_fit(rm, box, order)
-    lx = _exact_legendre_rows(order, box.x0, box.x1)
-    ly = _exact_legendre_rows(order, box.y0, box.y1)
-    m = [[Fraction(rm.m[r, s]) for s in range(order + 1 - r)] for r in range(order + 1)]
-    exact = np.zeros((order + 1, order + 1))
-    for p in range(order + 1):
-        for q in range(order + 1 - p):
-            acc = sum(lx[p][r] * ly[q][s] * m[r][s] for r in range(p + 1) for s in range(q + 1))
-            norm = math.sqrt((2 * p + 1) / box.width * (2 * q + 1) / box.height)
-            exact[p, q] = math.pi * norm * float(acc)
-    assert np.abs(fld.coeffs - exact).max() <= 1e-12 * np.abs(exact).max()
+    # seeded boxes at orders 4 to 16 against the projection of the same float
+    # moments in rationals: 20 off-centre and narrow, whose rows run the
+    # recurrence, then 10 centred within width / (2 order), whose rows are the
+    # product of the coefficient table with the substitution matrix
+    rm = real_moments(moments(Ellipse(0.05 - 0.05j, 1.0, 0.7, 0.3), 17))
+    rng = np.random.default_rng(38)
+    for t in range(30):
+        order = int(rng.integers(4, 17))
+        cx, cy = rng.uniform(-1.0, 1.0, 2)
+        w, h = rng.uniform(0.3, 3.0, 2)
+        if t >= 20:
+            cx, cy = cx * w / (2 * order), cy * h / (2 * order)
+        assert (order * max(2 * abs(cx) / w, 2 * abs(cy) / h) <= 1.0) == (t >= 20)
+        box = Box(cx - w / 2, cx + w / 2, cy - h / 2, cy + h / 2)
+        fld = legendre_fit(rm, box, order)
+        lx = _exact_legendre_rows(order, box.x0, box.x1)
+        ly = _exact_legendre_rows(order, box.y0, box.y1)
+        m = [[Fraction(rm.m[r, s]) for s in range(order + 1 - r)] for r in range(order + 1)]
+        exact = np.zeros((order + 1, order + 1))
+        for p in range(order + 1):
+            for q in range(order + 1 - p):
+                acc = sum(lx[p][r] * ly[q][s] * m[r][s] for r in range(p + 1) for s in range(q + 1))
+                norm = math.sqrt((2 * p + 1) / box.width * (2 * q + 1) / box.height)
+                exact[p, q] = math.pi * norm * float(acc)
+        assert np.abs(fld.coeffs - exact).max() <= 1e-12 * np.abs(exact).max(), (order, box)
 
 
 def _legendre_rows_one_interval(order, lo, hi):
@@ -442,6 +456,8 @@ def _legendre_rows_one_interval(order, lo, hi):
 
 
 def test_legendre_rows_of_both_axes_match_one_interval_at_a_time():
+    # off-centre intervals past order 1, so the rows run the recurrence (at
+    # orders 0 and 1 the product forms the same rows)
     rng = np.random.default_rng(34)
     for order in range(13):
         lo = rng.uniform(-4.0, 1.0, 2)
@@ -449,6 +465,29 @@ def test_legendre_rows_of_both_axes_match_one_interval_at_a_time():
         rows = reconstruct._legendre_rows(order, lo, hi)
         for i in range(2):
             assert np.array_equal(rows[i], _legendre_rows_one_interval(order, float(lo[i]), float(hi[i])))
+
+
+def test_legendre_tables_are_read_only_and_built_once_per_key():
+    # the power coefficients per order and the grid values per (n, order)
+    reconstruct._legendre_power.cache_clear()
+    reconstruct._legendre_grid.cache_clear()
+    rm = real_moments(moments(Disk(0.1, 0.8), 12))
+    for order, n in ((6, 64), (10, 64), (6, 64), (10, 24), (6, 64)):
+        legendre_fit(rm, Box(-1.0, 1.2, -0.9, 1.0), order).sample(n, n)
+    assert reconstruct._legendre_power.cache_info()[1:4:2] == (2, 2)  # (misses, currsize)
+    assert reconstruct._legendre_grid.cache_info()[1:4:2] == (3, 3)
+    for table in (reconstruct._legendre_power(6), reconstruct._legendre_grid(64, 10)):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 2.0
+    # the grid table takes legvander's steps, so it is legvander's, bit for bit
+    for n, order in ((1, 0), (7, 3), (64, 10), (160, 16)):
+        t = (2 * np.arange(n) + 1) / n - 1
+        assert np.array_equal(reconstruct._legendre_grid(n, order), np.polynomial.legendre.legvander(t, order))
+    # P_k(1) = 1 and P_k(-1) = (-1)^k
+    c = reconstruct._legendre_power(10)
+    assert c.sum(axis=1).tolist() == [1.0] * 11
+    assert (c * (-1.0) ** np.arange(11)).sum(axis=1).tolist() == [(-1.0) ** k for k in range(11)]
 
 
 def test_reconstruct_trifoil():
